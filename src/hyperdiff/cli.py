@@ -69,11 +69,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError:
-        raise
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     params, measure = load_config(text)
     return {"params": {"c": params.c, "D": params.D}, "measure": measure.to_dict()}
 
@@ -120,11 +117,7 @@ def _run_kernel(settings: dict, out: str) -> tuple[list[str], dict | None]:
     params = params_from_dict(settings["params"])
     rows = []
     for mu in settings["mu"]:
-        if mu < 0:
-            raise ConfigError(f"wave number must be >= 0, got {mu}")
         for t in settings["t"]:
-            if t < 0:
-                raise ConfigError(f"time must be >= 0, got {t}")
             rows.append([mu, t,
                          transfer_diffusive(mu, t, params),
                          transfer_wave(mu, t, params),
@@ -156,26 +149,21 @@ def _run_covariance(settings: dict, out: str) -> tuple[list[str], dict | None]:
     t, t_prime = settings["t"], settings["t_prime"]
     route = settings["route"]
     l_count = settings["l_count"]
-    if any(g < 0 or g > math.pi for g in gammas):
-        raise ConfigError("gammas must lie in [0, pi]")
     path = os.path.join(out, "covariance.csv")
     if route == "spectral":
         values = covariance_spectral(np.array(gammas), t, t_prime, measure, params)
         _write_csv(path, ["gamma", "R"], list(zip(gammas, values)))
     elif route == "legendre":
-        rows = []
-        for g in gammas:
-            lc = covariance_legendre(g, t, t_prime, measure, params, l_count)
-            rows.append([g, lc.value, lc.remainder])
-        _write_csv(path, ["gamma", "R", "remainder"], rows)
+        lc = covariance_legendre(np.array(gammas), t, t_prime, measure, params, l_count)
+        _write_csv(path, ["gamma", "R", "remainder"],
+                   [[g, r, lc.remainder] for g, r in zip(gammas, lc.value)])
     elif route == "both":
         spectral = covariance_spectral(np.array(gammas), t, t_prime, measure, params)
-        rows = []
-        for g, rs in zip(gammas, spectral):
-            lc = covariance_legendre(g, t, t_prime, measure, params, l_count)
-            rows.append([g, rs, lc.value, lc.remainder, abs(rs - lc.value)])
+        lc = covariance_legendre(np.array(gammas), t, t_prime, measure, params, l_count)
         _write_csv(path, ["gamma", "R_spectral", "R_legendre", "remainder",
-                          "discrepancy"], rows)
+                          "discrepancy"],
+                   [[g, rs, rl, lc.remainder, abs(rs - rl)]
+                    for g, rs, rl in zip(gammas, spectral, lc.value)])
     else:
         raise ConfigError(f"unknown route {route!r}")
     return [path], None
@@ -450,10 +438,17 @@ def main(argv=None) -> int:
         if args.subcommand == "rerun":
             with open(args.manifest, "r", encoding="utf-8") as fh:
                 manifest = json.load(fh)
+            if not isinstance(manifest, dict) or not isinstance(
+                    manifest.get("settings"), dict):
+                raise ConfigError("manifest must be a JSON object with a settings object")
             name = manifest.get("subcommand")
             if name not in _RUNNERS:
                 raise ConfigError(f"manifest names unknown subcommand {name!r}")
-            return _execute(name, manifest["settings"], args.out)
+            try:
+                return _execute(name, manifest["settings"], args.out)
+            except (KeyError, TypeError) as exc:
+                raise ConfigError(f"manifest settings are incomplete or malformed "
+                                  f"({type(exc).__name__}: {exc})") from exc
         name, settings = _settings_from_args(args)
         return _execute(name, settings, args.out)
     except (ConfigError, ValueError) as exc:

@@ -4,8 +4,7 @@ Two independent routes evaluate the covariance between sphere locations at
 angular distance gamma and times t, t':
 
   * spectral:  integral of sinc(2 mu sin(gamma/2)) * transfer(mu, t)
-               * transfer(mu, t') over G(d mu), atoms exact, segments by
-               adaptive quadrature;
+               * transfer(mu, t') over G(d mu), by _quad.integrate_measure;
   * Legendre:  (1/4pi) * sum_l (2l+1) C_l(t, t') P_l(cos gamma), truncated,
                with a certified remainder bound from the spectrum tail.
 
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import integrate_vector
+from ._quad import integrate_measure
 from .kernel import transfer
 from .measure import DiffusionParams, SpectralMeasure
 from .special import legendre_all
@@ -48,11 +47,12 @@ def _sinc(x):
 
 
 def _validate_query(gamma, t: float, t_prime: float) -> np.ndarray:
+    # Each test is written so that NaN fails it.
     g = np.asarray(gamma, dtype=float)
-    if np.any((g < 0.0) | (g > math.pi)):
+    if not np.all((g >= 0.0) & (g <= math.pi)):
         raise ValueError("angular distance must lie in [0, pi]")
-    if t < 0 or t_prime < 0:
-        raise ValueError("times must be >= 0")
+    if not (0.0 <= t < math.inf and 0.0 <= t_prime < math.inf):
+        raise ValueError("times must be finite and >= 0")
     return g
 
 
@@ -64,33 +64,28 @@ def covariance_spectral(gamma, t: float, t_prime: float,
     gamma may be a scalar or an array of angular distances.
     """
     g = _validate_query(gamma, t, t_prime)
-    g_arr = np.atleast_1d(g)
-    half_chord = 2.0 * np.sin(g_arr / 2.0)
-    total = np.zeros(g_arr.shape)
-    if measure.atoms:
-        mus = np.array([mu for mu, _ in measure.atoms])
-        masses = np.array([mass for _, mass in measure.atoms])
-        hh = transfer(mus, t, params) * transfer(mus, t_prime, params)
-        total += _sinc(half_chord[:, None] * mus[None, :]) @ (hh * masses)
-    for seg in measure.segments:
-        def integrand(mu, seg=seg):
-            dens = seg.amplitude * mu ** seg.exponent
-            hh = transfer(mu, t, params) * transfer(mu, t_prime, params)
-            return _sinc(mu * half_chord) * hh * dens
-        total += integrate_vector(integrand, seg.lo, seg.hi, rtol=rtol,
-                                  breakpoints=(params.cutoff,))
+    half_chord = 2.0 * np.sin(np.atleast_1d(g) / 2.0)
+
+    def f(mu):
+        hh = transfer(mu, t, params) * transfer(mu, t_prime, params)
+        return _sinc(np.multiply.outer(half_chord, mu)) * hh
+    total = integrate_measure(f, measure, rtol=rtol, breakpoints=(params.cutoff,))
     return float(total[0]) if np.ndim(g) == 0 else total
 
 
 @dataclass(frozen=True)
 class LegendreCovariance:
-    """Truncated Legendre-series covariance and its certified remainder bound."""
+    """Truncated Legendre-series covariance and its certified remainder bound.
 
-    value: float
+    value is a float for a scalar angle and an array for an array of angles;
+    the remainder bound does not depend on the angle.
+    """
+
+    value: float | np.ndarray
     remainder: float
 
 
-def covariance_legendre(gamma: float, t: float, t_prime: float,
+def covariance_legendre(gamma, t: float, t_prime: float,
                         measure: SpectralMeasure, params: DiffusionParams,
                         l_count: int,
                         spectrum_rtol: float = 1e-12) -> LegendreCovariance:
@@ -99,16 +94,19 @@ def covariance_legendre(gamma: float, t: float, t_prime: float,
     The remainder bound uses |P_l| <= 1 and, for t != t', the per-degree
     Cauchy-Schwarz inequality |C_l(t,t')| <= sqrt(C_l(t,t) C_l(t',t')).
     The (2l+1)-weighted sum amplifies per-degree quadrature error by about
-    l_count^2, hence the tighter default spectrum tolerance here.
+    l_count^2, hence the tighter default spectrum tolerance here. gamma may
+    be a scalar or an array of angular distances.
     """
     if l_count < 1:
         raise ValueError(f"need at least one series term, got {l_count}")
-    _validate_query(float(gamma), t, t_prime)
+    g = _validate_query(gamma, t, t_prime)
     spec = angular_spectrum(l_count, t, t_prime, measure, params,
                             rtol=spectrum_rtol)
     ls = np.arange(l_count)
-    pl = legendre_all(l_count - 1, math.cos(gamma))
-    value = float(np.sum((2 * ls + 1) * spec.values * pl) / (4.0 * math.pi))
+    pl = legendre_all(l_count - 1, np.cos(g))
+    value = ((2 * ls + 1) * spec.values) @ pl / (4.0 * math.pi)
+    if np.ndim(g) == 0:
+        value = float(value)
     tail_t = tail_sum_direct(l_count, measure, params, t, block=16).value
     if t_prime == t:
         tail = tail_t
@@ -175,21 +173,13 @@ def covariance_time_lags(gamma: float, t: float, lags: np.ndarray,
     if np.any(lags_arr < 0):
         raise ValueError("lags must be >= 0")
     half_chord = 2.0 * math.sin(g / 2.0)
-    total = np.zeros(lags_arr.shape)
-    if measure.atoms:
-        mus = np.array([mu for mu, _ in measure.atoms])
-        masses = np.array([mass for _, mass in measure.atoms])
-        base = _sinc(mus * half_chord) * transfer(mus, t, params) * masses
-        h_later = transfer(mus[:, None], t + lags_arr[None, :], params)
-        total += base @ h_later
-    for seg in measure.segments:
-        def integrand(mu, seg=seg):
-            dens = seg.amplitude * mu ** seg.exponent
-            base = _sinc(mu * half_chord) * transfer(mu, t, params) * dens
-            return base * transfer(mu, t + lags_arr, params)
-        total += integrate_vector(integrand, seg.lo, seg.hi, rtol=rtol,
-                                  breakpoints=(params.cutoff,))
-    return total
+    later = t + lags_arr
+
+    def f(mu):
+        # The atoms' wave-number axis goes last, after the lag axes.
+        h_later = transfer(mu, later if np.ndim(mu) == 0 else later[..., None], params)
+        return _sinc(mu * half_chord) * transfer(mu, t, params) * h_later
+    return integrate_measure(f, measure, rtol=rtol, breakpoints=(params.cutoff,))
 
 
 def integrated_abs_covariance(t: float, h_max: float, measure: SpectralMeasure,
@@ -203,8 +193,8 @@ def integrated_abs_covariance(t: float, h_max: float, measure: SpectralMeasure,
     (h_grid, cumulative integral); the curve plateaus for short-range
     measures and keeps growing through h_max for long-range ones.
     """
-    if h_max <= 0:
-        raise ValueError(f"h_max must be positive, got {h_max}")
+    if not 0.0 < h_max < math.inf:
+        raise ValueError(f"h_max must be positive and finite, got {h_max}")
     if measure.is_empty:
         grid = np.linspace(0.0, h_max, 2)
         return grid, np.zeros(2)

@@ -5,10 +5,9 @@ The degree-l spectrum couples the spectral measure to the transfer kernel:
     C_l(t, t') = 2 pi^2 * integral of  J_{l+1/2}(mu)^2 / mu
                  * transfer(mu, t) * transfer(mu, t') over G(d mu),
 
-with atoms summed exactly and power-law segments integrated by adaptive
-Gauss-Kronrod panels split at the cut-off wave number, where the integrand's
-time derivative changes character. Tail sums over degrees admit a closed form
-through the Lommel identity
+integrated by _quad.integrate_measure with panels split at the cut-off wave
+number, where the integrand's time derivative changes character. Tail sums
+over degrees admit a closed form through the Lommel identity
 
     sum_{l>=L} (2l+1) J_{l+1/2}(mu)^2
         = mu^2 (J_{L-1/2} J'_{L+1/2} - J_{L+1/2} J'_{L-1/2})(mu),
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import integrate_vector
+from ._quad import integrate_measure
 from .kernel import transfer
 from .measure import DiffusionParams, SpectralMeasure
 from .special import bessel_half_all, log_gamma
@@ -75,36 +74,15 @@ class FiniteVarianceReport:
     exp_moment_finite: bool
 
 
-def _atom_arrays(measure: SpectralMeasure):
-    mus = np.array([mu for mu, _ in measure.atoms])
-    masses = np.array([mass for _, mass in measure.atoms])
-    return mus, masses
-
-
 def _cl_block(l_lo: int, l_hi: int, t: float, t_prime: float,
               measure: SpectralMeasure, params: DiffusionParams,
               rtol: float = 1e-9) -> np.ndarray:
     """C_l values for l in [l_lo, l_hi)."""
-    out = np.zeros(l_hi - l_lo)
-    if measure.atoms:
-        mus, masses = _atom_arrays(measure)
-        jmat = bessel_half_all(l_hi - 1, mus)[l_lo:]
-        weights = (
-            transfer(mus, t, params) * transfer(mus, t_prime, params) * masses / mus
-        )
-        out += _TWO_PI_SQ * (jmat ** 2) @ weights
-    for seg in measure.segments:
-        def integrand(mu, seg=seg):
-            jcol = bessel_half_all(l_hi - 1, float(mu))[l_lo:]
-            dens = seg.amplitude * mu ** seg.exponent
-            return (
-                jcol ** 2 / mu
-                * transfer(mu, t, params) * transfer(mu, t_prime, params) * dens
-            )
-        out += _TWO_PI_SQ * integrate_vector(
-            integrand, seg.lo, seg.hi, rtol=rtol, breakpoints=(params.cutoff,)
-        )
-    return out
+    def f(mu):
+        weight = transfer(mu, t, params) * transfer(mu, t_prime, params) / mu
+        return bessel_half_all(l_hi - 1, mu)[l_lo:] ** 2 * weight
+    return _TWO_PI_SQ * integrate_measure(f, measure, rtol=rtol,
+                                          breakpoints=(params.cutoff,))
 
 
 def angular_spectrum(l_count: int, t: float, t_prime: float,
@@ -128,6 +106,33 @@ def c_l(l: int, t: float, t_prime: float, measure: SpectralMeasure,
     return float(_cl_block(l, l + 1, t, t_prime, measure, params, rtol)[0])
 
 
+def _weighted_tail(l_start: int, measure: SpectralMeasure,
+                   params: DiffusionParams, t: float, power: float,
+                   rel_tol: float, degree_cap: int, block: int) -> TailSum:
+    """Sum of (2l+1)^power C_l(t, t) for l >= l_start, by blocks of degrees."""
+    if measure.is_empty:
+        return TailSum(value=0.0, stopped_at=l_start, converged=True)
+    floor_l = int(math.ceil(measure.support_upper_bound()))
+    total = 0.0
+    below = 0
+    l = l_start
+    while l < degree_cap:
+        hi = min(l + block, degree_cap)
+        cls = _cl_block(l, hi, t, t, measure, params)
+        for off in range(hi - l):
+            deg = l + off
+            inc = (2 * deg + 1) ** power * cls[off]
+            total += inc
+            if deg >= floor_l and inc <= rel_tol * total:
+                below += 1
+                if below >= _CONSECUTIVE_BELOW:
+                    return TailSum(value=total, stopped_at=deg, converged=True)
+            else:
+                below = 0
+        l = hi
+    return TailSum(value=total, stopped_at=degree_cap - 1, converged=False)
+
+
 def tail_sum_direct(l_start: int, measure: SpectralMeasure,
                     params: DiffusionParams, t: float,
                     rel_tol: float = 1e-12,
@@ -140,45 +145,26 @@ def tail_sum_direct(l_start: int, measure: SpectralMeasure,
     """
     if l_start < 0:
         raise ValueError(f"degree must be >= 0, got {l_start}")
-    if measure.is_empty:
-        return TailSum(value=0.0, stopped_at=l_start, converged=True)
-    floor_l = int(math.ceil(measure.support_upper_bound()))
-    total = 0.0
-    below = 0
-    l = l_start
-    while l < degree_cap:
-        hi = min(l + block, degree_cap)
-        cls = _cl_block(l, hi, t, t, measure, params)
-        for off in range(hi - l):
-            deg = l + off
-            inc = (2 * deg + 1) * cls[off]
-            total += inc
-            if deg >= floor_l and inc <= rel_tol * total:
-                below += 1
-                if below >= _CONSECUTIVE_BELOW:
-                    return TailSum(value=total, stopped_at=deg, converged=True)
-            else:
-                below = 0
-        l = hi
-    warnings.warn(
-        f"tail sum from degree {l_start} hit the cap {degree_cap} before "
-        f"converging; returning the partial value",
-        stacklevel=2,
-    )
-    return TailSum(value=total, stopped_at=degree_cap - 1, converged=False)
+    tail = _weighted_tail(l_start, measure, params, t, 1, rel_tol, degree_cap, block)
+    if not tail.converged:
+        warnings.warn(
+            f"tail sum from degree {l_start} hit the cap {degree_cap} before "
+            f"converging; returning the partial value",
+            stacklevel=2,
+        )
+    return tail
 
 
 def _lommel_weight(l_start: int, mu):
     """mu^2-free factor J_{L-1/2} J'_{L+1/2} - J_{L+1/2} J'_{L-1/2} at mu."""
-    mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
-    jmat = bessel_half_all(l_start + 1, mu_arr)
+    jmat = bessel_half_all(l_start + 1, mu)
     j_lm1 = jmat[l_start - 1]
     j_l = jmat[l_start]
     j_lp1 = jmat[l_start + 1]
     if l_start >= 2:
         j_lm2 = jmat[l_start - 2]
     else:
-        j_lm2 = np.sqrt(2.0 / (math.pi * mu_arr)) * np.cos(mu_arr)
+        j_lm2 = np.sqrt(2.0 / (math.pi * mu)) * np.cos(mu)
     dj_upper = 0.5 * (j_lm1 - j_lp1)
     dj_lower = 0.5 * (j_lm2 - j_l)
     return j_lm1 * dj_upper - j_l * dj_lower
@@ -193,18 +179,9 @@ def tail_sum_lommel(l_start: int, measure: SpectralMeasure,
     if l_start < 1:
         raise ValueError("closed-form tail needs degree >= 1; "
                          "use tail_sum_direct for L = 0")
-    total = 0.0
-    if measure.atoms:
-        mus, masses = _atom_arrays(measure)
-        total += float(np.sum(mus * _lommel_weight(l_start, mus) * masses))
-    for seg in measure.segments:
-        def integrand(mu, seg=seg):
-            dens = seg.amplitude * mu ** seg.exponent
-            return np.atleast_1d(mu * _lommel_weight(l_start, float(mu))[0] * dens)
-        total += float(integrate_vector(
-            integrand, seg.lo, seg.hi, rtol=rtol, breakpoints=(params.cutoff,)
-        )[0])
-    return _TWO_PI_SQ * total
+    total = integrate_measure(lambda mu: mu * _lommel_weight(l_start, mu), measure,
+                              rtol=rtol, breakpoints=(params.cutoff,))
+    return _TWO_PI_SQ * float(total)
 
 
 def _power_integral(amplitude: float, exponent: float, lo: float, hi: float) -> float:
@@ -265,50 +242,11 @@ def finite_variance_check(measure: SpectralMeasure, params: DiffusionParams,
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    power = 1.0 + 2.0 * alpha
-
-    exp_moment = 0.0
     with np.errstate(over="ignore"):
-        if measure.atoms:
-            mus, masses = _atom_arrays(measure)
-            exp_moment += float(np.sum(np.exp(mus ** 2 / 4.0) * masses))
-        for seg in measure.segments:
-            def integrand(mu, seg=seg):
-                return np.atleast_1d(
-                    math.exp(mu * mu / 4.0) * seg.amplitude * mu ** seg.exponent
-                )
-            exp_moment += float(integrate_vector(
-                integrand, seg.lo, seg.hi, rtol=1e-9
-            )[0])
-
-    if measure.is_empty:
-        return FiniteVarianceReport(alpha=alpha, weighted_sum=0.0, stopped_at=0,
-                                    converged=True, exp_moment=0.0,
-                                    exp_moment_finite=True)
-
-    floor_l = int(math.ceil(measure.support_upper_bound()))
-    total = 0.0
-    below = 0
-    l = 0
-    block = 64
-    while l < degree_cap:
-        hi = min(l + block, degree_cap)
-        cls = _cl_block(l, hi, 0.0, 0.0, measure, params)
-        for off in range(hi - l):
-            deg = l + off
-            inc = (2 * deg + 1) ** power * cls[off]
-            total += inc
-            if deg >= floor_l and inc <= 1e-12 * total:
-                below += 1
-                if below >= _CONSECUTIVE_BELOW:
-                    return FiniteVarianceReport(
-                        alpha=alpha, weighted_sum=total, stopped_at=deg,
-                        converged=True, exp_moment=exp_moment,
-                        exp_moment_finite=True,
-                    )
-            else:
-                below = 0
-        l = hi
-    return FiniteVarianceReport(alpha=alpha, weighted_sum=total,
-                                stopped_at=degree_cap - 1, converged=False,
+        exp_moment = float(integrate_measure(lambda mu: np.exp(mu * mu / 4.0),
+                                             measure))
+    tail = _weighted_tail(0, measure, params, 0.0, 1.0 + 2.0 * alpha, 1e-12,
+                          degree_cap, 64)
+    return FiniteVarianceReport(alpha=alpha, weighted_sum=tail.value,
+                                stopped_at=tail.stopped_at, converged=tail.converged,
                                 exp_moment=exp_moment, exp_moment_finite=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hyperdiff.cli import main
+from hyperdiff.covariance import covariance_legendre
 from hyperdiff.field_sim import grid_from_binary
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, SpectralMeasure
@@ -134,6 +135,47 @@ class TestCovarianceCommand:
         rc = main(["covariance", "--config", atom_config, "--gammas", "3.5",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+        for gammas in ("nan", "0.5,inf"):
+            for route in ("spectral", "legendre", "both"):
+                out = tmp_path / f"{route}_{gammas}"
+                rc = main(["covariance", "--config", atom_config,
+                           "--gammas", gammas, "--route", route, "--out", str(out)])
+                assert rc == 2
+                assert not (out / "covariance.csv").exists()
+
+    def test_legendre_rows_match_library(self, atom_config, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["covariance", "--config", atom_config, "--gammas", "0,1.2,3.0",
+                     "--t", "0.2", "--t-prime", "0.5", "--route", "legendre",
+                     "--lmax", "24", "--out", out]) == 0
+        header, rows = read_csv(os.path.join(out, "covariance.csv"))
+        assert header == ["gamma", "R", "remainder"]
+        m = SpectralMeasure(atoms=((1.0, 1.0),))
+        for row in rows:
+            lc = covariance_legendre(float(row[0]), 0.2, 0.5, m,
+                                     DiffusionParams(1.0, 1.0), 24)
+            assert float(row[1]) == pytest.approx(lc.value, rel=1e-13, abs=1e-15)
+            assert float(row[2]) == lc.remainder
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--c", "1", "--D", "1", "--mu", "nan", "--t", "1"],
+    ["kernel", "--c", "1", "--D", "1", "--mu", "1", "--t", "nan"],
+    ["kernel", "--c", "1", "--D", "1", "--mu", "inf", "--t", "1"],
+    ["kernel", "--c", "1", "--D", "1", "--mu", "1", "--t", "inf"],
+    ["spectrum", "--config", "{config}", "--lmax", "3", "--times", "nan"],
+    ["spectrum", "--config", "{config}", "--lmax", "3", "--times", "0,inf"],
+    ["covariance", "--config", "{config}", "--gammas", "0.5", "--t", "nan"],
+    ["covariance", "--config", "{config}", "--gammas", "0.5", "--t-prime", "inf"],
+    ["memory", "--config", "{config}", "--hmax", "inf"],
+    ["memory", "--config", "{config}", "--hmax", "2", "--t", "nan"],
+], ids=lambda argv: "_".join(argv[:1] + argv[-2:]))
+def test_non_finite_input_exits_2(argv, atom_config, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = [atom_config if a == "{config}" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(out.glob("*.csv"))
 
 
 class TestSimulateCommand:
@@ -270,10 +312,18 @@ class TestManifestAndRerun:
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b, name
 
-    def test_rerun_bad_manifest(self, tmp_path):
+    def test_rerun_bad_manifest(self, tmp_path, capsys):
         bad = tmp_path / "m.json"
         bad.write_text(json.dumps({"subcommand": "nope", "settings": {}}))
         assert main(["rerun", str(bad), "--out", str(tmp_path / "o")]) == 2
+        for manifest in ({"subcommand": "kernel"},
+                         {"subcommand": "kernel", "settings": {}},
+                         ["kernel", {}]):
+            bad.write_text(json.dumps(manifest))
+            capsys.readouterr()
+            assert main(["rerun", str(bad), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestThreadEnv:

@@ -77,6 +77,17 @@ class TestSpectralRoute:
             covariance_spectral(3.5, 0.0, 0.0, ATOM1, P11)
         with pytest.raises(ValueError):
             covariance_spectral(0.5, -1.0, 0.0, ATOM1, P11)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                covariance_spectral(bad, 0.0, 0.0, ATOM1, P11)
+            with pytest.raises(ValueError):
+                covariance_spectral(np.array([0.5, bad]), 0.0, 0.0, ATOM1, P11)
+            with pytest.raises(ValueError):
+                covariance_spectral(0.5, bad, 0.0, ATOM1, P11)
+            with pytest.raises(ValueError):
+                covariance_spectral(0.5, 0.0, bad, ATOM1, P11)
+            with pytest.raises(ValueError):
+                covariance_legendre(bad, 0.0, 0.0, ATOM1, P11, 8)
 
 
 class TestLegendreRoute:
@@ -104,6 +115,15 @@ class TestLegendreRoute:
             spectral = covariance_spectral(g, t, tp, MIXED, P11)
             lc = covariance_legendre(g, t, tp, MIXED, P11, 48)
             assert abs(spectral - lc.value) <= lc.remainder + 1e-9
+        # One array call equals the per-angle scalar calls.
+        gammas = rng.uniform(0, math.pi, 5)
+        batch = covariance_legendre(gammas, 0.3, 0.9, MIXED, P11, 48)
+        assert batch.value.shape == gammas.shape
+        for g, value in zip(gammas, batch.value):
+            single = covariance_legendre(float(g), 0.3, 0.9, MIXED, P11, 48)
+            assert isinstance(single.value, float)
+            assert value == pytest.approx(single.value, rel=1e-13, abs=1e-15)
+            assert batch.remainder == single.remainder
 
     def test_needs_terms(self):
         with pytest.raises(ValueError):

@@ -153,6 +153,18 @@ class TestValidation:
             transfer(-0.1, 1.0, P11)
         with pytest.raises(ValueError):
             transfer(1.0, -0.1, P11)
+        for bad in (math.nan, math.inf, -math.inf):
+            for mu, t in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(ValueError):
+                    transfer(mu, t, P11)
+                with pytest.raises(ValueError):
+                    transfer(np.array([0.5, mu, 2.0]), t, P11)
+                with pytest.raises(ValueError):
+                    transfer(mu, np.array([0.0, t]), P11)
+                with pytest.raises(ValueError):
+                    transfer_diffusive(mu, t, P11)
+                with pytest.raises(ValueError):
+                    transfer_wave(mu, t, P11)
 
     def test_broadcasting(self):
         mus = np.linspace(0, 2, 7)

@@ -6,7 +6,8 @@ import scipy.special as sp
 from scipy.integrate import quad
 
 from hyperdiff.exceptions import AccuracyError
-from hyperdiff._quad import integrate_vector
+from hyperdiff import _quad
+from hyperdiff._quad import integrate_measure, integrate_vector
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, PowerLawSegment, SpectralMeasure
 from hyperdiff.spectrum import (angular_spectrum, c_l, finite_variance_check,
@@ -236,3 +237,43 @@ class TestQuadWrapper:
             integrate_vector(lambda x: np.atleast_1d(math.cos(1e4 * x)),
                              0.0, 1.0, rtol=1e-13, limit=2)
         assert err.value.estimate is not None
+
+
+class TestIntegrateMeasure:
+    MIXED = SpectralMeasure(atoms=((1.8, 0.7), (2.2, 0.4)),
+                            segments=(PowerLawSegment(0.0, 1.5, 1.3, 0.5),
+                                      PowerLawSegment(3.0, 4.0, 0.6, -1.0)))
+    CUTOFF = 0.8  # inside the first segment
+
+    @staticmethod
+    def f(mu):
+        """Vector-valued integrand with a kink at the cut-off."""
+        rows = [np.cos(mu), np.abs(mu - 0.8) * mu, np.exp(-mu) * mu ** 2]
+        return np.stack(rows) if np.ndim(mu) else np.array(rows)
+
+    def test_mixed_measure_against_oracle(self):
+        m = self.MIXED
+        got = integrate_measure(self.f, m, rtol=1e-12, breakpoints=(self.CUTOFF,))
+        assert got.shape == (3,)
+        for k in range(3):
+            oracle = sum(mass * float(self.f(mu)[k]) for mu, mass in m.atoms)
+            for seg in m.segments:
+                pts = [self.CUTOFF] if seg.lo < self.CUTOFF < seg.hi else None
+                oracle += quad(
+                    lambda x: self.f(x)[k] * seg.amplitude * x ** seg.exponent,
+                    seg.lo, seg.hi, points=pts, epsabs=0.0, epsrel=1e-13)[0]
+            assert got[k] == pytest.approx(oracle, rel=1e-10, abs=1e-14)
+
+    def test_empty_measure_gives_zeros_of_integrand_shape(self):
+        got = integrate_measure(self.f, EMPTY)
+        assert got.shape == (3,)
+        assert np.all(got == 0.0)
+
+    def test_atom_only_measure_skips_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("integrate_vector called for an atom-only measure")
+        monkeypatch.setattr(_quad, "integrate_vector", forbidden)
+        m = SpectralMeasure(atoms=((0.5, 2.0), (1.5, 0.25)))
+        got = integrate_measure(self.f, m, breakpoints=(self.CUTOFF,))
+        expected = 2.0 * self.f(0.5) + 0.25 * self.f(1.5)
+        np.testing.assert_allclose(got, expected, rtol=1e-15)
