@@ -23,9 +23,9 @@ from .field_sim import (CoefficientSet, EmpiricalSpectrum, FieldGrid,
                         empirical_spectrum, histogram_entropy,
                         radial_coefficient, simulate_coefficients,
                         simulate_ensemble, synthesize, truncation_error_mc)
-from .entropy1d import (EntropyTrace, ExperimentResult, Mode,
-                        ModeDecomposition, ModeKind, decompose_initial,
-                        entropy_trace, evaluate, run_experiment)
+from .entropy1d import (EntropyTrace, ExperimentResult, ModeDecomposition,
+                        decompose_initial, entropy_trace, evaluate,
+                        run_experiment)
 
 __all__ = [
     "AccuracyError", "ConfigError",
@@ -42,7 +42,6 @@ __all__ = [
     "atomize", "derive_run_seed", "empirical_spectrum", "histogram_entropy",
     "radial_coefficient", "simulate_coefficients", "simulate_ensemble",
     "synthesize", "truncation_error_mc",
-    "EntropyTrace", "ExperimentResult", "Mode", "ModeDecomposition",
-    "ModeKind", "decompose_initial", "entropy_trace", "evaluate",
-    "run_experiment",
+    "EntropyTrace", "ExperimentResult", "ModeDecomposition",
+    "decompose_initial", "entropy_trace", "evaluate", "run_experiment",
 ]

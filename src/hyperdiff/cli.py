@@ -3,11 +3,14 @@
 Every run writes a JSON manifest next to its outputs recording the resolved
 settings, seed, tool version, output paths, and wall-clock duration; the
 `rerun` subcommand replays a manifest into a fresh output location, which for
-seeded commands reproduces the outputs bitwise.
+seeded commands reproduces the outputs bitwise. A run writes into a temporary
+directory beside --out and moves its files into --out only once everything
+succeeded, so a failed run leaves nothing behind.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical accuracy error,
-4 I/O error. The HYPERDIFF_THREADS environment variable caps the worker
-count used for ensemble simulation.
+4 I/O error. The HYPERDIFF_THREADS environment variable is accepted and
+validated (a positive integer) for ensemble runs but has no effect on the
+results: ensembles are computed serially.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import csv
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -34,17 +39,16 @@ from . import field_sim
 from . import entropy1d
 
 
-def _worker_count() -> int:
+def _check_thread_env() -> None:
     raw = os.environ.get("HYPERDIFF_THREADS", "")
     if not raw:
-        return 1
+        return
     try:
         n = int(raw)
     except ValueError as exc:
         raise ConfigError(f"HYPERDIFF_THREADS must be an integer, got {raw!r}") from exc
     if n < 1:
         raise ConfigError(f"HYPERDIFF_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _parse_floats(text: str, name: str) -> list[float]:
@@ -104,11 +108,6 @@ def _write_manifest(directory: str, subcommand: str, settings: dict,
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
     return path
-
-
-def _out_dir(out: str) -> str:
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 # --- subcommand implementations (settings dict -> output files) ---
@@ -177,6 +176,9 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
     n_theta, n_phi = settings["grid"]
     n_quad = settings.get("n_quad", 64)
     fmt = settings.get("format", "csv")
+    n_runs = settings.get("ensemble", 0)
+    if n_runs:
+        _check_thread_env()
     outputs = []
 
     cs = field_sim.simulate_coefficients(degree_count, times, measure, params,
@@ -207,11 +209,10 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
             _write_csv(fpath, ["theta", "phi", "value"], rows)
         outputs.append(fpath)
 
-    n_runs = settings.get("ensemble", 0)
     if n_runs:
         ensemble = field_sim.simulate_ensemble(
             degree_count, times, measure, params, master_seed=seed,
-            n_runs=n_runs, n_quad=n_quad, max_workers=_worker_count(),
+            n_runs=n_runs, n_quad=n_quad,
         )
         atomic = field_sim.atomize(measure, n_quad)
         rows = []
@@ -280,11 +281,22 @@ _RUNNERS = {
 
 def _execute(subcommand: str, settings: dict, out: str) -> int:
     started = time.perf_counter()
-    directory = _out_dir(out)
-    outputs, extra = _RUNNERS[subcommand](settings, directory)
-    _write_manifest(directory, subcommand, settings,
-                    [os.path.basename(p) for p in outputs],
-                    settings.get("seed"), started, extra)
+    # The work directory sits in the nearest existing ancestor of --out, so
+    # the final renames stay on one file system and a failure creates nothing.
+    base = os.path.dirname(os.path.abspath(out))
+    while not os.path.isdir(base):
+        base = os.path.dirname(base)
+    work = tempfile.mkdtemp(prefix=".hyperdiff-", dir=base)
+    try:
+        outputs, extra = _RUNNERS[subcommand](settings, work)
+        names = [os.path.basename(p) for p in outputs]
+        _write_manifest(work, subcommand, settings, names,
+                        settings.get("seed"), started, extra)
+        os.makedirs(out, exist_ok=True)
+        for name in names + ["manifest.json"]:
+            os.replace(os.path.join(work, name), os.path.join(out, name))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     return 0
 
 

@@ -3,16 +3,18 @@
 In nondimensional variables the density obeys q_t + q_tt = q_xx with
 q_x(+-L, t) = 0, so even unit-mass profiles evolve as a cosine series
 
-    q(x, t) = a_0 + sum_n T_n(t) cos(k_n x),   k_n = n pi / L,
+    q(x, t) = a_0 + sum_n c_n T_n(t) cos(k_n x),   k_n = n pi / L,
 
-where each mode's clock T_n solves T'' + T' + k_n^2 T = 0. Modes with
-k_n < 1/2 are purely dissipative with decay rates alpha+- = (1 +- sqrt(1 -
-4 k_n^2))/2 (both roots decay; the slow rate alpha- dominates at late times);
-modes with k_n > 1/2 are damped standing waves e^(-t/2) (A cos(omega_n t)
-+ B sin(omega_n t)), omega_n = sqrt(k_n^2 - 1/4). Dissipative modes exist
-only when L >= 2 pi, i.e. for n <= floor(L / (2 pi)). The critical wave
-number k_n = 1/2 exactly (L an exact multiple of 2 pi) is a degenerate
-double root and is rejected.
+where each mode's clock T_n solves T'' + T' + k_n^2 T = 0. For zero initial
+velocity (T(0) = 1, T'(0) = 0) that clock is the exact transfer factor
+`kernel.transfer(k_n, t, DiffusionParams(c=1, D=1))`: modes below the cut-off
+k = 1/2 decay without oscillating, modes above it are damped standing waves,
+and the kernel is continuous through k = 1/2, so any half-length works. The
+profile at a block of times is one product, a_0 + (clocks * c) @ cos(k x).
+
+The standing-wave experiment is the one exception: its single mode starts
+with nonzero velocity and carries the cosine-only clock
+e^(-t/2) cos(omega t), omega = sqrt(k^2 - 1/4), which needs k > 1/2.
 
 Total Shannon entropy S(t) = integral of q log(1/q) is computed by composite
 trapezoid; where a truncated series dips to q <= 0 at a node the trace
@@ -22,108 +24,79 @@ signed profile is undefined.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import transfer
+from .measure import DiffusionParams
+
 _EVEN_TOL = 1e-9
+_UNIT = DiffusionParams(c=1.0, D=1.0)
+# Times per profile product, so peak memory does not grow with the number of
+# times; 16 keeps the arrays of a block small at a few ms of loop overhead.
+_TIME_BLOCK = 16
 
 
-class ModeKind(enum.Enum):
-    DISSIPATIVE = "dissipative"
-    WAVE = "wave"
+def _check_half_length(half_length) -> float:
+    L = float(half_length)
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"half_length must be finite and > 0, got {L}")
+    return L
 
 
-@dataclass(frozen=True)
-class Mode:
-    """One cosine mode with its time-clock amplitudes.
-
-    Dissipative: coeff_a on e^(-alpha_plus t), coeff_b on e^(-alpha_minus t).
-    Wave: coeff_a on e^(-t/2) cos(omega t), coeff_b on e^(-t/2) sin(omega t).
-    """
-
-    n: int
-    k: float
-    kind: ModeKind
-    coeff_a: float
-    coeff_b: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"mode index must be >= 1, got {self.n}")
-        if self.k == 0.5:
-            raise ValueError(
-                "critical wave number k = 1/2 (degenerate double root) "
-                "is unsupported"
-            )
-        expected = ModeKind.DISSIPATIVE if self.k < 0.5 else ModeKind.WAVE
-        if self.kind is not expected:
-            raise ValueError(f"mode n={self.n} with k={self.k} must be {expected}")
-
-    @property
-    def alpha_plus(self) -> float:
-        return 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * self.k ** 2))
-
-    @property
-    def alpha_minus(self) -> float:
-        return 0.5 * (1.0 - math.sqrt(1.0 - 4.0 * self.k ** 2))
-
-    @property
-    def omega(self) -> float:
-        return math.sqrt(self.k ** 2 - 0.25)
+def _check_times(times, name: str) -> np.ndarray:
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"{name} must be a 1D list of times")
+    if not np.all((t >= 0.0) & (t < np.inf)):
+        raise ValueError(f"{name} must be finite and >= 0")
+    return t
 
 
 @dataclass(frozen=True)
 class ModeDecomposition:
-    """Mean level plus cosine modes of an even profile on [-L, L]."""
+    """Mean level a0 plus cosine modes of an even profile on [-L, L].
+
+    Mode n has wave number wave_numbers[n-1] = n pi / L and amplitude
+    amplitudes[n-1] = c_n at t = 0. Its clock is the zero-velocity transfer
+    factor, or e^(-t/2) cos(omega t) when standing_wave is set.
+    """
 
     half_length: float
     a0: float
-    modes: tuple[Mode, ...]
+    wave_numbers: np.ndarray
+    amplitudes: np.ndarray
+    standing_wave: bool = False
 
     def __post_init__(self):
-        if self.half_length <= 0:
-            raise ValueError(f"half-length must be positive, got {self.half_length}")
-
-    @property
-    def dissipative_count(self) -> int:
-        return sum(1 for m in self.modes if m.kind is ModeKind.DISSIPATIVE)
+        _check_half_length(self.half_length)
 
 
-def _zero_velocity_mode(n: int, k: float, c_n: float) -> Mode:
-    """Mode amplitudes for initial value c_n and zero initial velocity."""
-    if k == 0.5:
-        raise ValueError(
-            f"mode n={n} sits at the critical wave number k = 1/2 "
-            "(degenerate double root); choose a half-length that is not an "
-            "exact multiple of 2*pi*n"
-        )
-    if k < 0.5:
-        root = math.sqrt(1.0 - 4.0 * k * k)
-        alpha_plus = 0.5 * (1.0 + root)
-        alpha_minus = 0.5 * (1.0 - root)
-        a = -alpha_minus * c_n / root
-        b = alpha_plus * c_n / root
-        return Mode(n=n, k=k, kind=ModeKind.DISSIPATIVE, coeff_a=a, coeff_b=b)
-    omega = math.sqrt(k * k - 0.25)
-    return Mode(n=n, k=k, kind=ModeKind.WAVE, coeff_a=c_n,
-                coeff_b=c_n / (2.0 * omega))
+def _profile_blocks(md: ModeDecomposition, x: np.ndarray, times: np.ndarray):
+    """Yield (slice of times, profiles of shape (block, x.size)) in time order."""
+    basis = np.outer(md.wave_numbers, x)
+    np.cos(basis, out=basis)  # in place: the basis is the largest array
+    k = md.wave_numbers[None, :]
+    for start in range(0, times.size, _TIME_BLOCK):
+        block = slice(start, start + _TIME_BLOCK)
+        t = times[block, None]
+        if md.standing_wave:
+            clock = np.exp(-0.5 * t) * np.cos(np.sqrt(k * k - 0.25) * t)
+        else:
+            clock = transfer(k, t, _UNIT)
+        yield block, md.a0 + (clock * md.amplitudes) @ basis
 
 
-def decompose_initial(u0, half_length: float, n_modes: int,
-                      assume_zero_velocity: bool = True) -> ModeDecomposition:
+def decompose_initial(u0, half_length: float, n_modes: int) -> ModeDecomposition:
     """Cosine decomposition of an even profile sampled uniformly on [-L, L].
 
     u0 must be sampled on the inclusive uniform grid x_j = -L + 2L j / (N-1);
-    its odd part must vanish to tolerance. Only the zero-initial-velocity
-    problem is supported: per mode, the cosine coefficient c_n splits into
-    the two decaying exponentials (dissipative) or the cos plus sin/2omega
-    pair (wave) so that q_t(x, 0) = 0.
+    its odd part must vanish to tolerance. The profile starts at rest (zero
+    initial velocity), so each mode evolves by the transfer-factor clock.
     """
-    if not assume_zero_velocity:
-        raise ValueError("only zero initial velocity is supported")
+    L = _check_half_length(half_length)
     if n_modes < 1:
         raise ValueError(f"need at least one mode, got {n_modes}")
     samples = np.asarray(u0, dtype=float)
@@ -138,35 +111,20 @@ def decompose_initial(u0, half_length: float, n_modes: int,
     if odd > _EVEN_TOL * max(1.0, float(np.max(np.abs(samples)))):
         raise ValueError(f"profile has an odd component ({odd:.3e} above tolerance)")
 
-    L = float(half_length)
     x = np.linspace(-L, L, samples.size)
     a0 = float(np.trapezoid(samples, x)) / (2.0 * L)
-    modes = []
-    for n in range(1, n_modes + 1):
-        k = n * math.pi / L
-        c_n = float(np.trapezoid(samples * np.cos(k * x), x)) / L
-        modes.append(_zero_velocity_mode(n, k, c_n))
-    return ModeDecomposition(half_length=L, a0=a0, modes=tuple(modes))
+    k = np.arange(1, n_modes + 1) * math.pi / L
+    c = np.trapezoid(samples * np.cos(np.outer(k, x)), x, axis=1) / L
+    return ModeDecomposition(half_length=L, a0=a0, wave_numbers=k, amplitudes=c)
 
 
 def evaluate(md: ModeDecomposition, x, t: float):
     """Profile value q(x, t); x scalar or array within [-L, L], t >= 0."""
     x_arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(x_arr) > md.half_length * (1 + 1e-12)):
+    if not np.all(np.abs(x_arr) <= md.half_length * (1 + 1e-12)):
         raise ValueError("x outside [-L, L]")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    q = np.full(x_arr.shape, md.a0)
-    for mode in md.modes:
-        if mode.kind is ModeKind.DISSIPATIVE:
-            clock = (mode.coeff_a * math.exp(-mode.alpha_plus * t)
-                     + mode.coeff_b * math.exp(-mode.alpha_minus * t))
-        else:
-            w = mode.omega
-            clock = math.exp(-0.5 * t) * (mode.coeff_a * math.cos(w * t)
-                                          + mode.coeff_b * math.sin(w * t))
-        q = q + clock * np.cos(mode.k * x_arr)
-    return float(q) if np.ndim(x) == 0 else q
+    _, q = next(_profile_blocks(md, x_arr.ravel(), _check_times([t], "time")))
+    return float(q[0, 0]) if x_arr.ndim == 0 else q[0].reshape(x_arr.shape)
 
 
 @dataclass(frozen=True)
@@ -186,15 +144,13 @@ def entropy_trace(md: ModeDecomposition, times, n_intervals: int = 400) -> Entro
     """Total Shannon entropy by composite trapezoid on n_intervals panels."""
     if n_intervals < 2:
         raise ValueError(f"need at least 2 intervals, got {n_intervals}")
-    t_arr = np.asarray(times, dtype=float)
+    t_arr = _check_times(times, "times")
     x = np.linspace(-md.half_length, md.half_length, n_intervals + 1)
     entropy = np.empty(t_arr.shape)
-    for i, t in enumerate(t_arr):
-        q = evaluate(md, x, float(t))
-        if np.min(q) <= 0.0:
-            entropy[i] = math.nan
-            continue
-        entropy[i] = float(np.trapezoid(-q * np.log(q), x))
+    for block, q in _profile_blocks(md, x, t_arr):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.trapezoid(-q * np.log(q), x, axis=1)
+        entropy[block] = np.where(np.min(q, axis=1) > 0.0, s, math.nan)
     return EntropyTrace(times=t_arr, entropy=entropy, n_intervals=n_intervals)
 
 
@@ -208,36 +164,30 @@ EXPERIMENTS = ("standing_wave", "point_source", "rectangle")
 _DEFAULT_TERMS = {"point_source": 100, "rectangle": 200}
 
 
-def _standing_wave_decomposition(half_length: float) -> ModeDecomposition:
+def _standing_wave_decomposition(L: float) -> ModeDecomposition:
     # Snapshot form q = (1/2L) [1 + e^(-t/2) cos(omega t) cos(k x)] with the
     # n = 2 harmonic: amplitude on the cosine clock only, no sin companion.
-    L = half_length
     k = 2.0 * math.pi / L
-    mode = Mode(n=2, k=k, kind=ModeKind.WAVE, coeff_a=1.0 / (2.0 * L), coeff_b=0.0)
-    return ModeDecomposition(half_length=L, a0=1.0 / (2.0 * L), modes=(mode,))
+    if not k > 0.5:
+        raise ValueError(f"standing_wave needs half_length < 4 pi (k = 2 pi / L "
+                         f"above 1/2), got {L}")
+    return ModeDecomposition(half_length=L, a0=1.0 / (2.0 * L),
+                             wave_numbers=np.array([k]),
+                             amplitudes=np.array([1.0 / (2.0 * L)]),
+                             standing_wave=True)
 
 
-def _point_source_decomposition(half_length: float, n_modes: int) -> ModeDecomposition:
-    # A point mass at the origin has the uniform cosine spectrum c_n = 1/L.
-    L = half_length
-    modes = tuple(
-        _zero_velocity_mode(n, n * math.pi / L, 1.0 / L)
-        for n in range(1, n_modes + 1)
-    )
-    return ModeDecomposition(half_length=L, a0=1.0 / (2.0 * L), modes=modes)
-
-
-def _rectangle_decomposition(half_length: float, n_modes: int,
-                             width: float) -> ModeDecomposition:
-    if not 0 < width < 2 * half_length:
-        raise ValueError(f"rectangle width must lie in (0, 2L), got {width}")
-    L = half_length
-    modes = []
-    for n in range(1, n_modes + 1):
-        k = n * math.pi / L
-        c_n = 2.0 * math.sin(k * width / 2.0) / (L * k * width)
-        modes.append(_zero_velocity_mode(n, k, c_n))
-    return ModeDecomposition(half_length=L, a0=1.0 / (2.0 * L), modes=tuple(modes))
+def _series_decomposition(L: float, n_modes: int, width: float | None
+                          ) -> ModeDecomposition:
+    # A point mass at the origin has the uniform cosine spectrum c_n = 1/L;
+    # a centred rectangle of the given width has c_n = sinc-weighted 1/L.
+    k = np.arange(1, n_modes + 1) * math.pi / L
+    if width is None:
+        c = np.full(n_modes, 1.0 / L)
+    else:
+        c = 2.0 * np.sin(k * width / 2.0) / (L * k * width)
+    return ModeDecomposition(half_length=L, a0=1.0 / (2.0 * L),
+                             wave_numbers=k, amplitudes=c)
 
 
 @dataclass(frozen=True)
@@ -254,26 +204,35 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
                    n_intervals: int = 400) -> ExperimentResult:
     """Run a named scenario: standing_wave, point_source, or rectangle.
 
-    Emits the entropy trace where computable plus (t, x, q) profile
-    snapshots at the requested times.
+    All inputs are checked before anything is computed: half_length finite
+    and > 0, trace and snapshot times finite and >= 0, n_modes >= 0 (0 or
+    None picks the default), and (rectangle only) width finite within
+    (0, 2L); each failure raises ValueError naming the parameter. Emits the entropy trace where computable plus (t, x, q)
+    profile snapshots at the requested times.
     """
-    if name == "standing_wave":
-        md = _standing_wave_decomposition(half_length)
-    elif name == "point_source":
-        md = _point_source_decomposition(half_length,
-                                         n_modes or _DEFAULT_TERMS[name])
-    elif name == "rectangle":
-        md = _rectangle_decomposition(half_length,
-                                      n_modes or _DEFAULT_TERMS[name], width)
-    else:
+    if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-
+    L = _check_half_length(half_length)
     if trace_times is None:
         trace_times = np.linspace(0.0, 25.0, 501)
+    trace_times = _check_times(trace_times, "trace_times")
+    snapshot_times = _check_times(snapshot_times, "snapshot_times")
+    if name == "rectangle" and not 0.0 < width < 2.0 * L:
+        raise ValueError(f"width must be finite and lie in (0, 2L) = (0, {2.0 * L}), "
+                         f"got {width}")
+    if n_modes is not None and n_modes < 0:
+        raise ValueError(f"n_modes must be >= 0 (0 picks the default), got {n_modes}")
+
+    if name == "standing_wave":
+        md = _standing_wave_decomposition(L)
+    else:
+        md = _series_decomposition(L, n_modes or _DEFAULT_TERMS[name],
+                                   width if name == "rectangle" else None)
     trace = entropy_trace(md, trace_times, n_intervals)
-    x = np.linspace(-md.half_length, md.half_length, n_intervals + 1)
-    snapshots = tuple(
-        (float(t), x, evaluate(md, x, float(t))) for t in snapshot_times
-    )
+    x = np.linspace(-L, L, n_intervals + 1)
+    q = np.empty((snapshot_times.size, x.size))
+    for block, profiles in _profile_blocks(md, x, snapshot_times):
+        q[block] = profiles
+    snapshots = tuple((float(t), x, q[i]) for i, t in enumerate(snapshot_times))
     return ExperimentResult(name=name, decomposition=md, trace=trace,
                             snapshots=snapshots)

@@ -5,10 +5,10 @@ for an atomic measure, degree-l coefficients are weighted sums of independent
 standard normals with weights pi*sqrt(2) * J_{l+1/2}(mu_i)/sqrt(mu_i)
 * transfer(mu_i, t) * sigma_i. One normal block is drawn per degree from a
 counter-based Philox stream keyed by (seed, degree), so identical inputs give
-bitwise-identical coefficients regardless of evaluation order or thread
-count, and all requested times reuse the same draws -- time enters only
-through the deterministic transfer factor, making the temporal dependence
-structure exact by construction.
+bitwise-identical coefficients regardless of evaluation order, and all
+requested times reuse the same draws -- time enters only through the
+deterministic transfer factor, making the temporal dependence structure
+exact by construction.
 
 The field must be real, so coefficients are drawn with Hermitian symmetry
 a_{l,-m} = (-1)^m conj(a_{lm}): the m = 0 coefficient is real with variance
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -153,22 +152,15 @@ def simulate_coefficients(degree_count: int, times, measure: SpectralMeasure,
 
 def simulate_ensemble(degree_count: int, times, measure: SpectralMeasure,
                       params: DiffusionParams, master_seed: int, n_runs: int,
-                      n_quad: int = 64, max_workers: int = 1
-                      ) -> list[CoefficientSet]:
-    """Independent realisations indexed by run; order and content are
-    deterministic for a given master seed regardless of worker count."""
+                      n_quad: int = 64) -> list[CoefficientSet]:
+    """Independent realisations indexed by run: member r is the single run
+    with seed derive_run_seed(master_seed, r)."""
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
-
-    def one(run: int) -> CoefficientSet:
-        return simulate_coefficients(degree_count, times, measure, params,
-                                     seed=derive_run_seed(master_seed, run),
-                                     n_quad=n_quad)
-
-    if max_workers <= 1:
-        return [one(r) for r in range(n_runs)]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, range(n_runs)))
+    return [simulate_coefficients(degree_count, times, measure, params,
+                                  seed=derive_run_seed(master_seed, run),
+                                  n_quad=n_quad)
+            for run in range(n_runs)]
 
 
 @dataclass(frozen=True)

@@ -235,10 +235,10 @@ def finite_variance_check(measure: SpectralMeasure, params: DiffusionParams,
                           degree_cap: int = DEFAULT_DEGREE_CAP) -> FiniteVarianceReport:
     """Weighted sum sum_l (2l+1)^(1+2*alpha) C_l(0,0) plus the exp-moment test.
 
-    The exponential moment integral of exp(mu^2/4) over G is structurally
-    finite for the supported measure family (finitely many atoms, bounded
-    segments); its reported value may still overflow to inf for far-out
-    support.
+    The exponential moment integral of exp(mu^2/4) over G is finite in exact
+    arithmetic for the supported measure family (finitely many atoms, bounded
+    segments), but overflows double precision for support beyond mu ~ 53;
+    exp_moment_finite reports whether the computed value is finite.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -249,4 +249,5 @@ def finite_variance_check(measure: SpectralMeasure, params: DiffusionParams,
                           degree_cap, 64)
     return FiniteVarianceReport(alpha=alpha, weighted_sum=tail.value,
                                 stopped_at=tail.stopped_at, converged=tail.converged,
-                                exp_moment=exp_moment, exp_moment_finite=True)
+                                exp_moment=exp_moment,
+                                exp_moment_finite=math.isfinite(exp_moment))

@@ -314,5 +314,5 @@ def test_criterion_13_reproducibility(tmp_path, monkeypatch):
         blobs = [open(os.path.join(d, name), "rb").read()
                  for d in (base, outputs["1"], outputs["8"])]
         ok &= blobs[0] == blobs[1] == blobs[2]
-    report(13, "simulate reruns bitwise-identical under 1 and 8 worker threads",
+    report(13, "simulate reruns bitwise-identical under HYPERDIFF_THREADS=1 and 8",
            ok)

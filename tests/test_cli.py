@@ -169,13 +169,25 @@ class TestCovarianceCommand:
     ["covariance", "--config", "{config}", "--gammas", "0.5", "--t-prime", "inf"],
     ["memory", "--config", "{config}", "--hmax", "inf"],
     ["memory", "--config", "{config}", "--hmax", "2", "--t", "nan"],
+    ["entropy1d", "--experiment", "rectangle", "--times", "nan"],
+    ["entropy1d", "--experiment", "point_source", "--times", "0,inf"],
+    ["entropy1d", "--experiment", "rectangle", "--snapshot-times", "nan"],
+    ["entropy1d", "--experiment", "rectangle", "--half-length", "nan"],
+    ["entropy1d", "--experiment", "point_source", "--half-length", "inf"],
+    ["entropy1d", "--experiment", "standing_wave", "--half-length", "-3"],
+    ["entropy1d", "--experiment", "rectangle", "--width", "nan"],
 ], ids=lambda argv: "_".join(argv[:1] + argv[-2:]))
 def test_non_finite_input_exits_2(argv, atom_config, tmp_path, capsys):
     out = tmp_path / "o"
     argv = [atom_config if a == "{config}" else a for a in argv]
     assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-    assert not list(out.glob("*.csv"))
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if argv[0] == "entropy1d":
+        assert {"--times": "trace_times", "--snapshot-times": "snapshot_times",
+                "--half-length": "half_length", "--width": "width"}[argv[-2]] in err
+    assert not out.exists()
+    assert os.listdir(tmp_path) == ["atom.json"]
 
 
 class TestSimulateCommand:
@@ -196,6 +208,15 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", atom_config, "--lmax", "0",
                    "--grid", "4x8", "--times", "0", "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_failed_run_leaves_nothing(self, atom_config, tmp_path):
+        # a 1x1 grid fails in synthesis, after the coefficients were written
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", atom_config, "--lmax", "3",
+                   "--grid", "1x1", "--times", "0", "--out", str(out / "nested")])
+        assert rc == 2
+        assert not out.exists()
+        assert os.listdir(tmp_path) == ["atom.json"]
 
     def test_binary_format_round_trips(self, atom_config, tmp_path):
         out = str(tmp_path / "run")
@@ -278,6 +299,22 @@ class TestEntropyCommand:
                      "--out", out]) == 0
         _, rows = read_csv(os.path.join(out, "entropy.csv"))
         assert rows[0][1] == "" and rows[0][2] == "0"
+
+    def test_critical_half_length(self, tmp_path):
+        # L = 2pi puts mode 1 on the cut-off k = 1/2; neighbours agree
+        rows = {}
+        for scale in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
+            out = str(tmp_path / f"run{scale}")
+            assert main(["entropy1d", "--experiment", "point_source",
+                         "--half-length", repr(2.0 * math.pi * scale),
+                         "--times", "1,5,12,20", "--out", out]) == 0
+            _, rows[scale] = read_csv(os.path.join(out, "entropy.csv"))
+        for scale in (1.0 - 1e-9, 1.0 + 1e-9):
+            for near, at in zip(rows[scale], rows[1.0]):
+                assert near[2] == at[2]
+                if at[2] == "1":
+                    assert float(near[1]) == pytest.approx(float(at[1]), abs=1e-6)
+        assert any(row[2] == "1" for row in rows[1.0])
 
     def test_unknown_experiment(self, tmp_path):
         rc = main(["entropy1d", "--experiment", "vortex",

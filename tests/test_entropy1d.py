@@ -4,24 +4,35 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperdiff.entropy1d import (Mode, ModeKind, decompose_initial,
-                                 entropy_trace, evaluate, mass, run_experiment)
+from hyperdiff.entropy1d import (decompose_initial, entropy_trace, evaluate,
+                                 mass, run_experiment)
+from hyperdiff.kernel import transfer
+from hyperdiff.measure import DiffusionParams
 
 L3PI = 3.0 * math.pi
+P11 = DiffusionParams(c=1.0, D=1.0)
+
+
+def oracle_clock(k: float, t: float) -> float:
+    """Solution of T'' + T' + k^2 T = 0 with T(0) = 1, T'(0) = 0 from its
+    characteristic roots, independent of the transfer kernel."""
+    if k < 0.5:
+        root = math.sqrt(1.0 - 4.0 * k * k)
+        alpha_plus, alpha_minus = 0.5 * (1.0 + root), 0.5 * (1.0 - root)
+        return (alpha_plus * math.exp(-alpha_minus * t)
+                - alpha_minus * math.exp(-alpha_plus * t)) / root
+    if k == 0.5:
+        return (1.0 + 0.5 * t) * math.exp(-0.5 * t)
+    omega = math.sqrt(k * k - 0.25)
+    return math.exp(-0.5 * t) * (math.cos(omega * t)
+                                 + math.sin(omega * t) / (2.0 * omega))
 
 
 def profile_derivative(md, x: float, t: float) -> float:
-    """Series-evaluated q_x, independent of evaluate()."""
-    total = 0.0
-    for mode in md.modes:
-        if mode.kind is ModeKind.DISSIPATIVE:
-            clock = (mode.coeff_a * math.exp(-mode.alpha_plus * t)
-                     + mode.coeff_b * math.exp(-mode.alpha_minus * t))
-        else:
-            clock = math.exp(-0.5 * t) * (mode.coeff_a * math.cos(mode.omega * t)
-                                          + mode.coeff_b * math.sin(mode.omega * t))
-        total += -mode.k * clock * math.sin(mode.k * x)
-    return total
+    """Series-evaluated q_x of a zero-velocity decomposition, independent of
+    evaluate()."""
+    return sum(-k * c * oracle_clock(k, t) * math.sin(k * x)
+               for k, c in zip(md.wave_numbers, md.amplitudes))
 
 
 class TestDecompose:
@@ -29,64 +40,63 @@ class TestDecompose:
         samples = np.full(801, 1.0 / (2 * L3PI))
         md = decompose_initial(samples, L3PI, 10)
         assert md.a0 == pytest.approx(1.0 / (2 * L3PI), rel=1e-12)
-        assert max(abs(m.coeff_a) + abs(m.coeff_b) for m in md.modes) < 1e-12
+        assert np.max(np.abs(md.amplitudes)) < 1e-13
 
     def test_rectangle_coefficients_against_quadrature(self):
         width = 2.0
         x = np.linspace(-L3PI, L3PI, 6001)
         samples = np.where(np.abs(x) <= width / 2, 1.0 / width, 0.0)
         md = decompose_initial(samples, L3PI, 6)
-        for mode in md.modes:
-            k = mode.k
+        for k, c_n in zip(md.wave_numbers, md.amplitudes):
             oracle = quad(lambda u: math.cos(k * u) / width, -width / 2, width / 2,
                           epsabs=1e-13)[0] / L3PI
-            c_n = mode.coeff_a + mode.coeff_b if mode.kind is ModeKind.DISSIPATIVE \
-                else mode.coeff_a
             # dense sampling of the discontinuous profile limits the match
             assert c_n == pytest.approx(oracle, rel=5e-3, abs=1e-4)
 
     def test_point_source_has_uniform_spectrum(self):
         result = run_experiment("point_source", trace_times=[0.0])
         md = result.decomposition
-        for mode in md.modes:
-            c_n = mode.coeff_a + mode.coeff_b if mode.kind is ModeKind.DISSIPATIVE \
-                else mode.coeff_a
-            assert c_n == pytest.approx(1.0 / L3PI, rel=1e-12)
+        assert len(md.amplitudes) == 100
+        assert np.allclose(md.amplitudes, 1.0 / L3PI, rtol=1e-12, atol=0.0)
 
     def test_odd_component_rejected(self):
         x = np.linspace(-L3PI, L3PI, 401)
         with pytest.raises(ValueError):
             decompose_initial(np.sin(x), L3PI, 4)
 
-    def test_nonzero_velocity_unsupported(self):
-        samples = np.full(401, 0.1)
-        with pytest.raises(ValueError):
-            decompose_initial(samples, L3PI, 4, assume_zero_velocity=False)
-
     def test_undersampled_rejected(self):
         with pytest.raises(ValueError):
             decompose_initial(np.full(41, 1.0), L3PI, 30)
 
     def test_mode_split_counts(self):
-        # number of dissipative modes is floor(L / 2pi)
+        # floor(L / 2pi) modes sit below the cut-off k = 1/2; their clocks
+        # decay without ever changing sign, while every wave mode's does
+        t = np.linspace(0.0, 60.0, 1201)
         for half_length, expected in [(L3PI, 1), (5.0, 0), (13.0, 2)]:
             samples = np.full(2001, 1.0 / (2 * half_length))
             md = decompose_initial(samples, half_length, 20)
-            assert md.dissipative_count == expected
+            clocks = transfer(md.wave_numbers[:, None], t[None, :], P11)
+            assert np.sum(np.all(clocks > 0, axis=1)) == expected
 
-    def test_critical_wave_number_rejected(self):
-        with pytest.raises(ValueError):
-            decompose_initial(np.full(201, 1.0), 2.0 * math.pi, 1)
+    def test_critical_wave_number_continuous(self):
+        # L = 2pi puts mode 1 exactly on k = 1/2, the double root of the clock
+        x = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 2001)
+        md = decompose_initial(1.0 + np.cos(x / 2.0), 2.0 * math.pi, 3)
+        assert md.wave_numbers[0] == 0.5
+        for t in [0.0, 0.5, 3.0, 10.0]:
+            expected = 1.0 + oracle_clock(0.5, t) * np.cos(x / 2.0)
+            assert np.allclose(evaluate(md, x, t), expected, rtol=0.0, atol=1e-12)
 
     def test_dissipative_exponents(self):
-        # L = 3pi, n = 1: k = 1/3, slow rate (1 - sqrt(5)/3)/2
-        result = run_experiment("point_source", trace_times=[0.0])
-        mode = result.decomposition.modes[0]
-        assert mode.kind is ModeKind.DISSIPATIVE
-        assert mode.k == pytest.approx(1.0 / 3.0, rel=1e-15)
-        assert mode.alpha_minus == pytest.approx(0.5 * (1 - math.sqrt(5) / 3),
-                                                 rel=1e-14)
-        assert mode.alpha_minus == pytest.approx(0.1273, abs=5e-5)
+        # L = 3pi, n = 1: k = 1/3, slow rate alpha- = (1 - sqrt(5)/3)/2,
+        # read off the late-time ratio of the transfer-factor clock
+        md = run_experiment("point_source", trace_times=[0.0]).decomposition
+        k = md.wave_numbers[0]
+        assert k == pytest.approx(1.0 / 3.0, rel=1e-15)
+        alpha_minus = 0.5 * (1 - math.sqrt(5) / 3)
+        ratio = transfer(k, 61.0, P11) / transfer(k, 60.0, P11)
+        assert ratio == pytest.approx(math.exp(-alpha_minus), rel=1e-12)
+        assert -math.log(ratio) == pytest.approx(0.1273, abs=5e-5)
 
 
 class TestEvaluate:
@@ -100,7 +110,8 @@ class TestEvaluate:
     def test_standing_wave_uniform_at_quarter_period(self):
         result = run_experiment("standing_wave", trace_times=[0.0])
         md = result.decomposition
-        omega = md.modes[0].omega
+        k = md.wave_numbers[0]
+        omega = math.sqrt(k * k - 0.25)
         t_star = math.pi / (2 * omega)
         x = np.linspace(-L3PI, L3PI, 101)
         assert np.allclose(evaluate(md, x, t_star), 1.0 / (2 * L3PI), atol=1e-15)
@@ -202,9 +213,9 @@ class TestExperiments:
 
     def test_default_term_counts(self):
         assert len(run_experiment("point_source",
-                                  trace_times=[0.0]).decomposition.modes) == 100
+                                  trace_times=[0.0]).decomposition.amplitudes) == 100
         assert len(run_experiment("rectangle",
-                                  trace_times=[0.0]).decomposition.modes) == 200
+                                  trace_times=[0.0]).decomposition.amplitudes) == 200
 
     def test_snapshots_emitted(self):
         result = run_experiment("rectangle", trace_times=[0.0],
@@ -232,6 +243,33 @@ class TestExperiments:
         with pytest.raises(ValueError):
             run_experiment("rectangle", width=100.0, trace_times=[0.0])
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"half_length": math.nan}, "half_length"),
+        ({"half_length": math.inf}, "half_length"),
+        ({"half_length": -3.0}, "half_length"),
+        ({"half_length": 0.0}, "half_length"),
+        ({"trace_times": [0.0, math.nan]}, "trace_times"),
+        ({"trace_times": [math.inf]}, "trace_times"),
+        ({"trace_times": [-1.0]}, "trace_times"),
+        ({"snapshot_times": (math.nan,)}, "snapshot_times"),
+        ({"snapshot_times": (-0.5,)}, "snapshot_times"),
+        ({"width": math.nan}, "width"),
+        ({"width": math.inf}, "width"),
+        ({"width": 0.0}, "width"),
+        ({"width": 6.0 * math.pi}, "width"),
+        ({"n_modes": -1}, "n_modes"),
+    ])
+    def test_bad_input_names_parameter(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            run_experiment("rectangle", **kwargs)
+
+    def test_standing_wave_needs_wave_mode(self):
+        # its cosine-only clock exists only above the cut-off, L < 4pi
+        with pytest.raises(ValueError, match="half_length"):
+            run_experiment("standing_wave", half_length=4.0 * math.pi)
+        run_experiment("standing_wave", half_length=4.0 * math.pi * (1 - 1e-9),
+                       trace_times=[1.0])
+
     def test_rectangle_trapezoid_and_hump(self):
         # twin rectangle pulses travel outward as trapezoids whose boundary
         # moves at unit speed; at large t the central diffusive hump dominates
@@ -247,13 +285,25 @@ class TestExperiments:
         assert q6[0] > q6[window6].max()
 
 
-class TestModeValidation:
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Mode(n=1, k=0.1, kind=ModeKind.WAVE, coeff_a=1.0, coeff_b=0.0)
-        with pytest.raises(ValueError):
-            Mode(n=1, k=0.9, kind=ModeKind.DISSIPATIVE, coeff_a=1.0, coeff_b=0.0)
+class TestClock:
+    def test_matches_closed_form(self):
+        # evaluate() against the characteristic-root solution mode by mode,
+        # on both sides of the cut-off and on it
+        for half_length in (L3PI, 13.0, 2.0 * math.pi):
+            md = run_experiment("point_source", half_length=half_length,
+                                n_modes=30, trace_times=[0.0]).decomposition
+            x = np.linspace(-half_length, half_length, 41)
+            for t in [0.0, 0.7, 4.0, 25.0]:
+                expected = md.a0 + sum(
+                    c * oracle_clock(k, t) * np.cos(k * x)
+                    for k, c in zip(md.wave_numbers, md.amplitudes))
+                assert np.allclose(evaluate(md, x, t), expected,
+                                   rtol=0.0, atol=1e-12)
 
-    def test_critical_k_rejected(self):
-        with pytest.raises(ValueError):
-            Mode(n=1, k=0.5, kind=ModeKind.WAVE, coeff_a=1.0, coeff_b=0.0)
+    def test_critical_k_continuous(self):
+        # the clock passes through k = 1/2 without a jump
+        t = np.linspace(0.0, 25.0, 51)
+        at = np.array([oracle_clock(0.5, s) for s in t])
+        assert np.allclose(transfer(0.5, t, P11), at, rtol=0.0, atol=1e-14)
+        for k in (0.5 - 1e-7, 0.5 + 1e-7):
+            assert np.allclose(transfer(k, t, P11), at, rtol=0.0, atol=1e-6)

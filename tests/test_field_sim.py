@@ -77,13 +77,15 @@ class TestSimulateCoefficients:
 
 
 class TestEnsemble:
-    def test_thread_count_does_not_change_results(self):
-        serial = simulate_ensemble(5, (0.0, 0.3), ATOMS3, P11, master_seed=8,
-                                   n_runs=12, max_workers=1)
-        threaded = simulate_ensemble(5, (0.0, 0.3), ATOMS3, P11, master_seed=8,
-                                     n_runs=12, max_workers=8)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.coeffs, b.coeffs)
+    def test_members_match_single_runs(self):
+        ens = simulate_ensemble(5, (0.0, 0.3), ATOMS3, P11, master_seed=8,
+                                n_runs=12)
+        assert len(ens) == 12
+        for r, member in enumerate(ens):
+            single = simulate_coefficients(5, (0.0, 0.3), ATOMS3, P11,
+                                           seed=derive_run_seed(8, r))
+            assert member.seed == single.seed
+            assert np.array_equal(member.coeffs, single.coeffs)
 
     def test_runs_are_distinct(self):
         ens = simulate_ensemble(4, (0.0,), ATOMS3, P11, master_seed=8, n_runs=3)

@@ -205,6 +205,13 @@ class TestFiniteVariance:
         assert report.exp_moment_finite
         assert report.exp_moment == pytest.approx(math.exp(0.25), rel=1e-12)
 
+    def test_overflowing_exp_moment_reported(self):
+        # exp(60^2 / 4) = e^900 overflows double precision
+        report = finite_variance_check(SpectralMeasure(atoms=((60.0, 1.0),)),
+                                       P11, 0.0)
+        assert report.exp_moment == math.inf
+        assert report.exp_moment_finite is False
+
     def test_alpha_zero_reduces_to_variance_sum(self):
         m = SpectralMeasure(atoms=((0.5, 0.3), (2.0, 0.7)))
         report = finite_variance_check(m, P11, 0.0)
