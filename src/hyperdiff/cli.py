@@ -4,8 +4,9 @@ Every run writes a JSON manifest next to its outputs recording the resolved
 settings, seed, tool version, output paths, and wall-clock duration; the
 `rerun` subcommand replays a manifest into a fresh output location, which for
 seeded commands reproduces the outputs bitwise. A run writes into a temporary
-directory beside --out and moves its files into --out only once everything
-succeeded, so a failed run leaves nothing behind.
+directory (inside --out if it exists, else in its nearest existing ancestor)
+and moves its files into --out only once everything succeeded, so a failed
+run leaves nothing behind.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical accuracy error,
 4 I/O error. The HYPERDIFF_THREADS environment variable is accepted and
@@ -281,9 +282,10 @@ _RUNNERS = {
 
 def _execute(subcommand: str, settings: dict, out: str) -> int:
     started = time.perf_counter()
-    # The work directory sits in the nearest existing ancestor of --out, so
-    # the final renames stay on one file system and a failure creates nothing.
-    base = os.path.dirname(os.path.abspath(out))
+    # The work directory sits in --out if it exists, else in its nearest
+    # existing ancestor: the final renames stay on one file system, need no
+    # write access above --out, and a failure creates nothing.
+    base = os.path.abspath(out)
     while not os.path.isdir(base):
         base = os.path.dirname(base)
     work = tempfile.mkdtemp(prefix=".hyperdiff-", dir=base)

@@ -72,6 +72,10 @@ class ModeDecomposition:
 
     def __post_init__(self):
         _check_half_length(self.half_length)
+        if self.standing_wave and not np.all(np.asarray(self.wave_numbers) > 0.5):
+            raise ValueError("standing_wave needs wave numbers above 1/2 "
+                             f"(half_length < 4 pi for the n = 2 harmonic), "
+                             f"got half_length {self.half_length}")
 
 
 def _profile_blocks(md: ModeDecomposition, x: np.ndarray, times: np.ndarray):
@@ -164,32 +168,6 @@ EXPERIMENTS = ("standing_wave", "point_source", "rectangle")
 _DEFAULT_TERMS = {"point_source": 100, "rectangle": 200}
 
 
-def _standing_wave_decomposition(L: float) -> ModeDecomposition:
-    # Snapshot form q = (1/2L) [1 + e^(-t/2) cos(omega t) cos(k x)] with the
-    # n = 2 harmonic: amplitude on the cosine clock only, no sin companion.
-    k = 2.0 * math.pi / L
-    if not k > 0.5:
-        raise ValueError(f"standing_wave needs half_length < 4 pi (k = 2 pi / L "
-                         f"above 1/2), got {L}")
-    return ModeDecomposition(half_length=L, a0=1.0 / (2.0 * L),
-                             wave_numbers=np.array([k]),
-                             amplitudes=np.array([1.0 / (2.0 * L)]),
-                             standing_wave=True)
-
-
-def _series_decomposition(L: float, n_modes: int, width: float | None
-                          ) -> ModeDecomposition:
-    # A point mass at the origin has the uniform cosine spectrum c_n = 1/L;
-    # a centred rectangle of the given width has c_n = sinc-weighted 1/L.
-    k = np.arange(1, n_modes + 1) * math.pi / L
-    if width is None:
-        c = np.full(n_modes, 1.0 / L)
-    else:
-        c = 2.0 * np.sin(k * width / 2.0) / (L * k * width)
-    return ModeDecomposition(half_length=L, a0=1.0 / (2.0 * L),
-                             wave_numbers=k, amplitudes=c)
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     name: str
@@ -207,8 +185,9 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
     All inputs are checked before anything is computed: half_length finite
     and > 0, trace and snapshot times finite and >= 0, n_modes >= 0 (0 or
     None picks the default), and (rectangle only) width finite within
-    (0, 2L); each failure raises ValueError naming the parameter. Emits the entropy trace where computable plus (t, x, q)
-    profile snapshots at the requested times.
+    (0, 2L); each failure raises ValueError naming the parameter. Emits the
+    entropy trace where computable plus (t, x, q) profile snapshots at the
+    requested times.
     """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
@@ -224,10 +203,20 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
         raise ValueError(f"n_modes must be >= 0 (0 picks the default), got {n_modes}")
 
     if name == "standing_wave":
-        md = _standing_wave_decomposition(L)
+        # q = (1/2L) [1 + e^(-t/2) cos(omega t) cos(k x)] with the n = 2
+        # harmonic: amplitude on the cosine clock only, no sin companion.
+        k = np.array([2.0 * math.pi / L])
+        c = np.array([1.0 / (2.0 * L)])
     else:
-        md = _series_decomposition(L, n_modes or _DEFAULT_TERMS[name],
-                                   width if name == "rectangle" else None)
+        k = np.arange(1, (n_modes or _DEFAULT_TERMS[name]) + 1) * math.pi / L
+        if name == "point_source":
+            # a point mass at the origin has the uniform spectrum c_n = 1/L
+            c = np.full(k.size, 1.0 / L)
+        else:
+            # a centred rectangle of the given width: sinc-weighted 1/L
+            c = 2.0 * np.sin(k * width / 2.0) / (L * k * width)
+    md = ModeDecomposition(half_length=L, a0=1.0 / (2.0 * L), wave_numbers=k,
+                           amplitudes=c, standing_wave=name == "standing_wave")
     trace = entropy_trace(md, trace_times, n_intervals)
     x = np.linspace(-L, L, n_intervals + 1)
     q = np.empty((snapshot_times.size, x.size))

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -76,6 +77,24 @@ class TestKernelCommand:
         out = str(tmp_path / "a" / "b")
         assert main(["kernel", "--c", "1", "--D", "1", "--mu", "1", "--t", "1",
                      "--out", out]) == 0
+
+    def test_work_dir_inside_existing_out(self, tmp_path, monkeypatch):
+        # an existing --out hosts the work directory, so nothing is written
+        # above it; a new --out uses its nearest existing ancestor
+        dirs = []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def recording_mkdtemp(*args, **kwargs):
+            dirs.append(kwargs["dir"])
+            return real_mkdtemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
+        out = tmp_path / "run"
+        args = ["kernel", "--c", "1", "--D", "1", "--mu", "1", "--t", "1"]
+        assert main(args + ["--out", str(out / "new")]) == 0
+        assert main(args + ["--out", str(out)]) == 0
+        assert dirs == [str(tmp_path), str(out)]
+        assert sorted(os.listdir(out)) == ["kernel.csv", "manifest.json", "new"]
 
     def test_io_error_exits_4(self, tmp_path):
         blocker = tmp_path / "file"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hyperdiff.entropy1d import (decompose_initial, entropy_trace, evaluate,
-                                 mass, run_experiment)
+from hyperdiff.entropy1d import (ModeDecomposition, decompose_initial,
+                                 entropy_trace, evaluate, mass, run_experiment)
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams
 
@@ -269,6 +269,14 @@ class TestExperiments:
             run_experiment("standing_wave", half_length=4.0 * math.pi)
         run_experiment("standing_wave", half_length=4.0 * math.pi * (1 - 1e-9),
                        trace_times=[1.0])
+
+    def test_standing_wave_below_cut_off_rejected(self):
+        # built directly, a standing wave at k <= 1/2 has no real omega
+        for k in (0.5, 0.4):
+            with pytest.raises(ValueError, match="standing_wave"):
+                ModeDecomposition(half_length=2.0 * math.pi / k, a0=0.1,
+                                  wave_numbers=np.array([k]),
+                                  amplitudes=np.array([0.1]), standing_wave=True)
 
     def test_rectangle_trapezoid_and_hump(self):
         # twin rectangle pulses travel outward as trapezoids whose boundary
