@@ -178,21 +178,30 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
     n_quad = settings.get("n_quad", 64)
     fmt = settings.get("format", "csv")
     n_runs = settings.get("ensemble", 0)
+    ensemble = None
     if n_runs:
+        if n_runs < 2:
+            raise ConfigError(f"--ensemble must be 0 or at least 2, got {n_runs}")
         _check_thread_env()
+        # Drawn first, so its seed and size checks come before any work.
+        ensemble = field_sim.simulate_ensemble(
+            degree_count, times, measure, params, master_seed=seed,
+            n_runs=n_runs, n_quad=n_quad,
+        )
     outputs = []
 
     cs = field_sim.simulate_coefficients(degree_count, times, measure, params,
                                          seed=seed, n_quad=n_quad)
-    half = degree_count - 1
+    # (l, m) pairs with |m| <= l, in the row-major order of the coefficients.
+    ls, ms = np.indices((degree_count, 2 * degree_count - 1))
+    ms -= degree_count - 1
+    kept = np.abs(ms) <= ls
+    ls, ms = ls[kept].tolist(), ms[kept].tolist()
     for ti, t in enumerate(times):
         cpath = os.path.join(out, f"coefficients_t{ti}.csv")
-        rows = []
-        for l in range(degree_count):
-            for m in range(-l, l + 1):
-                value = cs.coeffs[ti, l, half + m]
-                rows.append([l, m, value.real, value.imag])
-        _write_csv(cpath, ["l", "m", "re", "im"], rows)
+        values = cs.coeffs[ti][kept]
+        _write_csv(cpath, ["l", "m", "re", "im"],
+                   zip(ls, ms, values.real.tolist(), values.imag.tolist()))
         outputs.append(cpath)
 
         grid = field_sim.synthesize(cs, ti, n_theta, n_phi)
@@ -202,26 +211,23 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
                 fh.write(field_sim.grid_to_binary(grid))
         else:
             fpath = os.path.join(out, f"field_t{ti}.csv")
-            thetas, phis = grid.thetas(), grid.phis()
-            rows = [
-                [thetas[j], phis[k], grid.values[j, k]]
-                for j in range(n_theta) for k in range(n_phi)
-            ]
-            _write_csv(fpath, ["theta", "phi", "value"], rows)
+            _write_csv(fpath, ["theta", "phi", "value"],
+                       zip(np.repeat(grid.thetas(), n_phi).tolist(),
+                           np.tile(grid.phis(), n_theta).tolist(),
+                           grid.values.ravel().tolist()))
         outputs.append(fpath)
 
-    if n_runs:
-        ensemble = field_sim.simulate_ensemble(
-            degree_count, times, measure, params, master_seed=seed,
-            n_runs=n_runs, n_quad=n_quad,
-        )
+    if ensemble is not None:
+        value, std_error = field_sim._spectrum_estimate(
+            np.stack([member.coeffs for member in ensemble]),
+            2 * np.arange(degree_count) + 1)
         atomic = field_sim.atomize(measure, n_quad)
         rows = []
-        for t in times:
+        for ti, t in enumerate(times):
             theory = angular_spectrum(degree_count, t, t, atomic, params).values
-            for l in range(degree_count):
-                est = field_sim.empirical_spectrum(ensemble, l, t)
-                rows.append([t, l, est.value, est.std_error, theory[l]])
+            rows.extend(zip([t] * degree_count, range(degree_count),
+                            value[ti].tolist(), std_error[ti].tolist(),
+                            theory.tolist()))
         epath = os.path.join(out, "empirical_spectrum.csv")
         _write_csv(epath, ["t", "l", "estimate", "std_error", "theory"], rows)
         outputs.append(epath)

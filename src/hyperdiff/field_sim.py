@@ -3,12 +3,22 @@
 Coefficients of the Laplace series are drawn in closed form from the measure:
 for an atomic measure, degree-l coefficients are weighted sums of independent
 standard normals with weights pi*sqrt(2) * J_{l+1/2}(mu_i)/sqrt(mu_i)
-* transfer(mu_i, t) * sigma_i. One normal block is drawn per degree from a
-counter-based Philox stream keyed by (seed, degree), so identical inputs give
+* transfer(mu_i, t) * sigma_i. None of these weights depends on the seed, so
+each call computes them once, (times x degrees x atoms), and one private
+draw routine turns them into coefficients for a list of seeds and a range of
+degrees: simulate_coefficients is the one-seed case, simulate_ensemble the
+many-seed case, and truncation_error_mc draws only its degree band into one
+reused buffer.
+
+One normal block is drawn per degree from a counter-based Philox stream
+keyed by (seed, degree) (Salmon et al., SC'11), so identical inputs give
 bitwise-identical coefficients regardless of evaluation order, and all
 requested times reuse the same draws -- time enters only through the
 deterministic transfer factor, making the temporal dependence structure
-exact by construction.
+exact by construction. The draw routine resets one Philox bit generator to
+each stream instead of building a generator per stream; that generator
+belongs to the call, so concurrent calls do not interfere. Seeds of single
+runs lie in [0, 2**128), master seeds of ensembles in [0, 2**64).
 
 The field must be real, so coefficients are drawn with Hermitian symmetry
 a_{l,-m} = (-1)^m conj(a_{lm}): the m = 0 coefficient is real with variance
@@ -38,6 +48,7 @@ from .spectrum import angular_spectrum
 
 _GRID_MAGIC = b"HYPDGRID"
 _IMAG_RESIDUE_TOL = 1e-10
+_WORD = (1 << 64) - 1
 
 
 def atomize(measure: SpectralMeasure, n_quad: int = 64) -> SpectralMeasure:
@@ -103,19 +114,18 @@ class CoefficientSet:
                               coeffs=sub.copy(), seed=self.seed)
 
 
-def _degree_stream(seed: int, l: int) -> Generator:
-    # The degree index occupies the top 64 bits of the 256-bit counter;
-    # block consumption increments from the bottom, so streams never collide.
-    return Generator(Philox(key=seed, counter=l << 192))
+def _check_seed(name: str, value: int, bits: int) -> None:
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
 
 
-def simulate_coefficients(degree_count: int, times, measure: SpectralMeasure,
-                          params: DiffusionParams, seed: int,
-                          n_quad: int = 64) -> CoefficientSet:
-    """Draw one realisation of the coefficients a_lm(t) for l < degree_count."""
+def _weights(degree_count: int, times, atomic: SpectralMeasure,
+             params: DiffusionParams) -> tuple[tuple[float, ...], np.ndarray]:
+    """Validated times and the seed-independent draw weights
+    pi*sqrt(2) * J_{l+1/2}(mu)/sqrt(mu) * sigma * transfer(mu, t), indexed
+    (time, degree l < degree_count, atom) of the atomic measure."""
     if degree_count < 1:
         raise ValueError(f"degree count must be >= 1, got {degree_count}")
-    atomic = atomize(measure, n_quad)
     if not atomic.atoms:
         raise ValueError("cannot simulate from the zero measure")
     times = tuple(float(t) for t in times)
@@ -123,29 +133,59 @@ def simulate_coefficients(degree_count: int, times, measure: SpectralMeasure,
         raise ValueError("need at least one time")
     if any(t < 0 for t in times):
         raise ValueError("times must be >= 0")
-
     mus = np.array([mu for mu, _ in atomic.atoms])
     sigmas = np.sqrt([mass for _, mass in atomic.atoms])
     jmat = bessel_half_all(degree_count - 1, mus)
     base = math.pi * math.sqrt(2.0) * jmat / np.sqrt(mus) * sigmas
     hfac = np.stack([transfer(mus, t, params) for t in times])
+    return times, base[None, :, :] * hfac[:, None, :]
 
-    n_t = len(times)
-    half = degree_count - 1
-    coeffs = np.zeros((n_t, degree_count, 2 * degree_count - 1), dtype=complex)
-    signs = (-1.0) ** np.arange(1, degree_count)
-    for l in range(degree_count):
-        z = _degree_stream(seed, l).standard_normal((l + 1, mus.size, 2))
-        z_c = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
-        for ti in range(n_t):
-            w = base[l] * hfac[ti]
-            alm = z_c @ w
-            alm[0] = z[0, :, 0] @ w
-            coeffs[ti, l, half:half + l + 1] = alm
-            if l > 0:
-                coeffs[ti, l, half - l:half] = (
-                    signs[:l] * np.conj(alm[1:])
-                )[::-1]
+
+def _draw(weights: np.ndarray, seeds, degrees: range):
+    """Yield the coefficients of each seed in turn, in one reused buffer.
+
+    The buffer has shape (times, len(degrees), 2*degrees.stop - 1): degree l
+    in row l - degrees.start, order m in column degrees.stop - 1 + m, zero
+    where |m| > l. The normals of (seed, l) come from Philox with key
+    seed and counter l << 192: the degree occupies the top 64 bits of the
+    256-bit counter and blocks are consumed from the bottom, so streams never
+    collide. One bit generator per call is reset to each stream rather than
+    built anew; it is never shared between calls.
+    """
+    n_t, _, n_atoms = weights.shape
+    half = degrees.stop - 1
+    out = np.zeros((n_t, len(degrees), 2 * half + 1), dtype=complex)
+    signs = (-1.0) ** np.arange(1, degrees.stop)
+    bitgen = Philox(key=0)
+    gen = Generator(bitgen)
+    state = bitgen.state
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    for seed in seeds:
+        key[0], key[1] = seed & _WORD, seed >> 64
+        for row, l in enumerate(degrees):
+            counter[3] = l
+            bitgen.state = state
+            z = gen.standard_normal((l + 1, n_atoms, 2))
+            z_c = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+            for ti, w in enumerate(weights[:, l]):
+                alm = z_c @ w
+                alm[0] = z[0, :, 0] @ w
+                out[ti, row, half:half + l + 1] = alm
+                if l > 0:
+                    out[ti, row, half - l:half] = (
+                        signs[:l] * np.conj(alm[1:])
+                    )[::-1]
+        yield out
+
+
+def simulate_coefficients(degree_count: int, times, measure: SpectralMeasure,
+                          params: DiffusionParams, seed: int,
+                          n_quad: int = 64) -> CoefficientSet:
+    """Draw one realisation of the coefficients a_lm(t) for l < degree_count."""
+    _check_seed("seed", seed, 128)
+    times, weights = _weights(degree_count, times, atomize(measure, n_quad),
+                              params)
+    coeffs = next(_draw(weights, (seed,), range(degree_count)))
     return CoefficientSet(degree_count=degree_count, times=times,
                           coeffs=coeffs, seed=seed)
 
@@ -157,10 +197,14 @@ def simulate_ensemble(degree_count: int, times, measure: SpectralMeasure,
     with seed derive_run_seed(master_seed, r)."""
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
-    return [simulate_coefficients(degree_count, times, measure, params,
-                                  seed=derive_run_seed(master_seed, run),
-                                  n_quad=n_quad)
-            for run in range(n_runs)]
+    _check_seed("master_seed", master_seed, 64)
+    times, weights = _weights(degree_count, times, atomize(measure, n_quad),
+                              params)
+    seeds = [derive_run_seed(master_seed, run) for run in range(n_runs)]
+    draws = _draw(weights, seeds, range(degree_count))
+    return [CoefficientSet(degree_count=degree_count, times=times,
+                           coeffs=coeffs.copy(), seed=seed)
+            for seed, coeffs in zip(seeds, draws)]
 
 
 @dataclass(frozen=True)
@@ -244,19 +288,29 @@ class EmpiricalSpectrum:
     n_runs: int
 
 
+def _spectrum_estimate(coeffs: np.ndarray, orders):
+    """Ensemble mean of sum_m |a_lm|^2 / orders and its standard error.
+
+    coeffs holds runs on axis 0 and orders m on the last axis (entries with
+    |m| > l zero); both estimates span the axes in between. The CLI builds
+    its empirical-spectrum table from one call on the stacked ensemble.
+    """
+    per_run = np.sum(np.abs(coeffs) ** 2, axis=-1) / orders
+    n_runs = per_run.shape[0]
+    return (per_run.mean(axis=0),
+            per_run.std(axis=0, ddof=1) / math.sqrt(n_runs))
+
+
 def empirical_spectrum(ensemble, l: int, time: float) -> EmpiricalSpectrum:
     """Estimate C_l(t, t) as the ensemble mean of (2l+1)-averaged |a_lm|^2."""
     ensemble = list(ensemble)
     if len(ensemble) < 2:
         raise ValueError("need an ensemble of at least 2 runs")
-    per_run = np.empty(len(ensemble))
-    for i, cs in enumerate(ensemble):
-        ti = cs.time_index(time)
-        half = cs.degree_count - 1
-        row = cs.coeffs[ti, l, half - l:half + l + 1]
-        per_run[i] = np.sum(np.abs(row) ** 2) / (2 * l + 1)
-    return EmpiricalSpectrum(value=float(per_run.mean()),
-                             std_error=float(per_run.std(ddof=1) / math.sqrt(len(ensemble))),
+    rows = np.stack([cs.coeffs[cs.time_index(time), l,
+                               cs.degree_count - 1 - l:cs.degree_count + l]
+                     for cs in ensemble])
+    value, std_error = _spectrum_estimate(rows, 2 * l + 1)
+    return EmpiricalSpectrum(value=float(value), std_error=float(std_error),
                              n_runs=len(ensemble))
 
 
@@ -281,10 +335,20 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
     single location estimates the truncation error; the closed-form value
     (1/(2 sqrt(pi))) sqrt(sum_band (2l+1) C_l(t,t)) is returned alongside.
     std_error_sq is the standard error of the mean-square estimate (the
-    quantity inside the square root).
+    quantity inside the square root). Needs n_runs >= 2, a finite time >= 0,
+    theta in [0, pi], a finite phi and a master seed in [0, 2**64).
     """
     if not 0 <= l_inner <= l_outer:
         raise ValueError(f"need 0 <= l_inner <= l_outer, got {l_inner}, {l_outer}")
+    if n_runs < 2:
+        raise ValueError(f"need at least 2 runs, got {n_runs}")
+    if not 0.0 <= time < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {time}")
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
+    _check_seed("master_seed", master_seed, 64)
     if l_inner == l_outer:
         return TruncationError(estimate=0.0, std_error_sq=0.0, exact=0.0,
                                n_runs=n_runs)
@@ -302,14 +366,13 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
         y[m:, half + m] = pbar * complex(math.cos(m * phi), math.sin(m * phi))
         if m > 0:
             y[m:, half - m] = (-1.0) ** m * np.conj(y[m:, half + m])
+    y_band = y[l_inner:l_outer]
 
+    _, weights = _weights(l_outer, (time,), atomic, params)
+    seeds = [derive_run_seed(master_seed, run) for run in range(n_runs)]
     sq = np.empty(n_runs)
-    for run in range(n_runs):
-        cs = simulate_coefficients(l_outer, (time,), atomic, params,
-                                   seed=derive_run_seed(master_seed, run),
-                                   n_quad=n_quad)
-        band_coeffs = cs.coeffs[0, l_inner:l_outer]
-        delta = np.sum(band_coeffs * y[l_inner:l_outer]).real
+    for run, coeffs in enumerate(_draw(weights, seeds, range(l_inner, l_outer))):
+        delta = np.sum(coeffs[0] * y_band).real
         sq[run] = delta * delta
     estimate = math.sqrt(float(sq.mean()))
     return TruncationError(estimate=estimate,

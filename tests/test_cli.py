@@ -7,9 +7,10 @@ import tempfile
 import numpy as np
 import pytest
 
+from hyperdiff import field_sim
 from hyperdiff.cli import main
 from hyperdiff.covariance import covariance_legendre
-from hyperdiff.field_sim import grid_from_binary
+from hyperdiff.field_sim import grid_from_binary, simulate_coefficients, synthesize
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, SpectralMeasure
 from hyperdiff.spectrum import c_l
@@ -237,6 +238,49 @@ class TestSimulateCommand:
         assert not out.exists()
         assert os.listdir(tmp_path) == ["atom.json"]
 
+    @pytest.mark.parametrize("extra, name", [
+        (["--ensemble", "1"], "--ensemble"),
+        (["--ensemble", "-3"], "--ensemble"),
+        (["--seed", "-1"], "seed"),
+        (["--seed", "-1", "--ensemble", "4"], "master_seed"),
+        (["--seed", str(2 ** 64), "--ensemble", "4"], "master_seed"),
+        (["--seed", str(2 ** 128)], "seed"),
+    ])
+    def test_bad_seed_or_ensemble_rejected_before_drawing(
+            self, extra, name, atom_config, tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew coefficients")
+
+        monkeypatch.setattr(field_sim, "_draw", no_draw)
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", atom_config, "--lmax", "3",
+                   "--grid", "4x8", "--times", "0", *extra, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert not out.exists()
+        assert os.listdir(tmp_path) == ["atom.json"]
+
+    def test_csv_rows_match_library(self, atom_config, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", atom_config, "--lmax", "5",
+                     "--grid", "3x4", "--times", "0,0.7", "--seed", "13",
+                     "--out", out]) == 0
+        cs = simulate_coefficients(5, (0.0, 0.7), SpectralMeasure(atoms=((1.0, 1.0),)),
+                                   DiffusionParams(1.0, 1.0), seed=13)
+        for ti in range(2):
+            _, rows = read_csv(os.path.join(out, f"coefficients_t{ti}.csv"))
+            assert [(int(l), int(m)) for l, m, _, _ in rows] == [
+                (l, m) for l in range(5) for m in range(-l, l + 1)]
+            for l, m, re, im in rows:
+                value = cs.coeffs[ti, int(l), 4 + int(m)]
+                assert (float(re), float(im)) == (value.real, value.imag)
+            grid = synthesize(cs, ti, 3, 4)
+            _, rows = read_csv(os.path.join(out, f"field_t{ti}.csv"))
+            assert [[float(v) for v in row] for row in rows] == [
+                [grid.thetas()[j], grid.phis()[k], grid.values[j, k]]
+                for j in range(3) for k in range(4)]
+
     def test_binary_format_round_trips(self, atom_config, tmp_path):
         out = str(tmp_path / "run")
         assert main(["simulate", "--config", atom_config, "--lmax", "4",
@@ -257,6 +301,21 @@ class TestSimulateCommand:
         for row in rows:
             estimate, se, theory = float(row[2]), float(row[3]), float(row[4])
             assert abs(estimate - theory) <= 6 * se
+
+    def test_empirical_rows_match_library(self, atom_config, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["simulate", "--config", atom_config, "--lmax", "4",
+                     "--grid", "4x8", "--times", "0,0.6", "--seed", "5",
+                     "--ensemble", "30", "--out", out]) == 0
+        ens = field_sim.simulate_ensemble(4, (0.0, 0.6), SpectralMeasure(atoms=((1.0, 1.0),)),
+                                          DiffusionParams(1.0, 1.0), master_seed=5, n_runs=30)
+        _, rows = read_csv(os.path.join(out, "empirical_spectrum.csv"))
+        assert [(float(r[0]), int(r[1])) for r in rows] == [
+            (t, l) for t in (0.0, 0.6) for l in range(4)]
+        for t, l, estimate, std_error, _ in rows:
+            est = field_sim.empirical_spectrum(ens, int(l), float(t))
+            assert float(estimate) == pytest.approx(est.value, rel=1e-14)
+            assert float(std_error) == pytest.approx(est.std_error, rel=1e-14)
 
     def test_coefficient_csv_schema(self, atom_config, tmp_path):
         out = str(tmp_path / "run")

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from hyperdiff.exceptions import AccuracyError
-from hyperdiff.field_sim import (CoefficientSet, atomize, derive_run_seed,
+from hyperdiff.field_sim import (CoefficientSet, _draw, atomize, derive_run_seed,
                                  empirical_spectrum, grid_from_binary,
                                  grid_to_binary, histogram_entropy,
                                  radial_coefficient, simulate_coefficients,
@@ -12,7 +15,7 @@ from hyperdiff.field_sim import (CoefficientSet, atomize, derive_run_seed,
                                  truncation_error_mc)
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, PowerLawSegment, SpectralMeasure
-from hyperdiff.special import sph_harm
+from hyperdiff.special import norm_plm_blocks, sph_harm
 from hyperdiff.spectrum import angular_spectrum
 
 P11 = DiffusionParams(c=1.0, D=1.0)
@@ -75,6 +78,30 @@ class TestSimulateCoefficients:
         with pytest.raises(ValueError):
             simulate_coefficients(3, (), ATOM1, P11, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, math.nan])
+    def test_seed_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_coefficients(3, (0.0,), ATOM1, P11, seed=seed)
+
+    def test_seed_range_edges_accepted(self):
+        for seed in (0, 2 ** 128 - 1):
+            assert simulate_coefficients(2, (0.0,), ATOM1, P11, seed=seed).seed == seed
+
+
+class TestStreams:
+    @pytest.mark.parametrize("l", [0, 1, 63, 10000])
+    def test_reset_stream_equals_built_generator(self, l):
+        # With one atom of weight 1, a_l0 = z_0 and a_lm = (x_m + i y_m)/sqrt 2
+        # read the normals of stream (seed, l) straight off the output.
+        seeds = [0, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1]
+        weights = np.ones((1, l + 1, 1))
+        for seed, coeffs in zip(seeds, _draw(weights, seeds, range(l, l + 1))):
+            z = Generator(Philox(key=seed, counter=l << 192)).standard_normal(
+                (l + 1, 1, 2))
+            expected = (z[:, 0, 0] + 1j * z[:, 0, 1]) / math.sqrt(2.0)
+            expected[0] = z[0, 0, 0]
+            assert np.array_equal(coeffs[0, 0, l:], expected)
+
 
 class TestEnsemble:
     def test_members_match_single_runs(self):
@@ -86,6 +113,44 @@ class TestEnsemble:
                                            seed=derive_run_seed(8, r))
             assert member.seed == single.seed
             assert np.array_equal(member.coeffs, single.coeffs)
+
+    def test_concurrent_calls_match_serial(self):
+        # Threads with different master seeds, switching as often as the
+        # interpreter allows: a generator shared between calls mixes streams.
+        args = (6, (0.0, 0.4), ATOMS3, P11)
+        seeds = (31, 32, 33, 34)
+        serial = [simulate_ensemble(*args, master_seed=s, n_runs=100)
+                  for s in seeds]
+        results = [None] * len(seeds)
+        start = threading.Barrier(len(seeds))
+
+        def run(i):
+            start.wait()
+            results[i] = simulate_ensemble(*args, master_seed=seeds[i],
+                                           n_runs=100)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(len(seeds))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for result, expected in zip(results, serial):
+            assert len(result) == len(expected)
+            assert all(np.array_equal(a.coeffs, b.coeffs)
+                       for a, b in zip(result, expected))
+
+    @pytest.mark.parametrize("master_seed", [-1, 2 ** 64])
+    def test_master_seed_range(self, master_seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            simulate_ensemble(3, (0.0,), ATOM1, P11, master_seed=master_seed,
+                              n_runs=2)
 
     def test_runs_are_distinct(self):
         ens = simulate_ensemble(4, (0.0,), ATOMS3, P11, master_seed=8, n_runs=3)
@@ -201,6 +266,52 @@ class TestTruncationError:
     def test_validation(self):
         with pytest.raises(ValueError):
             truncation_error_mc(5, 3, ATOM1, P11, 0.0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_runs": 1}, "runs"), ({"n_runs": 0}, "runs"), ({"n_runs": -3}, "runs"),
+        ({"theta": math.nan}, "theta"), ({"theta": -0.1}, "theta"),
+        ({"theta": math.pi + 1e-9}, "theta"), ({"theta": math.inf}, "theta"),
+        ({"phi": math.nan}, "phi"), ({"phi": -math.inf}, "phi"),
+        ({"master_seed": -1}, "master_seed"), ({"master_seed": 2 ** 64}, "master_seed"),
+        ({"time": math.nan}, "time"), ({"time": -1.0}, "time"),
+    ])
+    def test_bad_input_rejected(self, kwargs, name):
+        args = {"time": 0.3, **kwargs}
+        for band in ((2, 6), (4, 4)):
+            with pytest.raises(ValueError, match=name):
+                truncation_error_mc(*band, ATOMS3, P11, **args)
+
+    @pytest.mark.parametrize("l_inner, l_outer, time, theta, phi", [
+        (3, 12, 0.0, 1.1, 2.3), (0, 5, 0.8, 0.0, -7.0), (6, 7, 2.5, math.pi, 0.4),
+    ])
+    def test_matches_per_run_oracle(self, l_inner, l_outer, time, theta, phi):
+        measure = SpectralMeasure(atoms=((2.5, 0.2),),
+                                  segments=(PowerLawSegment(0.5, 2.0, 1.0, 0.5),))
+        n_runs, master_seed, n_quad = 40, 2 ** 64 - 1, 12
+        te = truncation_error_mc(l_inner, l_outer, measure, P11, time,
+                                 n_runs=n_runs, master_seed=master_seed,
+                                 theta=theta, phi=phi, n_quad=n_quad)
+
+        atomic = atomize(measure, n_quad)
+        ls = np.arange(l_inner, l_outer)
+        band = angular_spectrum(l_outer, time, time, atomic, P11).values[l_inner:]
+        exact = math.sqrt(float(np.sum((2 * ls + 1) * band))) / (2.0 * math.sqrt(math.pi))
+        y = np.zeros((l_outer, 2 * l_outer - 1), dtype=complex)
+        half = l_outer - 1
+        for m, block in norm_plm_blocks(l_outer, np.array([math.cos(theta)])):
+            y[m:, half + m] = block[:, 0] * complex(math.cos(m * phi), math.sin(m * phi))
+            if m > 0:
+                y[m:, half - m] = (-1.0) ** m * np.conj(y[m:, half + m])
+        sq = np.empty(n_runs)
+        for run in range(n_runs):
+            cs = simulate_coefficients(l_outer, (time,), atomic, P11,
+                                       seed=derive_run_seed(master_seed, run))
+            delta = np.sum(cs.coeffs[0, l_inner:] * y[l_inner:]).real
+            sq[run] = delta * delta
+        assert te.exact == exact
+        assert te.estimate == math.sqrt(float(sq.mean()))
+        assert te.std_error_sq == float(sq.std(ddof=1) / math.sqrt(n_runs))
+        assert te.n_runs == n_runs
 
 
 class TestCoefficientSet:
