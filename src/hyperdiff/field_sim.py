@@ -34,6 +34,7 @@ computed from the same atomised measure so the discretisation cancels.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -69,10 +70,22 @@ def atomize(measure: SpectralMeasure, n_quad: int = 64) -> SpectralMeasure:
     return SpectralMeasure(atoms=tuple(atoms))
 
 
+def _check_int(name: str, value, bits: int) -> int:
+    """value as a Python int; ValueError unless it is an integer in [0, 2**bits)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
+    return value
+
+
 def derive_run_seed(master_seed: int, run_index: int) -> int:
-    """Distinct Philox key for ensemble member run_index under a master seed."""
-    if run_index < 0 or run_index >= 1 << 64:
-        raise ValueError(f"run index out of range: {run_index}")
+    """Distinct Philox key for ensemble member run_index under a master seed;
+    both lie in [0, 2**64)."""
+    master_seed = _check_int("master_seed", master_seed, 64)
+    run_index = _check_int("run index", run_index, 64)
     return (master_seed << 64) | run_index
 
 
@@ -112,11 +125,6 @@ class CoefficientSet:
         sub = self.coeffs[:, :degree_count, shift:shift + 2 * degree_count - 1]
         return CoefficientSet(degree_count=degree_count, times=self.times,
                               coeffs=sub.copy(), seed=self.seed)
-
-
-def _check_seed(name: str, value: int, bits: int) -> None:
-    if not 0 <= value < 1 << bits:
-        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
 
 
 def _weights(degree_count: int, times, atomic: SpectralMeasure,
@@ -182,7 +190,7 @@ def simulate_coefficients(degree_count: int, times, measure: SpectralMeasure,
                           params: DiffusionParams, seed: int,
                           n_quad: int = 64) -> CoefficientSet:
     """Draw one realisation of the coefficients a_lm(t) for l < degree_count."""
-    _check_seed("seed", seed, 128)
+    seed = _check_int("seed", seed, 128)
     times, weights = _weights(degree_count, times, atomize(measure, n_quad),
                               params)
     coeffs = next(_draw(weights, (seed,), range(degree_count)))
@@ -197,10 +205,9 @@ def simulate_ensemble(degree_count: int, times, measure: SpectralMeasure,
     with seed derive_run_seed(master_seed, r)."""
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
-    _check_seed("master_seed", master_seed, 64)
+    seeds = [derive_run_seed(master_seed, run) for run in range(n_runs)]
     times, weights = _weights(degree_count, times, atomize(measure, n_quad),
                               params)
-    seeds = [derive_run_seed(master_seed, run) for run in range(n_runs)]
     draws = _draw(weights, seeds, range(degree_count))
     return [CoefficientSet(degree_count=degree_count, times=times,
                            coeffs=coeffs.copy(), seed=seed)
@@ -348,7 +355,7 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-    _check_seed("master_seed", master_seed, 64)
+    seeds = [derive_run_seed(master_seed, run) for run in range(n_runs)]
     if l_inner == l_outer:
         return TruncationError(estimate=0.0, std_error_sq=0.0, exact=0.0,
                                n_runs=n_runs)
@@ -369,7 +376,6 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
     y_band = y[l_inner:l_outer]
 
     _, weights = _weights(l_outer, (time,), atomic, params)
-    seeds = [derive_run_seed(master_seed, run) for run in range(n_runs)]
     sq = np.empty(n_runs)
     for run, coeffs in enumerate(_draw(weights, seeds, range(l_inner, l_outer))):
         delta = np.sum(coeffs[0] * y_band).real

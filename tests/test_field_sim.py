@@ -78,7 +78,7 @@ class TestSimulateCoefficients:
         with pytest.raises(ValueError):
             simulate_coefficients(3, (), ATOM1, P11, seed=1)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 128, math.nan])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, math.nan, 3.0])
     def test_seed_range(self, seed):
         with pytest.raises(ValueError, match="seed"):
             simulate_coefficients(3, (0.0,), ATOM1, P11, seed=seed)
@@ -86,6 +86,11 @@ class TestSimulateCoefficients:
     def test_seed_range_edges_accepted(self):
         for seed in (0, 2 ** 128 - 1):
             assert simulate_coefficients(2, (0.0,), ATOM1, P11, seed=seed).seed == seed
+
+    def test_numpy_integer_seed(self):
+        a = simulate_coefficients(4, (0.0,), ATOMS3, P11, seed=np.int64(7))
+        b = simulate_coefficients(4, (0.0,), ATOMS3, P11, seed=7)
+        assert type(a.seed) is int and np.array_equal(a.coeffs, b.coeffs)
 
 
 class TestStreams:
@@ -146,11 +151,20 @@ class TestEnsemble:
             assert all(np.array_equal(a.coeffs, b.coeffs)
                        for a, b in zip(result, expected))
 
-    @pytest.mark.parametrize("master_seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("master_seed", [-1, 2 ** 64, 1.5])
     def test_master_seed_range(self, master_seed):
         with pytest.raises(ValueError, match="master_seed"):
             simulate_ensemble(3, (0.0,), ATOM1, P11, master_seed=master_seed,
                               n_runs=2)
+        with pytest.raises(ValueError, match="master_seed"):
+            derive_run_seed(master_seed, 0)
+
+    def test_numpy_integer_master_seed(self):
+        # (master << 64) in int64 arithmetic would wrap to 0 for every master
+        a = simulate_ensemble(3, (0.0,), ATOMS3, P11, master_seed=np.int64(5), n_runs=2)
+        b = simulate_ensemble(3, (0.0,), ATOMS3, P11, master_seed=5, n_runs=2)
+        assert a[1].seed == derive_run_seed(5, 1) == (5 << 64) | 1
+        assert np.array_equal(a[1].coeffs, b[1].coeffs)
 
     def test_runs_are_distinct(self):
         ens = simulate_ensemble(4, (0.0,), ATOMS3, P11, master_seed=8, n_runs=3)
