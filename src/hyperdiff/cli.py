@@ -9,9 +9,7 @@ and moves its files into --out only once everything succeeded, so a failed
 run leaves nothing behind.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical accuracy error,
-4 I/O error. The HYPERDIFF_THREADS environment variable is accepted and
-validated (a positive integer) for ensemble runs but has no effect on the
-results: ensembles are computed serially.
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -38,18 +36,6 @@ from .covariance import (covariance_legendre, covariance_spectral,
                          integrated_abs_covariance, memory_classify)
 from . import field_sim
 from . import entropy1d
-
-
-def _check_thread_env() -> None:
-    raw = os.environ.get("HYPERDIFF_THREADS", "")
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"HYPERDIFF_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError(f"HYPERDIFF_THREADS must be >= 1, got {n}")
 
 
 def _parse_floats(text: str, name: str) -> list[float]:
@@ -115,13 +101,11 @@ def _write_manifest(directory: str, subcommand: str, settings: dict,
 
 def _run_kernel(settings: dict, out: str) -> tuple[list[str], dict | None]:
     params = params_from_dict(settings["params"])
-    rows = []
-    for mu in settings["mu"]:
-        for t in settings["t"]:
-            rows.append([mu, t,
-                         transfer_diffusive(mu, t, params),
-                         transfer_wave(mu, t, params),
-                         transfer(mu, t, params)])
+    mu, t = np.meshgrid(settings["mu"], settings["t"], indexing="ij")
+    rows = zip(mu.ravel().tolist(), t.ravel().tolist(),
+               transfer_diffusive(mu, t, params).ravel().tolist(),
+               transfer_wave(mu, t, params).ravel().tolist(),
+               transfer(mu, t, params).ravel().tolist())
     path = os.path.join(out, "kernel.csv")
     _write_csv(path, ["mu", "t", "h1", "h2", "h"], rows)
     return [path], None
@@ -182,7 +166,6 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
     if n_runs:
         if n_runs < 2:
             raise ConfigError(f"--ensemble must be 0 or at least 2, got {n_runs}")
-        _check_thread_env()
         # Drawn first, so its seed and size checks come before any work.
         ensemble = field_sim.simulate_ensemble(
             degree_count, times, measure, params, master_seed=seed,

@@ -44,7 +44,7 @@ from numpy.random import Generator, Philox
 from .exceptions import AccuracyError
 from .kernel import transfer
 from .measure import DiffusionParams, SpectralMeasure
-from .special import bessel_half_all, norm_plm_blocks
+from .special import bessel_half_all, norm_plm_blocks, sph_harm_all
 from .spectrum import angular_spectrum
 
 _GRID_MAGIC = b"HYPDGRID"
@@ -174,7 +174,7 @@ def _draw(weights: np.ndarray, seeds, degrees: range):
             counter[3] = l
             bitgen.state = state
             z = gen.standard_normal((l + 1, n_atoms, 2))
-            z_c = (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+            z_c = z.view(complex)[..., 0] / math.sqrt(2.0)
             for ti, w in enumerate(weights[:, l]):
                 alm = z_c @ w
                 alm[0] = z[0, :, 0] @ w
@@ -238,9 +238,10 @@ def synthesize(cs: CoefficientSet, time_index: int, n_theta: int,
                n_phi: int) -> FieldGrid:
     """Evaluate the truncated Laplace series on the equiangular grid.
 
-    The Hermitian-symmetric sum is accumulated in complex arithmetic; its
-    imaginary residue must stay below 1e-10 of the field amplitude and is
-    then discarded.
+    The theta profile of each order is summed one degree at a time over
+    norm_plm_blocks. The Hermitian-symmetric sum is accumulated in complex
+    arithmetic; its imaginary residue must stay below 1e-10 of the field
+    amplitude and is then discarded.
     """
     if n_theta < 2 or n_phi < 4:
         raise ValueError(f"grid must be at least 2x4, got {n_theta}x{n_phi}")
@@ -250,11 +251,14 @@ def synthesize(cs: CoefficientSet, time_index: int, n_theta: int,
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
 
     half = L - 1
-    profiles = np.zeros((2 * L - 1, n_theta), dtype=complex)
-    for m, block in norm_plm_blocks(L, np.cos(theta)):
-        profiles[half + m] = a[m:, half + m] @ block
-        if m > 0:
-            profiles[half - m] = (-1.0) ** m * (a[m:, half - m] @ block)
+    # acc[0, m] sums the order m profile, acc[1, m] the order -m one before
+    # its (-1)^m sign; each degree adds its orders 0..l to both.
+    acc = np.zeros((2, L, n_theta), dtype=complex)
+    for l, block in norm_plm_blocks(L, theta):
+        pair = np.stack((a[l, half:half + l + 1], a[l, half - l:half + 1][::-1]))
+        acc[:, :l + 1] += pair[:, :, None] * block
+    signs = (-1.0) ** np.arange(half, 0, -1)
+    profiles = np.concatenate((signs[:, None] * acc[1, :0:-1], acc[0]))
     m_values = np.arange(-half, half + 1)
     phases = np.exp(1j * np.outer(m_values, phi))
     field_c = profiles.T @ phases
@@ -365,15 +369,7 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
     ls = np.arange(l_inner, l_outer)
     exact = math.sqrt(float(np.sum((2 * ls + 1) * band))) / (2.0 * math.sqrt(math.pi))
 
-    y = np.zeros((l_outer, 2 * l_outer - 1), dtype=complex)
-    half = l_outer - 1
-    cos_t = np.array([math.cos(theta)])
-    for m, block in norm_plm_blocks(l_outer, cos_t):
-        pbar = block[:, 0]
-        y[m:, half + m] = pbar * complex(math.cos(m * phi), math.sin(m * phi))
-        if m > 0:
-            y[m:, half - m] = (-1.0) ** m * np.conj(y[m:, half + m])
-    y_band = y[l_inner:l_outer]
+    y_band = sph_harm_all(l_outer, theta, phi)[l_inner:]
 
     _, weights = _weights(l_outer, (time,), atomic, params)
     sq = np.empty(n_runs)

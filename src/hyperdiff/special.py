@@ -253,31 +253,57 @@ def legendre_p(l: int, x: float) -> float:
     return float(legendre_all(l, float(x))[l])
 
 
-def norm_plm_blocks(l_count: int, cos_theta: np.ndarray):
-    """Yield (m, block) of orthonormalised associated Legendre values.
+def norm_plm_blocks(l_count: int, theta):
+    """Yield (l, block) for l < l_count, block[m, ...] = Pbar_lm(cos theta)
+    for 0 <= m <= l, where Y_lm(theta, phi) = Pbar_lm(cos theta) exp(i m phi)
+    (Condon-Shortley phase included) and theta is a scalar or array in [0, pi].
 
-    block[j, k] = Pbar_{m+j, m}(cos_theta[k]) for m+j < l_count, where
-    Y_lm(theta, phi) = Pbar_lm(cos theta) * exp(i m phi) (Condon-Shortley
-    phase included). The per-step renormalised recurrence keeps every value
-    within float range up to high degree.
+    Each degree is one array step from the two before it, vectorised over
+    orders (SHTns, Schaeffer 2013); the normalised coefficients keep every
+    value within float range up to high degree. sin theta comes from theta,
+    not from cos theta, so values near the poles keep full precision.
     """
-    x = np.asarray(cos_theta, dtype=float)
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    p_mm = np.full(x.shape, 1.0 / math.sqrt(4.0 * math.pi))
-    for m in range(l_count):
-        block = np.empty((l_count - m,) + x.shape)
-        block[0] = p_mm
-        if m + 1 < l_count:
-            block[1] = math.sqrt(2 * m + 3.0) * x * p_mm
-        for l in range(m + 2, l_count):
-            a = math.sqrt((2 * l - 1.0) * (2 * l + 1.0) / ((l - m) * (l + m)))
-            b = math.sqrt(
-                (2 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m)
-                / ((2 * l - 3.0) * (l - m) * (l + m))
-            )
-            block[l - m] = a * x * block[l - m - 1] - b * block[l - m - 2]
-        yield m, block
-        p_mm = -math.sqrt((2 * m + 3.0) / (2 * m + 2.0)) * s * p_mm
+    theta = np.asarray(theta, dtype=float)
+    x, s = np.cos(theta), np.sin(theta)
+    column = (-1,) + (1,) * x.ndim
+    prev2 = np.empty((0,) + x.shape)
+    prev = np.full((1,) + x.shape, 1.0 / math.sqrt(4.0 * math.pi))
+    if l_count > 0:
+        yield 0, prev
+    for l in range(1, l_count):
+        m = np.arange(l - 1)
+        a = np.sqrt((2 * l - 1.0) * (2 * l + 1.0) / ((l - m) * (l + m)))
+        b = np.sqrt((2 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m)
+                    / ((2 * l - 3.0) * (l - m) * (l + m)))
+        block = np.empty((l + 1,) + x.shape)
+        block[:l - 1] = (a.reshape(column) * x * prev[:l - 1]
+                         - b.reshape(column) * prev2)
+        block[l - 1] = math.sqrt(2 * l + 1.0) * x * prev[l - 1]
+        block[l] = -math.sqrt((2 * l + 1.0) / (2 * l)) * s * prev[l - 1]
+        yield l, block
+        prev2, prev = prev, block
+
+
+def sph_harm_all(l_count: int, theta: float, phi: float) -> np.ndarray:
+    """Every Y_lm(theta, phi), l < l_count, for theta in [0, pi], finite phi.
+
+    CoefficientSet layout: shape (l_count, 2*l_count - 1), order m in column
+    l_count - 1 + m, zero where |m| > l, so a truncated series at the point is
+    sum(coeffs * Y). Orders m < 0 follow from Y_{l,-m} = (-1)^m conj(Y_lm).
+    """
+    if l_count < 1:
+        raise ValueError(f"degree count must be >= 1, got {l_count}")
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
+    half = l_count - 1
+    phase = np.exp(1j * np.arange(l_count) * phi)
+    y = np.zeros((l_count, 2 * l_count - 1), dtype=complex)
+    for l, block in norm_plm_blocks(l_count, theta):
+        y[l, half:half + l + 1] = block * phase[:l + 1]
+    y[:, :half] = (-1.0) ** np.arange(half, 0, -1) * np.conj(y[:, :half:-1])
+    return y
 
 
 def sph_harm(l: int, m: int, theta: float, phi: float) -> complex:
@@ -287,21 +313,9 @@ def sph_harm(l: int, m: int, theta: float, phi: float) -> complex:
     """
     if l < 0 or abs(m) > l:
         raise ValueError(f"invalid harmonic index (l={l}, m={m})")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
     if not 0.0 <= phi < 2.0 * math.pi:
         raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
-    m_abs = abs(m)
-    x = np.array([math.cos(theta)])
-    pbar = None
-    for m_cur, block in norm_plm_blocks(l + 1, x):
-        if m_cur == m_abs:
-            pbar = float(block[l - m_abs, 0])
-            break
-    value = pbar * complex(math.cos(m_abs * phi), math.sin(m_abs * phi))
-    if m < 0:
-        value = (-1) ** m_abs * value.conjugate()
-    return value
+    return complex(sph_harm_all(l + 1, theta, phi)[l, l + m])
 
 
 def log_gamma(x: float) -> float:

@@ -15,7 +15,7 @@ from hyperdiff.field_sim import (CoefficientSet, _draw, atomize, derive_run_seed
                                  truncation_error_mc)
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, PowerLawSegment, SpectralMeasure
-from hyperdiff.special import norm_plm_blocks, sph_harm
+from hyperdiff.special import sph_harm, sph_harm_all
 from hyperdiff.spectrum import angular_spectrum
 
 P11 = DiffusionParams(c=1.0, D=1.0)
@@ -310,12 +310,7 @@ class TestTruncationError:
         ls = np.arange(l_inner, l_outer)
         band = angular_spectrum(l_outer, time, time, atomic, P11).values[l_inner:]
         exact = math.sqrt(float(np.sum((2 * ls + 1) * band))) / (2.0 * math.sqrt(math.pi))
-        y = np.zeros((l_outer, 2 * l_outer - 1), dtype=complex)
-        half = l_outer - 1
-        for m, block in norm_plm_blocks(l_outer, np.array([math.cos(theta)])):
-            y[m:, half + m] = block[:, 0] * complex(math.cos(m * phi), math.sin(m * phi))
-            if m > 0:
-                y[m:, half - m] = (-1.0) ** m * np.conj(y[m:, half + m])
+        y = sph_harm_all(l_outer, theta, phi)
         sq = np.empty(n_runs)
         for run in range(n_runs):
             cs = simulate_coefficients(l_outer, (time,), atomic, P11,

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 
 from hyperdiff.special import (bessel_half, bessel_half_all,
                                bessel_half_derivative, legendre_all,
-                               legendre_p, log_gamma, sph_harm)
+                               legendre_p, log_gamma, norm_plm_blocks,
+                               sph_harm, sph_harm_all)
 
 
 def bessel_series(nu: float, x: float, terms: int = 60) -> float:
@@ -179,6 +180,24 @@ class TestLegendre:
             legendre_p(3, 1.5)
 
 
+class TestNormPlm:
+    def test_rows_match_scipy(self):
+        # sin(theta) from theta keeps the near-pole rows exact; rebuilding it
+        # as sqrt(1 - cos^2) lost up to 6e-6 at theta = 1e-8
+        thetas = np.array([0.0, 1e-8, 1e-6, 1e-4, 0.3, math.pi / 2, 2.0,
+                           math.pi - 1e-6, math.pi - 1e-8, math.pi])
+        l_count = 200
+        degrees = []
+        for l, block in norm_plm_blocks(l_count, thetas):
+            assert block.shape == (l + 1, thetas.size)
+            m = np.arange(l + 1)[:, None]
+            ref = sp.sph_legendre_p(l, m, thetas[None, :])[0]
+            assert np.all(np.abs(block - ref)
+                          <= 1e-13 * np.maximum(np.abs(ref), 1.0))
+            degrees.append(l)
+        assert degrees == list(range(l_count))
+
+
 class TestSphHarm:
     def test_monopole_constant(self):
         for theta, phi in [(0.0, 0.0), (1.0, 2.0), (3.0, 6.0)]:
@@ -226,6 +245,25 @@ class TestSphHarm:
             ref = complex(sp.sph_harm_y(l, m, theta, phi))
             assert sph_harm(l, m, theta, phi) == pytest.approx(ref, rel=1e-11,
                                                                abs=1e-13)
+
+    def test_all_match_scipy(self):
+        l_count = 60
+        l, m = np.indices((l_count, 2 * l_count - 1))
+        m -= l_count - 1
+        for theta in (0.0, 1e-8, 0.7, math.pi / 2, 2.5, math.pi):
+            for phi in (-7.0, 0.0, 2.3, 6.0):
+                y = sph_harm_all(l_count, theta, phi)
+                ref = np.where(np.abs(m) <= l, sp.sph_harm_y(l, m, theta, phi), 0)
+                assert y.shape == ref.shape
+                assert np.all(np.abs(y - ref)
+                              <= 1e-13 * np.maximum(np.abs(ref), 1.0))
+                assert np.all(y[np.abs(m) > l] == 0)
+
+    def test_all_domain_errors(self):
+        for args in [(0, 0.5, 0.5), (3, -0.1, 0.5), (3, math.nan, 0.5),
+                     (3, 0.5, math.inf), (3, 0.5, math.nan)]:
+            with pytest.raises(ValueError):
+                sph_harm_all(*args)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
