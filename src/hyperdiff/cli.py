@@ -30,7 +30,7 @@ from . import __version__
 from .exceptions import AccuracyError, ConfigError
 from .measure import (DiffusionParams, SpectralMeasure, load_config,
                       measure_from_dict, params_from_dict)
-from .kernel import transfer, transfer_diffusive, transfer_wave
+from .kernel import transfer
 from .spectrum import angular_spectrum
 from .covariance import (covariance_legendre, covariance_spectral,
                          integrated_abs_covariance, memory_classify)
@@ -102,10 +102,12 @@ def _write_manifest(directory: str, subcommand: str, settings: dict,
 def _run_kernel(settings: dict, out: str) -> tuple[list[str], dict | None]:
     params = params_from_dict(settings["params"])
     mu, t = np.meshgrid(settings["mu"], settings["t"], indexing="ij")
+    h = transfer(mu, t, params)
+    below = mu <= params.cutoff
     rows = zip(mu.ravel().tolist(), t.ravel().tolist(),
-               transfer_diffusive(mu, t, params).ravel().tolist(),
-               transfer_wave(mu, t, params).ravel().tolist(),
-               transfer(mu, t, params).ravel().tolist())
+               np.where(below, h, 0.0).ravel().tolist(),
+               np.where(below, 0.0, h).ravel().tolist(),
+               h.ravel().tolist())
     path = os.path.join(out, "kernel.csv")
     _write_csv(path, ["mu", "t", "h1", "h2", "h"], rows)
     return [path], None

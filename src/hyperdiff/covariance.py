@@ -37,13 +37,9 @@ _SINC_SERIES_X = 1e-4
 
 def _sinc(x):
     """sin(x)/x with series evaluation near zero (1 - x^2/6 + x^4/120)."""
-    x_arr = np.asarray(x, dtype=float)
-    small = np.abs(x_arr) < _SINC_SERIES_X
-    safe = np.where(small, 1.0, x_arr)
-    out = np.where(small,
-                   1.0 - x_arr * x_arr / 6.0 * (1.0 - x_arr * x_arr / 20.0),
-                   np.sin(safe) / safe)
-    return float(out) if np.ndim(x) == 0 else out
+    small = np.abs(x) < _SINC_SERIES_X
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 1.0 - x * x / 6.0 * (1.0 - x * x / 20.0), np.sin(safe) / safe)
 
 
 def _validate_query(gamma, t: float, t_prime: float) -> np.ndarray:
@@ -173,13 +169,14 @@ def covariance_time_lags(gamma: float, t: float, lags: np.ndarray,
     if np.any(lags_arr < 0):
         raise ValueError("lags must be >= 0")
     half_chord = 2.0 * math.sin(g / 2.0)
-    later = t + lags_arr
+    later = t + lags_arr.ravel()
 
     def f(mu):
-        # The atoms' wave-number axis goes last, after the lag axes.
-        h_later = transfer(mu, later if np.ndim(mu) == 0 else later[..., None], params)
+        # Lags innermost (long numpy loops), then the wave-number axis last.
+        h_later = transfer(mu[:, None], later, params).T
         return _sinc(mu * half_chord) * transfer(mu, t, params) * h_later
-    return integrate_measure(f, measure, rtol=rtol, breakpoints=(params.cutoff,))
+    return integrate_measure(f, measure, rtol=rtol,
+                             breakpoints=(params.cutoff,)).reshape(lags_arr.shape)
 
 
 def integrated_abs_covariance(t: float, h_max: float, measure: SpectralMeasure,

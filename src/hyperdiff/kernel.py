@@ -11,12 +11,15 @@ entire in u, so the transfer function is analytic in mu^2; near u = 0 the
 power series avoids the 0/0 cancellation of the closed forms, and for large
 positive u the evaluation moves to log space, exploiting
 exp(-a)(cosh b + r sinh b) = (1+r)/2 e^(b-a) + (1-r)/2 e^(-b-a) with b <= a.
+The ratio r = a/b (a/w above the cut-off) is cutoff/sqrt|cutoff^2 - mu^2| and
+a - b = c t mu^2 / (cutoff + sqrt(cutoff^2 - mu^2)), so huge times neither
+overflow nor cancel, and where exp(-a) underflows the other branches give 0.
 
 Below the cut-off, modes decay without travelling (diffusive regime); above
 it they are damped travelling waves. The zero mode is conserved exactly:
 the transfer factor at mu = 0 is 1 for every t.
 
-All functions broadcast over numpy arrays and are pure.
+All functions broadcast over numpy arrays, through one array path, and are pure.
 """
 
 from __future__ import annotations
@@ -45,81 +48,54 @@ def _validate(mu, t) -> tuple[np.ndarray, np.ndarray]:
     return mu_arr, t_arr
 
 
-def _transfer_scalar(mu: float, t: float, params: DiffusionParams) -> float:
-    if mu == 0.0:
-        return 1.0
-    a = params.c ** 2 * t / (2.0 * params.D)
-    u = (params.c * t) ** 2 * (params.cutoff ** 2 - mu * mu)
-    if abs(u) <= _SERIES_U:
-        even = odd = 0.0
-        for k in range(_K_TERMS - 1, -1, -1):
-            even = even * u + float(_INV_EVEN[k])
-            odd = odd * u + float(_INV_ODD[k])
-        return math.exp(-a) * (even + a * odd)
-    if u > 0.0:
-        b = math.sqrt(u)
-        if b <= _LOG_B:
-            return math.exp(-a) * (math.cosh(b) + a * math.sinh(b) / b)
-        r = a / b
-        return (0.5 * (1.0 + r) * math.exp(b - a)
-                + 0.5 * (1.0 - r) * math.exp(-b - a))
-    w = math.sqrt(-u)
-    return math.exp(-a) * (math.cos(w) + a * math.sin(w) / w)
-
-
+# At huge t, u overflows (inf * 0 at the cut-off); r is inf at the cut-off.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def transfer(mu, t, params: DiffusionParams):
-    """Transfer factor at wave number mu and time t; broadcasts over arrays."""
-    if isinstance(mu, float) and isinstance(t, float):
-        if not (0.0 <= mu < math.inf and 0.0 <= t < math.inf):
-            _validate(mu, t)
-        return _transfer_scalar(mu, t, params)
+    """Transfer factor at wave number mu and time t; broadcasts over arrays.
+
+    Returns a float when mu and t are both scalars.
+    """
     mu_arr, t_arr = _validate(mu, t)
-    scalar = mu_arr.ndim == 0 and t_arr.ndim == 0
-    if scalar:
-        return _transfer_scalar(float(mu_arr), float(t_arr), params)
-    mu_b, t_b = np.broadcast_arrays(np.atleast_1d(mu_arr), np.atleast_1d(t_arr))
-
     cutoff = params.cutoff
-    a = params.c ** 2 * t_b / (2.0 * params.D)
-    u = (params.c * t_b) ** 2 * (cutoff ** 2 - mu_b ** 2)
-    out = np.empty(u.shape)
+    # What depends on t alone or on mu alone is computed before broadcasting.
+    a_t = params.c * cutoff * t_arr
+    s_mu = np.sqrt(np.abs(cutoff - mu_arr)) * np.sqrt(cutoff + mu_arr)
+    u = (params.c * t_arr) ** 2 * (cutoff * cutoff - mu_arr ** 2)
+    a, damp, mu_b, t_b, s, r, u = np.broadcast_arrays(
+        a_t, np.exp(-a_t), mu_arr, t_arr, s_mu, cutoff / s_mu, u)
+    # Where exp(-a) underflows, only the log-space branch is nonzero.
+    live = damp > 0.0
+    out = np.zeros(u.shape)
 
-    near = np.abs(u) <= _SERIES_U
+    near = live & (np.abs(u) <= _SERIES_U)
     if np.any(near):
         un, an = u[near], a[near]
-        even = np.zeros_like(un)
-        odd = np.zeros_like(un)
+        even = odd = np.zeros_like(un)
         for k in range(_K_TERMS - 1, -1, -1):
             even = even * un + _INV_EVEN[k]
             odd = odd * un + _INV_ODD[k]
-        out[near] = np.exp(-an) * (even + an * odd)
+        out[near] = damp[near] * (even + an * odd)
 
     pos = u > _SERIES_U
-    if np.any(pos):
-        up, ap = u[pos], a[pos]
-        b = np.sqrt(up)
-        vals = np.empty_like(b)
-        mod = b <= _LOG_B
-        if np.any(mod):
-            vals[mod] = np.exp(-ap[mod]) * (
-                np.cosh(b[mod]) + ap[mod] * np.sinh(b[mod]) / b[mod]
-            )
-        if np.any(~mod):
-            bb, aa = b[~mod], ap[~mod]
-            r = aa / bb
-            vals[~mod] = 0.5 * (1.0 + r) * np.exp(bb - aa) + 0.5 * (1.0 - r) * np.exp(
-                -bb - aa
-            )
-        out[pos] = vals
+    mod = pos & live & (u <= _LOG_B ** 2)
+    if np.any(mod):
+        b = np.sqrt(u[mod])
+        out[mod] = damp[mod] * (np.cosh(b) + a[mod] * np.sinh(b) / b)
+    log = pos & ~mod
+    if np.any(log):
+        # a - b = c t mu^2 / (cutoff + s) does not cancel.
+        m, rl = mu_b[log], r[log]
+        gap = params.c * t_b[log] * m * m / (cutoff + s[log])
+        out[log] = (0.5 * (1.0 + rl) * np.exp(-gap)
+                    + 0.5 * (1.0 - rl) * np.exp(-a[log] - np.sqrt(u[log])))
 
-    neg = u < -_SERIES_U
+    neg = live & (u < -_SERIES_U)
     if np.any(neg):
-        w = np.sqrt(-u[neg])
-        an = a[neg]
-        out[neg] = np.exp(-an) * (np.cos(w) + an * np.sin(w) / w)
+        w = params.c * t_b[neg] * s[neg]
+        out[neg] = damp[neg] * (np.cos(w) + r[neg] * np.sin(w))
 
-    out[mu_b == 0.0] = 1.0
-    return out.reshape(np.broadcast(mu_arr, t_arr).shape)
+    out[(mu_b == 0.0) | (t_b == 0.0)] = 1.0
+    return float(out) if out.ndim == 0 else out
 
 
 def transfer_diffusive(mu, t, params: DiffusionParams):
@@ -144,5 +120,5 @@ def transfer_wave(mu, t, params: DiffusionParams):
 
 def wave_bound(t, params: DiffusionParams):
     """Envelope exp(-c^2 t/(2D)) (1 + c^2 t/(2D)) bounding the wave branch."""
-    a = params.c ** 2 * np.asarray(t, dtype=float) / (2.0 * params.D)
+    a = params.c * params.cutoff * np.asarray(t, dtype=float)
     return np.exp(-a) * (1.0 + a)

@@ -39,6 +39,9 @@ class DiffusionParams:
             raise ValueError(f"speed c must be a positive finite real, got {self.c}")
         if not (math.isfinite(self.D) and self.D > 0):
             raise ValueError(f"diffusivity D must be a positive finite real, got {self.D}")
+        if not self.c * self.cutoff < math.inf:  # then c/(2D) is finite too
+            raise ValueError(f"speed c = {self.c} and diffusivity D = {self.D} "
+                             f"overflow the kernel scale c^2/(2D)")
 
     @property
     def cutoff(self) -> float:

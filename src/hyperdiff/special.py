@@ -8,6 +8,7 @@ Miller-type downward recurrence is used: recurse down from a starting order
 well above max(l, x), rescale on overflow, and normalise against j_0 or j_1
 (whichever is larger in magnitude, so zeros of sin(x)/x cannot poison the
 anchor). Tiny arguments use the power series directly.
+A scalar argument goes through the same vectorised recurrences as an array.
 
 All functions are pure; safe for concurrent use.
 """
@@ -121,82 +122,27 @@ def _sph_jn_downward(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sph_jn_scalar(n_max: int, x: float) -> np.ndarray:
-    """Pure-float recurrences for a single argument (hot path in quadrature)."""
-    if x <= _SERIES_X:
-        return _sph_jn_series(n_max, np.array([x]))[:, 0]
-    out = np.empty(n_max + 1)
-    if x >= n_max + 2:
-        j_prev = math.sin(x) / x
-        out[0] = j_prev
-        if n_max == 0:
-            return out
-        j_cur = j_prev / x - math.cos(x) / x
-        out[1] = j_cur
-        for n in range(1, n_max):
-            j_prev, j_cur = j_cur, (2 * n + 1) / x * j_cur - j_prev
-            out[n + 1] = j_cur
-        return out
-    m_start = n_max + _downward_margin(x)
-    v_up, v = 0.0, 1.0e-30
-    rescales_after = np.zeros(n_max + 1)
-    n_rescales = 0
-    for n in range(m_start, -1, -1):
-        if n <= n_max:
-            out[n] = v
-            rescales_after[n] = n_rescales
-        v_up, v = v, (2 * n + 1) / x * v - v_up
-        if abs(v) > _RESCALE_LIMIT:
-            v *= _RESCALE_FACTOR
-            v_up *= _RESCALE_FACTOR
-            n_rescales += 1
-    if n_rescales:
-        # bring every stored row onto the final carrier scale
-        out *= _RESCALE_FACTOR ** (n_rescales - rescales_after)
-    j0 = math.sin(x) / x
-    j1 = j0 / x - math.cos(x) / x
-    if n_max == 0 or abs(j0) >= abs(j1):
-        scale = j0 / (v_up if v_up != 0.0 else 1.0)
-    else:
-        scale = j1 / (out[1] if out[1] != 0.0 else 1.0)
-    out *= scale
-    if x >= 1.0:
-        for n in range(min(2, n_max) + 1):
-            out[n] = float(_sph_j_low(n, np.array([x]))[0])
-    return out
-
-
 def spherical_jn_all(n_max: int, x) -> np.ndarray:
     """j_n(x) for n = 0..n_max; x scalar or 1D array, returns (n_max+1, ...) values."""
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-    if scalar:
-        xf = float(x)
-        if xf < 0:
-            raise ValueError("argument must be >= 0")
-        _check_order_arg(n_max, xf)
-        if xf == 0.0:
-            out = np.zeros(n_max + 1)
-            out[0] = 1.0
-            return out
-        return _sph_jn_scalar(n_max, xf)
     x_arr = np.asarray(x, dtype=float)
-    if x_arr.ndim != 1:
+    if x_arr.ndim > 1:
         raise ValueError("x must be scalar or one-dimensional")
-    if np.any(x_arr < 0):
+    xs = np.atleast_1d(x_arr)
+    if np.any(xs < 0):
         raise ValueError("argument must be >= 0")
-    _check_order_arg(n_max, float(np.max(x_arr)) if x_arr.size else 0.0)
+    _check_order_arg(n_max, float(np.max(xs)) if xs.size else 0.0)
 
-    out = np.zeros((n_max + 1, x_arr.size))
-    small = x_arr <= _SERIES_X
-    up = (~small) & (x_arr >= n_max + 2)
+    out = np.zeros((n_max + 1, xs.size))
+    small = xs <= _SERIES_X
+    up = (~small) & (xs >= n_max + 2)
     down = (~small) & (~up)
     if np.any(small):
-        out[:, small] = _sph_jn_series(n_max, x_arr[small])
+        out[:, small] = _sph_jn_series(n_max, xs[small])
     if np.any(up):
-        out[:, up] = _sph_jn_upward(n_max, x_arr[up])
+        out[:, up] = _sph_jn_upward(n_max, xs[up])
     if np.any(down):
-        out[:, down] = _sph_jn_downward(n_max, x_arr[down])
-    return out
+        out[:, down] = _sph_jn_downward(n_max, xs[down])
+    return out[:, 0] if x_arr.ndim == 0 else out
 
 
 def bessel_half_all(l_max: int, x) -> np.ndarray:
@@ -208,11 +154,6 @@ def bessel_half_all(l_max: int, x) -> np.ndarray:
 
 def bessel_half(l: int, x: float) -> float:
     """J_{l+1/2}(x) for a single order; exact 0 at x = 0 for every l >= 0."""
-    if l < 0:
-        raise ValueError(f"order must be >= 0, got {l}")
-    if x == 0.0:
-        _check_order_arg(l, 0.0)
-        return 0.0
     return float(bessel_half_all(l, float(x))[l])
 
 

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -203,6 +205,7 @@ class TestCovarianceCommand:
     ["entropy1d", "--experiment", "point_source", "--half-length", "inf"],
     ["entropy1d", "--experiment", "standing_wave", "--half-length", "-3"],
     ["entropy1d", "--experiment", "rectangle", "--width", "nan"],
+    ["kernel", "--c", "1e300", "--D", "1e-300", "--mu", "1", "--t", "1"],
 ], ids=lambda argv: "_".join(argv[:1] + argv[-2:]))
 def test_non_finite_input_exits_2(argv, atom_config, tmp_path, capsys):
     out = tmp_path / "o"
@@ -215,6 +218,29 @@ def test_non_finite_input_exits_2(argv, atom_config, tmp_path, capsys):
                 "--half-length": "half_length", "--width": "width"}[argv[-2]] in err
     assert not out.exists()
     assert os.listdir(tmp_path) == ["atom.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lmax", "8", "--times", "1e308"],
+    ["covariance", "--t", "1e308", "--gammas", "0.5"],
+], ids=lambda argv: argv[0])
+def test_huge_time_rows_are_finite(argv, tmp_path):
+    config = str(Path(__file__).parent.parent / "configs" / "inverse_decay.json")
+    out = tmp_path / "o"
+    assert main([argv[0], "--config", config, *argv[1:], "--out", str(out)]) == 0
+    _, rows = read_csv(out / f"{argv[0]}.csv")
+    assert rows and np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).parent.parent / "src")
+    code = "import sys, hyperdiff.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSimulateCommand:

@@ -77,6 +77,10 @@ class TestTransferValues:
         assert 0.0 <= value <= 1.0
         assert np.isfinite(transfer(np.array([0.0, 400.0, 499.999, 500.001]),
                                     200.0, p)).all()
+        # overflowing (c t)^2 (cutoff^2 - mu^2): finite, and 0 once exp(-a) underflows
+        huge = transfer(np.array([0.0, 0.5, 1.0, 1e200]),
+                        np.array([[1.0], [1e200], [1e308]]), P11)
+        assert np.isfinite(huge).all() and np.all(huge[1:, 1:] == 0.0)
 
 
 class TestBounds:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
 from hyperdiff.exceptions import AccuracyError
 from hyperdiff import _quad
@@ -241,9 +241,54 @@ class TestFiniteVariance:
 class TestQuadWrapper:
     def test_nonconvergence_carries_estimate(self):
         with pytest.raises(AccuracyError) as err:
-            integrate_vector(lambda x: np.atleast_1d(math.cos(1e4 * x)),
+            integrate_vector(lambda x: np.cos(1e4 * x)[None, :],
                              0.0, 1.0, rtol=1e-13, limit=2)
         assert err.value.estimate is not None
+
+    def test_nan_at_one_node_raises(self):
+        calls = []
+
+        def nan_once(x):
+            calls.append(x.size)
+            values = np.cos(x)
+            if len(calls) == 3:
+                values[0] = np.nan
+            return values
+        with pytest.raises(AccuracyError) as err:
+            integrate_vector(nan_once, 0.0, 1.0)
+        assert not math.isfinite(err.value.error)
+
+    def test_kink_at_breakpoint_against_quad_vec(self):
+        powers = np.arange(6.0)[:, None]
+
+        def f(x):
+            return np.abs(x - 0.3) ** 0.5 * x ** powers + np.sin(7.0 * x)
+        got = integrate_vector(f, 0.0, 2.0, breakpoints=(0.3,), rtol=1e-12)
+        oracle, _ = quad_vec(lambda x: f(np.array([x]))[:, 0], 0.0, 2.0,
+                             epsrel=1e-12, norm="max", points=[0.3])
+        assert got.shape == (6,)
+        np.testing.assert_allclose(got, oracle, rtol=1e-10)
+
+    def test_wide_output_against_quad_vec(self):
+        lags = np.linspace(0.0, 15.0, 10_000)[:, None]
+
+        def f(x):
+            return np.cos(lags * x) * np.exp(-x) * x ** 0.4
+        got = integrate_vector(f, 0.0, 3.0, breakpoints=(1.1,))
+        oracle, _ = quad_vec(lambda x: f(np.array([x]))[:, 0], 0.0, 3.0,
+                             epsrel=1e-9, epsabs=1e-15, norm="max", points=[1.1])
+        np.testing.assert_allclose(got, oracle, rtol=1e-10)
+
+    def test_calls_stay_within_the_element_budget(self):
+        for width in (1, 7, _quad._ELEMENTS_PER_CALL // 3, 2 * _quad._ELEMENTS_PER_CALL):
+            rows = np.arange(width, dtype=float)[:, None] / width
+            sizes = []
+
+            def f(x):
+                sizes.append(x.size)
+                return np.exp(-rows * x) * np.sqrt(x)
+            integrate_vector(f, 0.0, 2.0, breakpoints=(0.5,))
+            assert max(sizes) <= max(1, _quad._ELEMENTS_PER_CALL // width)
 
 
 class TestIntegrateMeasure:
@@ -255,19 +300,20 @@ class TestIntegrateMeasure:
     @staticmethod
     def f(mu):
         """Vector-valued integrand with a kink at the cut-off."""
-        rows = [np.cos(mu), np.abs(mu - 0.8) * mu, np.exp(-mu) * mu ** 2]
-        return np.stack(rows) if np.ndim(mu) else np.array(rows)
+        return np.stack([np.cos(mu), np.abs(mu - 0.8) * mu, np.exp(-mu) * mu ** 2])
 
     def test_mixed_measure_against_oracle(self):
         m = self.MIXED
         got = integrate_measure(self.f, m, rtol=1e-12, breakpoints=(self.CUTOFF,))
         assert got.shape == (3,)
         for k in range(3):
-            oracle = sum(mass * float(self.f(mu)[k]) for mu, mass in m.atoms)
+            oracle = sum(mass * float(self.f(np.array([mu]))[k, 0])
+                         for mu, mass in m.atoms)
             for seg in m.segments:
                 pts = [self.CUTOFF] if seg.lo < self.CUTOFF < seg.hi else None
                 oracle += quad(
-                    lambda x: self.f(x)[k] * seg.amplitude * x ** seg.exponent,
+                    lambda x: (self.f(np.array([x]))[k, 0]
+                               * seg.amplitude * x ** seg.exponent),
                     seg.lo, seg.hi, points=pts, epsabs=0.0, epsrel=1e-13)[0]
             assert got[k] == pytest.approx(oracle, rel=1e-10, abs=1e-14)
 
@@ -282,5 +328,5 @@ class TestIntegrateMeasure:
         monkeypatch.setattr(_quad, "integrate_vector", forbidden)
         m = SpectralMeasure(atoms=((0.5, 2.0), (1.5, 0.25)))
         got = integrate_measure(self.f, m, breakpoints=(self.CUTOFF,))
-        expected = 2.0 * self.f(0.5) + 0.25 * self.f(1.5)
+        expected = self.f(np.array([0.5, 1.5])) @ np.array([2.0, 0.25])
         np.testing.assert_allclose(got, expected, rtol=1e-15)
