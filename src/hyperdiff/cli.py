@@ -32,7 +32,7 @@ from .measure import (DiffusionParams, SpectralMeasure, load_config,
                       measure_from_dict, params_from_dict)
 from .kernel import transfer
 from .spectrum import angular_spectrum
-from .covariance import (covariance_legendre, covariance_spectral,
+from .covariance import (MAX_LAGS, covariance_legendre, covariance_spectral,
                          integrated_abs_covariance, memory_classify)
 from . import field_sim
 from . import entropy1d
@@ -344,7 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
     y = sub.add_parser("memory", help="dependence classification and diagnostic")
     y.add_argument("--config", required=True)
     y.add_argument("--t", type=float, default=0.0)
-    y.add_argument("--hmax", type=float, required=True)
+    y.add_argument("--hmax", type=float, required=True,
+                   help="largest time lag; the lag grid 0, h_step, ..., hmax, with "
+                        "h_step = min(hmax/1e4, 2 pi/(10 c mu_max)), may have at most "
+                        f"{MAX_LAGS} points")
     y.add_argument("--gamma", type=float, default=0.0)
     y.add_argument("--out", required=True)
 

@@ -11,6 +11,11 @@ angular distance gamma and times t, t':
 Their agreement is the Bessel/Legendre addition theorem made numerical, and
 is used as a cross-check throughout the test suite.
 
+Covariances at many time lags, R(cos gamma, t + h, t), take evenly spaced
+lags l_0 + k d: the kernel's addition theorem builds the transfer factor at
+t + l_0 + j B d + i d (B = ceil(sqrt(n)), k = j B + i), within a few ulps of
+each lag, from about 2 sqrt(n) kernel evaluations per wave number.
+
 Temporal dependence is classified exactly from the measure at the origin:
 the time-integrated absolute covariance converges if and only if
 mu^(-2) G(d mu) is integrable near zero. For the supported measure family
@@ -27,12 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import integrate_measure
-from .kernel import transfer
+from .kernel import transfer, transfer_pair
 from .measure import DiffusionParams, SpectralMeasure
 from .special import legendre_all
 from .spectrum import angular_spectrum, tail_sum_direct
 
 _SINC_SERIES_X = 1e-4
+# Lag budget of integrated_abs_covariance. Quadrature stores every node of a
+# round times every lag: 1e5 lags on one segment peak at about 200 MB.
+MAX_LAGS = 100_000
 
 
 def _sinc(x):
@@ -163,18 +171,44 @@ def memory_classify(measure: SpectralMeasure) -> MemoryReport:
 def covariance_time_lags(gamma: float, t: float, lags: np.ndarray,
                          measure: SpectralMeasure, params: DiffusionParams,
                          rtol: float = 1e-9) -> np.ndarray:
-    """R(cos gamma, t + h, t) for an array of lags h >= 0."""
+    """R(cos gamma, t + h, t) for evenly spaced, non-decreasing lags h >= 0.
+
+    The n lags l_0 + k d are split as k = j B + i with B = ceil(sqrt(n)). At
+    each wave number the transfer factor at every lag follows from the
+    addition theorem (kernel module docstring) with T_j = t + l_0 + j B d:
+    h(T_j + i d) = h(T_j) h(i d) - (c mu g(T_j)) (c mu g(i d)), one rank-2
+    product over the J = ceil(n/B) coarse times and B fine offsets, so each
+    node costs 1 + J + B kernel evaluations instead of n. Values are taken
+    at t + l_0 + j B d + i d, within a few ulps of each given lag. Raises
+    ValueError for lags that are not evenly spaced within a few ulps.
+    """
     g = float(_validate_query(float(gamma), t, t))
     lags_arr = np.asarray(lags, dtype=float)
-    if np.any(lags_arr < 0):
-        raise ValueError("lags must be >= 0")
+    flat = lags_arr.ravel()
+    if not np.all((flat >= 0) & (flat < math.inf)):
+        raise ValueError("lags must be finite and >= 0")
+    n = flat.size
+    if n == 0:
+        return np.zeros(lags_arr.shape)
+    step = (flat[-1] - flat[0]) / max(n - 1, 1)
+    even = np.abs(flat - (flat[0] + np.arange(n) * step))
+    if not (step >= 0 and np.all(even <= 4.0 * np.finfo(float).eps * flat[-1])):
+        raise ValueError("lags must be evenly spaced and non-decreasing")
+    block = math.isqrt(n - 1) + 1
+    coarse = -(-n // block)
+    times = np.concatenate([[t], t + (flat[0] + np.arange(coarse) * (block * step)),
+                            np.arange(block) * step])
     half_chord = 2.0 * math.sin(g / 2.0)
-    later = t + lags_arr.ravel()
 
     def f(mu):
-        # Lags innermost (long numpy loops), then the wave-number axis last.
-        h_later = transfer(mu[:, None], later, params).T
-        return _sinc(mu * half_chord) * transfer(mu, t, params) * h_later
+        h, cmu_g = transfer_pair(mu[:, None], times, params)
+        cmu_g *= params.c * mu[:, None]
+        weight = (_sinc(mu * half_chord) * h[:, 0])[:, None]
+        rows = np.stack([h[:, 1:coarse + 1] * weight,
+                         cmu_g[:, 1:coarse + 1] * -weight], axis=2)
+        cols = np.stack([h[:, coarse + 1:], cmu_g[:, coarse + 1:]], axis=1)
+        # Node-major with lags innermost; the transpose puts nodes last.
+        return (rows @ cols).reshape(mu.size, -1)[:, :n].T
     return integrate_measure(f, measure, rtol=rtol,
                              breakpoints=(params.cutoff,)).reshape(lags_arr.shape)
 
@@ -188,10 +222,13 @@ def integrated_abs_covariance(t: float, h_max: float, measure: SpectralMeasure,
     The default step resolves the fastest covariance oscillation,
     h_step <= 2 pi / (10 c mu_max), and never exceeds h_max / 1e4. Returns
     (h_grid, cumulative integral); the curve plateaus for short-range
-    measures and keeps growing through h_max for long-range ones.
+    measures and keeps growing through h_max for long-range ones. A grid of
+    more than MAX_LAGS points raises ValueError before anything is allocated.
     """
     if not 0.0 < h_max < math.inf:
         raise ValueError(f"h_max must be positive and finite, got {h_max}")
+    if h_step is not None and not h_step > 0.0:
+        raise ValueError(f"h_step must be positive, got {h_step}")
     if measure.is_empty:
         grid = np.linspace(0.0, h_max, 2)
         return grid, np.zeros(2)
@@ -199,6 +236,9 @@ def integrated_abs_covariance(t: float, h_max: float, measure: SpectralMeasure,
         mu_max = measure.support_upper_bound()
         osc = 2.0 * math.pi / (10.0 * params.c * mu_max) if mu_max > 0 else h_max
         h_step = min(h_max / 1.0e4, osc)
+    if not h_max / h_step <= MAX_LAGS - 1:
+        raise ValueError(f"h_max = {h_max!r} at h_step = {h_step!r} needs more than "
+                         f"{MAX_LAGS} lags; lower h_max or raise h_step")
     n = max(2, int(math.ceil(h_max / h_step)) + 1)
     grid = np.linspace(0.0, h_max, n)
     values = np.abs(covariance_time_lags(gamma, t, grid, measure, params))

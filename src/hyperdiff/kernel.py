@@ -19,6 +19,21 @@ Below the cut-off, modes decay without travelling (diffusive regime); above
 it they are damped travelling waves. The zero mode is conserved exactly:
 the transfer factor at mu = 0 is 1 for every t.
 
+Each mode solves h'' + 2 alpha h' + c^2 mu^2 h = 0 with alpha = c^2/(2D),
+h(0) = 1, h'(0) = 0. Its companion g, the solution with g(0) = 0 and
+g'(0) = 1, is exp(-a) * t * sinhc(u), evaluated on the same branches
+(log space: g = (exp(b-a) - exp(-b-a)) / (2 c s) with s = b/(c t); above the
+cut-off: exp(-a) sin(w) / (c s)). Since h' solves the same equation,
+h' = -c^2 mu^2 g, and the addition theorem
+
+    h(mu, T + d) = h(mu, T) h(mu, d) - c^2 mu^2 g(mu, T) g(mu, d)
+
+gives the transfer factor at every T + d from factors at T and at d; the
+time-lag covariance uses it to evaluate about 2 sqrt(n) times per wave
+number for n evenly spaced lags. Where the phase c t sqrt(mu^2 - cutoff^2)
+overflows while exp(-a) does not underflow, no value is representable and
+ValueError is raised instead of returning NaN.
+
 All functions broadcast over numpy arrays, through one array path, and are pure.
 """
 
@@ -50,22 +65,23 @@ def _validate(mu, t) -> tuple[np.ndarray, np.ndarray]:
 
 # At huge t, u overflows (inf * 0 at the cut-off); r is inf at the cut-off.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def transfer(mu, t, params: DiffusionParams):
-    """Transfer factor at wave number mu and time t; broadcasts over arrays.
+def _evaluate(mu, t, params: DiffusionParams) -> tuple[np.ndarray, np.ndarray]:
+    """h and g on the broadcast shape of mu and t, as arrays.
 
-    Returns a float when mu and t are both scalars.
-    """
+    transfer and transfer_pair both call this rather than each other, so a
+    traced run attributes each public function's own work to it."""
     mu_arr, t_arr = _validate(mu, t)
-    cutoff = params.cutoff
+    c, cutoff = params.c, params.cutoff
     # What depends on t alone or on mu alone is computed before broadcasting.
-    a_t = params.c * cutoff * t_arr
+    a_t = c * cutoff * t_arr
     s_mu = np.sqrt(np.abs(cutoff - mu_arr)) * np.sqrt(cutoff + mu_arr)
-    u = (params.c * t_arr) ** 2 * (cutoff * cutoff - mu_arr ** 2)
+    u = (c * t_arr) ** 2 * (cutoff * cutoff - mu_arr ** 2)
     a, damp, mu_b, t_b, s, r, u = np.broadcast_arrays(
         a_t, np.exp(-a_t), mu_arr, t_arr, s_mu, cutoff / s_mu, u)
     # Where exp(-a) underflows, only the log-space branch is nonzero.
     live = damp > 0.0
-    out = np.zeros(u.shape)
+    h = np.zeros(u.shape)
+    g = np.zeros(u.shape)
 
     near = live & (np.abs(u) <= _SERIES_U)
     if np.any(near):
@@ -74,28 +90,60 @@ def transfer(mu, t, params: DiffusionParams):
         for k in range(_K_TERMS - 1, -1, -1):
             even = even * un + _INV_EVEN[k]
             odd = odd * un + _INV_ODD[k]
-        out[near] = damp[near] * (even + an * odd)
+        h[near] = damp[near] * (even + an * odd)
+        g[near] = damp[near] * t_b[near] * odd
 
     pos = u > _SERIES_U
     mod = pos & live & (u <= _LOG_B ** 2)
     if np.any(mod):
         b = np.sqrt(u[mod])
-        out[mod] = damp[mod] * (np.cosh(b) + a[mod] * np.sinh(b) / b)
+        sinh_b = np.sinh(b)
+        h[mod] = damp[mod] * (np.cosh(b) + a[mod] * sinh_b / b)
+        g[mod] = damp[mod] * t_b[mod] * (sinh_b / b)
     log = pos & ~mod
     if np.any(log):
-        # a - b = c t mu^2 / (cutoff + s) does not cancel.
-        m, rl = mu_b[log], r[log]
-        gap = params.c * t_b[log] * m * m / (cutoff + s[log])
-        out[log] = (0.5 * (1.0 + rl) * np.exp(-gap)
-                    + 0.5 * (1.0 - rl) * np.exp(-a[log] - np.sqrt(u[log])))
+        # a - b = c t mu^2 / (cutoff + s) does not cancel; t/(2b) = 1/(2 c s).
+        m, rl, sl = mu_b[log], r[log], s[log]
+        gap = c * t_b[log] * m * m / (cutoff + sl)
+        slow = np.exp(-gap)
+        fast = np.exp(-a[log] - np.sqrt(u[log]))
+        h[log] = 0.5 * (1.0 + rl) * slow + 0.5 * (1.0 - rl) * fast
+        g[log] = (slow - fast) / (2.0 * c * sl)
 
     neg = live & (u < -_SERIES_U)
     if np.any(neg):
-        w = params.c * t_b[neg] * s[neg]
-        out[neg] = damp[neg] * (np.cos(w) + r[neg] * np.sin(w))
+        sn = s[neg]
+        w = c * t_b[neg] * sn
+        if not np.all(w < np.inf):
+            raise ValueError("the wave phase c t sqrt(mu^2 - cutoff^2) overflows "
+                             "while exp(-c^2 t/(2D)) does not underflow")
+        sin_w = np.sin(w)
+        h[neg] = damp[neg] * (np.cos(w) + r[neg] * sin_w)
+        g[neg] = damp[neg] * sin_w / (c * sn)
 
-    out[(mu_b == 0.0) | (t_b == 0.0)] = 1.0
-    return float(out) if out.ndim == 0 else out
+    h[(mu_b == 0.0) | (t_b == 0.0)] = 1.0
+    return h, g
+
+
+def transfer(mu, t, params: DiffusionParams):
+    """Transfer factor at wave number mu and time t; broadcasts over arrays.
+
+    Returns a float when mu and t are both scalars. Raises ValueError where
+    the wave phase overflows while the mode is not yet damped to zero.
+    """
+    h, _ = _evaluate(mu, t, params)
+    return float(h) if h.ndim == 0 else h
+
+
+def transfer_pair(mu, t, params: DiffusionParams):
+    """(h, g) at wave number mu and time t: the transfer factor and the
+    solution with g(0) = 0, g'(0) = 1; broadcasts like transfer.
+
+    h is bitwise transfer's value. Together they give every later time by
+    h(T + d) = h(T) h(d) - c^2 mu^2 g(T) g(d).
+    """
+    h, g = _evaluate(mu, t, params)
+    return (float(h), float(g)) if h.ndim == 0 else (h, g)
 
 
 def transfer_diffusive(mu, t, params: DiffusionParams):

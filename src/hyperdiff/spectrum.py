@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -237,14 +237,21 @@ def finite_variance_check(measure: SpectralMeasure, params: DiffusionParams,
 
     The exponential moment integral of exp(mu^2/4) over G is finite in exact
     arithmetic for the supported measure family (finitely many atoms, bounded
-    segments), but overflows double precision for support beyond mu ~ 53;
-    exp_moment_finite reports whether the computed value is finite.
+    segments), but can overflow double precision once the support passes
+    mu ~ 53; exp_moment_finite reports whether the computed value is finite.
+    Each segment integrates exp(mu^2/4 - M) mu^a, with M its largest mu^2/4,
+    and the pieces are summed in log space, so the quadrature never overflows.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    logs = [math.log(mass) + mu * mu / 4.0 for mu, mass in measure.atoms]
+    for seg in measure.segments:
+        top = seg.hi * seg.hi / 4.0
+        unit = SpectralMeasure(segments=(replace(seg, amplitude=1.0),))
+        scaled = integrate_measure(lambda mu: np.exp(mu * mu / 4.0 - top), unit)
+        logs.append(math.log(seg.amplitude) + math.log(scaled) + top)
     with np.errstate(over="ignore"):
-        exp_moment = float(integrate_measure(lambda mu: np.exp(mu * mu / 4.0),
-                                             measure))
+        exp_moment = float(np.exp(np.logaddexp.reduce(logs, initial=-np.inf)))
     tail = _weighted_tail(0, measure, params, 0.0, 1.0 + 2.0 * alpha, 1e-12,
                           degree_cap, 64)
     return FiniteVarianceReport(alpha=alpha, weighted_sum=tail.value,

@@ -12,7 +12,7 @@ import pytest
 
 from hyperdiff import field_sim
 from hyperdiff.cli import main
-from hyperdiff.covariance import covariance_legendre
+from hyperdiff.covariance import MAX_LAGS, covariance_legendre
 from hyperdiff.field_sim import grid_from_binary, simulate_coefficients, synthesize
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, SpectralMeasure
@@ -218,6 +218,29 @@ def test_non_finite_input_exits_2(argv, atom_config, tmp_path, capsys):
                 "--half-length": "half_length", "--width": "width"}[argv[-2]] in err
     assert not out.exists()
     assert os.listdir(tmp_path) == ["atom.json"]
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["kernel", "--c", "1", "--D", "5e299", "--mu", "1e300", "--t", "1e10"],
+     ["overflows"]),
+    (["memory", "--config", "two_band.json", "--t", "0", "--hmax", "1e12"],
+     ["h_max", "h_step", "lags"]),
+], ids=["kernel", "memory"])
+def test_unrepresentable_run_exits_2(argv, words, tmp_path, capsys):
+    # no value exists in floating point, or the lag grid would need 1 PiB
+    configs = Path(__file__).parent.parent / "configs"
+    argv = [str(configs / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "X"
+    assert main(argv + ["--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert all(word in lines[0] for word in words)
+    assert not out.exists() and os.listdir(tmp_path) == []
+
+
+def test_memory_help_states_lag_budget(capsys):
+    assert main(["memory", "--help"]) == 0
+    assert f"{MAX_LAGS} points" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hyperdiff.covariance import (MemoryClass, angular_mse, covariance_legendre,
-                                  covariance_spectral, covariance_time_lags,
-                                  integrated_abs_covariance, memory_classify)
+from hyperdiff.covariance import (MAX_LAGS, MemoryClass, angular_mse,
+                                  covariance_legendre, covariance_spectral,
+                                  covariance_time_lags, integrated_abs_covariance,
+                                  memory_classify)
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, PowerLawSegment, SpectralMeasure
 from hyperdiff.spectrum import angular_spectrum
@@ -234,12 +235,58 @@ class TestIntegratedAbsCovariance:
         assert late > 1e-4
 
     def test_lags_match_spectral_route(self):
-        lags = np.array([0.0, 0.5, 2.0])
+        lags = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
         values = covariance_time_lags(0.7, 0.3, lags, MIXED, P11)
         for lag, value in zip(lags, values):
             direct = covariance_spectral(0.7, 0.3 + lag, 0.3, MIXED, P11)
             assert value == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("n, start, stop", [(1, 0.4, 0.4), (2, 0.0, 3.0),
+                                                (7, 0.25, 1.75), (1001, 0.0, 12.0)])
+    def test_long_grids_match_spectral_route(self, n, start, stop):
+        # coarse times and fine offsets cover each lag once, whatever n is
+        m = SpectralMeasure(atoms=((4.5, 0.5),),
+                            segments=(PowerLawSegment(0.0, 1.0, 1.0, 0.9),
+                                      PowerLawSegment(1.0, 4.0, 0.5, 1.5)))
+        p = DiffusionParams(c=1.4, D=0.6)
+        lags = np.linspace(start, stop, n)
+        values = covariance_time_lags(0.2, 0.6, lags, m, p)
+        picks = sorted({0, n - 1, *range(0, n, max(1, n // 12))})
+        scale = np.max(np.abs(values))
+        for k in picks:
+            direct = covariance_spectral(0.2, 0.6 + lags[k], 0.6, m, p)
+            assert abs(values[k] - direct) <= 1e-9 * scale
+
+    def test_lag_array_shape_kept(self):
+        assert covariance_time_lags(0.0, 0.0, np.array([]), MIXED, P11).shape == (0,)
+        grid = np.linspace(0.0, 1.0, 6)
+        values = covariance_time_lags(0.3, 0.1, grid.reshape(2, 3), MIXED, P11)
+        assert values.shape == (2, 3)
+        assert np.array_equal(values.ravel(),
+                              covariance_time_lags(0.3, 0.1, grid, MIXED, P11))
+
+    @pytest.mark.parametrize("lags", [[0.0, 0.5, 2.0], [2.0, 1.0, 0.0],
+                                      [0.0, 1.0, 2.0 + 1e-9], [0.0, -1.0],
+                                      [0.0, math.nan], [0.0, math.inf]])
+    def test_lags_must_be_even_and_finite(self, lags):
+        with pytest.raises(ValueError, match="lags"):
+            covariance_time_lags(0.0, 0.0, np.array(lags), ATOM1, P11)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             integrated_abs_covariance(0.0, -1.0, ATOM1, P11)
+        with pytest.raises(ValueError, match="h_step"):
+            integrated_abs_covariance(0.0, 1.0, ATOM1, P11, h_step=0.0)
+
+    def test_lag_budget_checked_before_allocating(self, monkeypatch):
+        def no_lags(*args, **kwargs):
+            raise AssertionError("evaluated the lags")
+        monkeypatch.setattr("hyperdiff.covariance.covariance_time_lags", no_lags)
+        for h_max, h_step in ((1e12, None), (1.0, 1.0 / MAX_LAGS), (1.0, 1e-320)):
+            with pytest.raises(ValueError, match="h_max") as info:
+                integrated_abs_covariance(0.0, h_max, ATOM1, P11, h_step=h_step)
+            assert "h_step" in str(info.value)
+        monkeypatch.undo()
+        h, _ = integrated_abs_covariance(0.0, 1.0, ATOM1, P11,
+                                         h_step=1.0 / (MAX_LAGS - 1))
+        assert h.size == MAX_LAGS

@@ -1,10 +1,13 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hyperdiff.kernel import (transfer, transfer_diffusive, transfer_wave,
-                              wave_bound)
+from hyperdiff.kernel import (transfer, transfer_diffusive, transfer_pair,
+                              transfer_wave, wave_bound)
 from hyperdiff.measure import DiffusionParams
 
 P11 = DiffusionParams(c=1.0, D=1.0)
@@ -180,3 +183,114 @@ class TestValidation:
                 # scalar and vector paths may differ in the last bit only
                 assert grid[i, j] == pytest.approx(
                     transfer(float(mu), float(t), P11), rel=5e-16, abs=0.0)
+
+
+def mp_pair(mu: float, t: float, p: DiffusionParams):
+    """(h, g, a, b, scale) in 50-digit arithmetic from the closed forms, where
+    b = sqrt(u) (negative for the wave phase) and scale bounds |g|."""
+    with mp.workdps(50):
+        c, cutoff, mu, t = mp.mpf(p.c), mp.mpf(p.cutoff), mp.mpf(mu), mp.mpf(t)
+        a = c * cutoff * t
+        u = (c * t) ** 2 * (cutoff ** 2 - mu ** 2)
+        if u > 0:
+            b = mp.sqrt(u)
+            ch, shc = mp.cosh(b), mp.sinh(b) / b
+        elif u < 0:
+            b = -mp.sqrt(-u)
+            ch, shc = mp.cos(b), mp.sin(b) / b
+        else:
+            b, ch, shc = mp.mpf(0), mp.mpf(1), mp.mpf(1)
+        damp = mp.exp(-a)
+        h, g = damp * (ch + a * shc), damp * t * shc
+        scale = damp * t * max(mp.mpf(1), shc)
+        return float(h), float(g), float(a), float(b), float(scale)
+
+
+def pair_tolerance(a: float, b: float, scale: float) -> float:
+    """Error bound of the float evaluation: e^(-a) carries a's rounding, and
+    u = (c t)^2 (cutoff^2 - mu^2) is rounded before its square root."""
+    kappa = 1.0 + a + abs(b) + a * a / max(1.0, abs(b))
+    return 16.0 * np.finfo(float).eps * kappa * scale + 1e-300
+
+
+PARAM = st.floats(0.1, 10.0)
+
+
+class TestTransferPair:
+    @settings(max_examples=300, deadline=None)
+    @given(c=PARAM, D=PARAM, ratio=st.floats(1e-3, 10.0),
+           near=st.sampled_from([None, -1e-9, -1e-10, 1e-10, 1e-9]),
+           damping=st.floats(-4.0, 4.0))
+    @example(c=1.0, D=1.0, ratio=0.2, near=None, damping=3.0)  # log branch
+    @example(c=1.0, D=1.0, ratio=3.0, near=None, damping=1.0)  # wave branch
+    def test_against_mpmath(self, c, D, ratio, near, damping):
+        # mu relative to the cut-off, t through the damping exponent a = 10^damping
+        p = DiffusionParams(c=c, D=D)
+        mu = p.cutoff * (ratio if near is None else 1.0 + near)
+        t = 10.0 ** damping / (c * p.cutoff)
+        h, g = transfer_pair(mu, t, p)
+        assert h == transfer(mu, t, p)
+        h_ref, g_ref, a, b, scale = mp_pair(mu, t, p)
+        assert abs(g - g_ref) <= pair_tolerance(a, b, scale)
+        h_scale = max(abs(h_ref), float(wave_bound(t, p)))
+        assert abs(h - h_ref) <= pair_tolerance(a, b, h_scale)
+
+    def test_every_branch_reached(self):
+        # series, cosh/sinh, log space and wave phase, on one array
+        mu = np.array([0.5 + 1e-12, 0.3, 0.1, 3.0])
+        t = np.array([1.0, 5.0, 2000.0, 4.0])
+        h, g = transfer_pair(mu, t, P11)
+        u = t ** 2 * (0.25 - mu ** 2)
+        assert abs(u[0]) <= 0.25 < u[1] <= 700.0 ** 2 < u[2] and u[3] < -0.25
+        for i in range(4):
+            h_ref, g_ref, a, b, scale = mp_pair(float(mu[i]), float(t[i]), P11)
+            assert g[i] == pytest.approx(g_ref, rel=1e-12, abs=1e-12 * scale)
+            assert h[i] == transfer(float(mu[i]), float(t[i]), P11)
+
+    def test_g_starts_at_zero_with_unit_slope(self):
+        mus = np.array([0.0, 0.2, 0.5, 2.0])
+        assert np.all(transfer_pair(mus, 0.0, P11)[1] == 0.0)
+        dt = 1e-7
+        slope = transfer_pair(mus, dt, P11)[1] / dt
+        assert np.allclose(slope, 1.0, rtol=1e-6, atol=0.0)
+
+    def test_h_prime_is_minus_c2_mu2_g(self):
+        p = DiffusionParams(c=1.3, D=0.8)
+        mus = np.array([0.1, p.cutoff, 1.5, 4.0])
+        t, dt = 1.7, 1e-5
+        slope = (transfer(mus, t + dt, p) - transfer(mus, t - dt, p)) / (2 * dt)
+        g = transfer_pair(mus, t, p)[1]
+        assert np.allclose(slope, -(p.c * mus) ** 2 * g, rtol=0.0, atol=1e-8)
+
+    def test_scalar_and_array_shapes(self):
+        h, g = transfer_pair(0.3, 1.0, P11)
+        assert isinstance(h, float) and isinstance(g, float)
+        h, g = transfer_pair(np.linspace(0, 2, 5)[:, None], np.ones(3), P11)
+        assert h.shape == g.shape == (5, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(c=st.floats(0.2, 5.0), D=st.floats(0.2, 5.0),
+           ratio=st.one_of(st.floats(0.0, 3.0), st.floats(1 - 1e-6, 1 + 1e-6)),
+           big=st.floats(0.0, 20.0), small=st.floats(0.0, 20.0))
+    def test_addition_theorem(self, c, D, ratio, big, small):
+        # h(T + d) = h(T) h(d) - c^2 mu^2 g(T) g(d); times through a = c^2 t / (2D)
+        p = DiffusionParams(c=c, D=D)
+        mu = ratio * p.cutoff
+        big_t, small_t = big / (c * p.cutoff), small / (c * p.cutoff)
+        (h_big, h_small), (g_big, g_small) = transfer_pair(
+            mu, np.array([big_t, small_t]), p)
+        composed = h_big * h_small - (c * mu * g_big) * (c * mu * g_small)
+        direct = transfer(mu, big_t + small_t, p)
+        scale = max(abs(direct), float(wave_bound(big_t + small_t, p)))
+        assert abs(composed - direct) <= 1e-12 * scale
+
+    def test_overflowing_phase_raises(self):
+        # c t sqrt(mu^2 - cutoff^2) is inf while exp(-a) = exp(-1e-290) = 1
+        p = DiffusionParams(c=1.0, D=5e299)
+        for fn in (transfer, transfer_pair):
+            with pytest.raises(ValueError, match="overflows"):
+                fn(1e300, 1e10, p)
+            with pytest.raises(ValueError, match="overflows"):
+                fn(np.array([1.0, 1e300]), 1e10, p)
+        # once exp(-a) underflows there is no phase to evaluate
+        assert transfer(1e300, 1e308, DiffusionParams(c=1.0, D=0.5)) == 0.0

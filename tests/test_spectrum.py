@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -211,6 +213,26 @@ class TestFiniteVariance:
                                        P11, 0.0)
         assert report.exp_moment == math.inf
         assert report.exp_moment_finite is False
+
+    def test_overflowing_segment_moment_reported(self):
+        # exp(mu^2 / 4) overflows from mu ~ 53.3 on; no warning, no AccuracyError
+        seg = SpectralMeasure(segments=(PowerLawSegment(50.0, 60.0, 1.0, 0.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = finite_variance_check(seg, P11, 0.5, degree_cap=4)
+        assert report.exp_moment == math.inf
+        assert report.exp_moment_finite is False
+
+    def test_tiny_amplitude_moment_beyond_overflow_point(self):
+        # the atom and the segment contribute about 4e41 each
+        m = SpectralMeasure(atoms=((56.5, 1e-305),),
+                            segments=(PowerLawSegment(50.0, 56.0, 1e-300, 1.5),))
+        report = finite_variance_check(m, P11, 0.5, degree_cap=4)
+        with mp.workdps(40):
+            oracle = (mp.mpf(1e-305) * mp.exp(mp.mpf(56.5) ** 2 / 4) + mp.mpf(1e-300)
+                      * mp.quad(lambda x: x ** 1.5 * mp.exp(x * x / 4), [50, 53, 56]))
+        assert report.exp_moment_finite
+        assert report.exp_moment == pytest.approx(float(oracle), rel=1e-9)
 
     def test_alpha_zero_reduces_to_variance_sum(self):
         m = SpectralMeasure(atoms=((0.5, 0.3), (2.0, 0.7)))
