@@ -354,7 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("entropy1d", help="1D entropy experiments")
     e.add_argument("--experiment", required=True)
     e.add_argument("--half-length", type=float, default=3.0 * math.pi)
-    e.add_argument("--n-modes", type=int, default=None)
+    e.add_argument("--n-modes", type=int, default=None,
+                   help="cosine modes (default 100 for point_source, 200 for "
+                        "rectangle); n_modes * (n_intervals + 1) may be at most "
+                        f"{entropy1d.MAX_BASIS_ELEMENTS}")
     e.add_argument("--width", type=float, default=2.0)
     e.add_argument("--times", default=None, help="trace times (comma list)")
     e.add_argument("--snapshot-times", default="", help="profile times (comma list)")

@@ -6,7 +6,8 @@ angular distance gamma and times t, t':
   * spectral:  integral of sinc(2 mu sin(gamma/2)) * transfer(mu, t)
                * transfer(mu, t') over G(d mu), by _quad.integrate_measure;
   * Legendre:  (1/4pi) * sum_l (2l+1) C_l(t, t') P_l(cos gamma), truncated,
-               with a certified remainder bound from the spectrum tail.
+               with a certified remainder bound from the spectrum tails at
+               t and t', both in closed form from one quadrature.
 
 Their agreement is the Bessel/Legendre addition theorem made numerical, and
 is used as a cross-check throughout the test suite.
@@ -35,7 +36,7 @@ from ._quad import integrate_measure
 from .kernel import transfer, transfer_pair
 from .measure import DiffusionParams, SpectralMeasure
 from .special import legendre_all
-from .spectrum import angular_spectrum, tail_sum_direct
+from .spectrum import angular_spectrum, tail_sum_lommel
 
 _SINC_SERIES_X = 1e-4
 # Lag budget of integrated_abs_covariance. Quadrature stores every node of a
@@ -95,8 +96,9 @@ def covariance_legendre(gamma, t: float, t_prime: float,
                         spectrum_rtol: float = 1e-12) -> LegendreCovariance:
     """Covariance via (1/4pi) sum_{l<l_count} (2l+1) C_l(t,t') P_l(cos gamma).
 
-    The remainder bound uses |P_l| <= 1 and, for t != t', the per-degree
-    Cauchy-Schwarz inequality |C_l(t,t')| <= sqrt(C_l(t,t) C_l(t',t')).
+    The remainder bound sqrt(T(t)) sqrt(T(t')) / 4pi uses |P_l| <= 1 and
+    Cauchy-Schwarz, with both tails T(t) = sum_{l>=l_count} (2l+1) C_l(t,t)
+    from one tail_sum_lommel call (roots first, so tiny tails do not underflow).
     The (2l+1)-weighted sum amplifies per-degree quadrature error by about
     l_count^2, hence the tighter default spectrum tolerance here. gamma may
     be a scalar or an array of angular distances.
@@ -111,13 +113,9 @@ def covariance_legendre(gamma, t: float, t_prime: float,
     value = ((2 * ls + 1) * spec.values) @ pl / (4.0 * math.pi)
     if np.ndim(g) == 0:
         value = float(value)
-    tail_t = tail_sum_direct(l_count, measure, params, t, block=16).value
-    if t_prime == t:
-        tail = tail_t
-    else:
-        tail = math.sqrt(tail_t * tail_sum_direct(l_count, measure, params,
-                                                  t_prime, block=16).value)
-    return LegendreCovariance(value=value, remainder=tail / (4.0 * math.pi))
+    roots = np.sqrt(tail_sum_lommel(l_count, measure, params, [t, t_prime]))
+    remainder = float(roots[0] * roots[1]) / (4.0 * math.pi)
+    return LegendreCovariance(value=value, remainder=remainder)
 
 
 def angular_mse(gamma: float, t: float, measure: SpectralMeasure,

@@ -37,6 +37,9 @@ _UNIT = DiffusionParams(c=1.0, D=1.0)
 # Times per profile product, so peak memory does not grow with the number of
 # times; 16 keeps the arrays of a block small at a few ms of loop overhead.
 _TIME_BLOCK = 16
+# Element budget of run_experiment: the cosine basis holds
+# n_modes * (n_intervals + 1) values, 8 bytes each (1e7 is 80 MB).
+MAX_BASIS_ELEMENTS = 10_000_000
 
 
 def _check_half_length(half_length) -> float:
@@ -185,7 +188,8 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
     All inputs are checked before anything is computed: half_length finite
     and > 0, trace and snapshot times finite and >= 0, n_modes >= 0 (0 or
     None picks the default), and (rectangle only) width finite within
-    (0, 2L); each failure raises ValueError naming the parameter. Emits the
+    (0, 2L), and n_modes * (n_intervals + 1) at most MAX_BASIS_ELEMENTS;
+    each failure raises ValueError naming the parameter. Emits the
     entropy trace where computable plus (t, x, q) profile snapshots at the
     requested times.
     """
@@ -201,6 +205,11 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
                          f"got {width}")
     if n_modes is not None and n_modes < 0:
         raise ValueError(f"n_modes must be >= 0 (0 picks the default), got {n_modes}")
+    modes = 1 if name == "standing_wave" else n_modes or _DEFAULT_TERMS[name]
+    if modes * (n_intervals + 1) > MAX_BASIS_ELEMENTS:
+        raise ValueError(f"n_modes = {modes} with n_intervals = {n_intervals} needs "
+                         f"more than {MAX_BASIS_ELEMENTS} basis elements; lower "
+                         f"n_modes or n_intervals")
 
     if name == "standing_wave":
         # q = (1/2L) [1 + e^(-t/2) cos(omega t) cos(k x)] with the n = 2
@@ -208,7 +217,7 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
         k = np.array([2.0 * math.pi / L])
         c = np.array([1.0 / (2.0 * L)])
     else:
-        k = np.arange(1, (n_modes or _DEFAULT_TERMS[name]) + 1) * math.pi / L
+        k = np.arange(1, modes + 1) * math.pi / L
         if name == "point_source":
             # a point mass at the origin has the uniform spectrum c_n = 1/L
             c = np.full(k.size, 1.0 / L)

@@ -157,9 +157,9 @@ def bessel_half(l: int, x: float) -> float:
     return float(bessel_half_all(l, float(x))[l])
 
 
-def _bessel_half_neg(x: float) -> float:
-    """J_{-1/2}(x) = sqrt(2/(pi x)) cos(x)."""
-    return math.sqrt(2.0 / (math.pi * x)) * math.cos(x)
+def _bessel_half_neg(x):
+    """J_{-1/2}(x) = sqrt(2/(pi x)) cos(x); x scalar or array."""
+    return np.sqrt(2.0 / (math.pi * x)) * np.cos(x)
 
 
 def bessel_half_derivative(l: int, x: float) -> float:
@@ -169,7 +169,7 @@ def bessel_half_derivative(l: int, x: float) -> float:
     if not x > 0.0:
         raise ValueError(f"argument must be positive, got {x}")
     upper = bessel_half_all(l + 1, float(x))
-    lower = _bessel_half_neg(x) if l == 0 else float(upper[l - 1])
+    lower = float(_bessel_half_neg(x)) if l == 0 else float(upper[l - 1])
     return 0.5 * (lower - float(upper[l + 1]))
 
 

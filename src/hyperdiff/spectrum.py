@@ -7,18 +7,20 @@ The degree-l spectrum couples the spectral measure to the transfer kernel:
 
 integrated by _quad.integrate_measure with panels split at the cut-off wave
 number, where the integrand's time derivative changes character. Tail sums
-over degrees admit a closed form through the Lommel identity
+over degrees admit a closed form through the Lommel identity (Watson 5.11)
 
     sum_{l>=L} (2l+1) J_{l+1/2}(mu)^2
         = mu^2 (J_{L-1/2} J'_{L+1/2} - J_{L+1/2} J'_{L-1/2})(mu),
 
-which this module exposes both as a brute-force accumulation and as the
-closed form, plus a Gamma-function upper bound for bounded-support measures.
+which holds at every time, since the transfer factor does not depend on l.
+The direct sum over degrees is its oracle; a Gamma-function upper bound
+covers bounded-support measures.
 
-Direct tail accumulation stops once the degree has passed the upper end of
-the measure's support and three consecutive increments fall below the
-relative threshold (Bessel oscillation in l makes a single small increment
-an unreliable stopping signal). A hard degree cap guards non-convergence.
+Direct tail accumulation, by blocks of degrees that double in size, stops
+once the degree has passed the upper end of the measure's support and three
+consecutive increments fall below the relative threshold (Bessel oscillation
+in l makes a single small increment an unreliable stopping signal). A hard
+degree cap guards non-convergence.
 
 All computations are pure; evaluations for distinct degrees are independent
 and summation order is fixed, so results do not depend on scheduling.
@@ -35,7 +37,7 @@ import numpy as np
 from ._quad import integrate_measure
 from .kernel import transfer
 from .measure import DiffusionParams, SpectralMeasure
-from .special import bessel_half_all, log_gamma
+from .special import _bessel_half_neg, bessel_half_all, log_gamma
 
 _TWO_PI_SQ = 2.0 * math.pi ** 2
 DEFAULT_DEGREE_CAP = 4096
@@ -109,7 +111,8 @@ def c_l(l: int, t: float, t_prime: float, measure: SpectralMeasure,
 def _weighted_tail(l_start: int, measure: SpectralMeasure,
                    params: DiffusionParams, t: float, power: float,
                    rel_tol: float, degree_cap: int, block: int) -> TailSum:
-    """Sum of (2l+1)^power C_l(t, t) for l >= l_start, by blocks of degrees."""
+    """Sum of (2l+1)^power C_l(t, t) for l >= l_start, by blocks of degrees
+    that double from `block`, so the cost is linear in the stopping degree."""
     if measure.is_empty:
         return TailSum(value=0.0, stopped_at=l_start, converged=True)
     floor_l = int(math.ceil(measure.support_upper_bound()))
@@ -130,6 +133,7 @@ def _weighted_tail(l_start: int, measure: SpectralMeasure,
             else:
                 below = 0
         l = hi
+        block *= 2
     return TailSum(value=total, stopped_at=degree_cap - 1, converged=False)
 
 
@@ -161,27 +165,30 @@ def _lommel_weight(l_start: int, mu):
     j_lm1 = jmat[l_start - 1]
     j_l = jmat[l_start]
     j_lp1 = jmat[l_start + 1]
-    if l_start >= 2:
-        j_lm2 = jmat[l_start - 2]
-    else:
-        j_lm2 = np.sqrt(2.0 / (math.pi * mu)) * np.cos(mu)
+    j_lm2 = jmat[l_start - 2] if l_start >= 2 else _bessel_half_neg(mu)
     dj_upper = 0.5 * (j_lm1 - j_lp1)
     dj_lower = 0.5 * (j_lm2 - j_l)
     return j_lm1 * dj_upper - j_l * dj_lower
 
 
 def tail_sum_lommel(l_start: int, measure: SpectralMeasure,
-                    params: DiffusionParams, rtol: float = 1e-9) -> float:
-    """Closed form for sum_{l>=L} (2l+1) C_l at time zero, L >= 1.
+                    params: DiffusionParams, t=0.0, rtol: float = 1e-9):
+    """Closed form for sum_{l>=L} (2l+1) C_l(t, t), L >= 1.
 
-    Evaluates 2 pi^2 * integral of mu * lommel_weight(L, mu) over G(d mu).
+    Evaluates 2 pi^2 * integral of mu * lommel_weight(L, mu) * transfer(mu, t)^2
+    over G(d mu). A scalar t gives a float; an array gives one tail per time,
+    all from one quadrature.
     """
     if l_start < 1:
         raise ValueError("closed-form tail needs degree >= 1; "
                          "use tail_sum_direct for L = 0")
-    total = integrate_measure(lambda mu: mu * _lommel_weight(l_start, mu), measure,
-                              rtol=rtol, breakpoints=(params.cutoff,))
-    return _TWO_PI_SQ * float(total)
+    times = np.asarray(t, dtype=float)[..., None]
+
+    def f(mu):
+        return mu * _lommel_weight(l_start, mu) * transfer(mu, times, params) ** 2
+    total = _TWO_PI_SQ * integrate_measure(f, measure, rtol=rtol,
+                                           breakpoints=(params.cutoff,))
+    return float(total) if np.ndim(t) == 0 else total
 
 
 def _power_integral(amplitude: float, exponent: float, lo: float, hi: float) -> float:

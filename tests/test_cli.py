@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperdiff import field_sim
+from hyperdiff import entropy1d, field_sim
 from hyperdiff.cli import main
 from hyperdiff.covariance import MAX_LAGS, covariance_legendre
 from hyperdiff.field_sim import grid_from_binary, simulate_coefficients, synthesize
@@ -160,6 +160,21 @@ class TestCovarianceCommand:
         for row in rows:
             assert float(row[4]) <= float(row[3]) + 1e-9
 
+    def test_both_routes_above_degree_cap(self, tmp_path, capsys, recwarn):
+        # the atom at 5000 puts most of its variance above degree 4096
+        config = tmp_path / "far.json"
+        config.write_text(json.dumps({
+            "params": {"c": 1.0, "D": 1.0},
+            "measure": {"atoms": [{"mu": 1.0, "mass": 1.0},
+                                  {"mu": 5000.0, "mass": 1e-3}], "segments": []},
+        }))
+        out = str(tmp_path / "run")
+        assert main(["covariance", "--config", str(config), "--gammas", "0.3",
+                     "--route", "both", "--lmax", "16", "--out", out]) == 0
+        assert capsys.readouterr().err == "" and len(recwarn) == 0
+        _, rows = read_csv(os.path.join(out, "covariance.csv"))
+        assert float(rows[0][4]) <= float(rows[0][3])
+
     def test_gamma_out_of_range(self, atom_config, tmp_path):
         rc = main(["covariance", "--config", atom_config, "--gammas", "3.5",
                    "--out", str(tmp_path / "o")])
@@ -225,9 +240,12 @@ def test_non_finite_input_exits_2(argv, atom_config, tmp_path, capsys):
      ["overflows"]),
     (["memory", "--config", "two_band.json", "--t", "0", "--hmax", "1e12"],
      ["h_max", "h_step", "lags"]),
-], ids=["kernel", "memory"])
+    (["entropy1d", "--experiment", "point_source", "--n-modes", "100000000"],
+     ["n_modes", "n_intervals"]),
+], ids=["kernel", "memory", "entropy1d"])
 def test_unrepresentable_run_exits_2(argv, words, tmp_path, capsys):
-    # no value exists in floating point, or the lag grid would need 1 PiB
+    # no value exists in floating point, the lag grid would need 1 PiB, or
+    # the cosine basis 299 GiB
     configs = Path(__file__).parent.parent / "configs"
     argv = [str(configs / a) if a.endswith(".json") else a for a in argv]
     out = tmp_path / "X"
@@ -241,6 +259,12 @@ def test_unrepresentable_run_exits_2(argv, words, tmp_path, capsys):
 def test_memory_help_states_lag_budget(capsys):
     assert main(["memory", "--help"]) == 0
     assert f"{MAX_LAGS} points" in " ".join(capsys.readouterr().out.split())
+
+
+def test_entropy1d_help_states_element_budget(capsys):
+    assert main(["entropy1d", "--help"]) == 0
+    assert f"at most {entropy1d.MAX_BASIS_ELEMENTS}" in " ".join(
+        capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from hyperdiff.covariance import (MAX_LAGS, MemoryClass, angular_mse,
                                   memory_classify)
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, PowerLawSegment, SpectralMeasure
-from hyperdiff.spectrum import angular_spectrum
+from hyperdiff.spectrum import angular_spectrum, tail_sum_direct
 
 P11 = DiffusionParams(c=1.0, D=1.0)
 ATOM1 = SpectralMeasure(atoms=((1.0, 1.0),))
 MIXED = SpectralMeasure(atoms=((0.8, 0.6), (2.5, 0.4)),
                         segments=(PowerLawSegment(3.0, 5.0, 0.5, -1.0),))
+# Most of the atom at 5000's variance lies above degree 4096.
+ABOVE_CAP = SpectralMeasure(atoms=((1.0, 1.0), (5000.0, 1e-3)))
 
 
 class TestSpectralRoute:
@@ -129,6 +132,26 @@ class TestLegendreRoute:
     def test_needs_terms(self):
         with pytest.raises(ValueError):
             covariance_legendre(0.0, 0.0, 0.0, ATOM1, P11, 0)
+
+    def test_remainder_bounds_tail_above_degree_cap(self, recwarn):
+        start = time.perf_counter()
+        lc = covariance_legendre(0.3, 0.0, 0.0, ABOVE_CAP, P11, 16)
+        elapsed = time.perf_counter() - start
+        ls = np.arange(16)
+        head = float(np.sum((2 * ls + 1)
+                            * angular_spectrum(16, 0.0, 0.0, ABOVE_CAP, P11).values))
+        # sum_l (2l+1) C_l(0, 0) = 4 pi times the total mass
+        tail = (4 * math.pi * ABOVE_CAP.total_mass() - head) / (4 * math.pi)
+        assert lc.remainder >= tail * (1 - 1e-9)
+        assert elapsed < 1.0
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("t, t_prime", [(0.2, 0.9), (1.5, 0.0)])
+    def test_remainder_is_cauchy_schwarz_of_tails(self, t, t_prime):
+        lc = covariance_legendre(0.4, t, t_prime, MIXED, P11, 12)
+        tails = [tail_sum_direct(12, MIXED, P11, s).value for s in (t, t_prime)]
+        expected = math.sqrt(tails[0]) * math.sqrt(tails[1]) / (4 * math.pi)
+        assert lc.remainder == pytest.approx(expected, rel=1e-12)
 
 
 class TestAngularMse:

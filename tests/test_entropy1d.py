@@ -258,6 +258,7 @@ class TestExperiments:
         ({"width": 0.0}, "width"),
         ({"width": 6.0 * math.pi}, "width"),
         ({"n_modes": -1}, "n_modes"),
+        ({"n_modes": 10 ** 8}, "n_intervals"),
     ])
     def test_bad_input_names_parameter(self, kwargs, name):
         with pytest.raises(ValueError, match=name):

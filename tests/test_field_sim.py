@@ -255,6 +255,17 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(cs, 0, 1, 8)
 
+    @pytest.mark.parametrize("l, m, delta", [(2, -1, 0.3j), (2, 2, 1e-9), (1, 0, 0.2j),
+                                             (2, 0, math.nan)])
+    def test_non_hermitian_coefficients_rejected(self, l, m, delta):
+        cs = simulate_coefficients(3, (0.0,), ATOMS3, P11, seed=5)
+        coeffs = cs.coeffs.copy()
+        coeffs[0, l, cs.order_index(m)] += delta
+        bad = CoefficientSet(degree_count=3, times=cs.times, coeffs=coeffs,
+                             seed=cs.seed)
+        with pytest.raises(ValueError, match="Hermitian"):
+            synthesize(bad, 0, 4, 8)
+
 
 class TestTruncationError:
     def test_equal_degrees_zero(self):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +12,8 @@ from hyperdiff.exceptions import AccuracyError
 from hyperdiff import _quad
 from hyperdiff._quad import integrate_measure, integrate_vector
 from hyperdiff.kernel import transfer
-from hyperdiff.measure import DiffusionParams, PowerLawSegment, SpectralMeasure
+from hyperdiff.measure import (DiffusionParams, PowerLawSegment, SpectralMeasure,
+                               load_config)
 from hyperdiff.spectrum import (angular_spectrum, c_l, finite_variance_check,
                                 tail_bound_gamma, tail_sum_direct,
                                 tail_sum_lommel)
@@ -19,6 +21,18 @@ from hyperdiff.spectrum import (angular_spectrum, c_l, finite_variance_check,
 P11 = DiffusionParams(c=1.0, D=1.0)
 ATOM1 = SpectralMeasure(atoms=((1.0, 1.0),))
 EMPTY = SpectralMeasure()
+CONFIGS = Path(__file__).parent.parent / "configs"
+# The two shipped configs, two segments plus an atom, a segment at the
+# origin, and three atoms, each with its diffusion parameters.
+TAIL_MODELS = [
+    load_config((CONFIGS / "two_band.json").read_text())[::-1],
+    load_config((CONFIGS / "inverse_decay.json").read_text())[::-1],
+    (SpectralMeasure(atoms=((0.2, 0.5),),
+                     segments=(PowerLawSegment(1.0, 3.0, 0.4, 1.0),
+                               PowerLawSegment(4.0, 6.0, 0.2, -0.5))), P11),
+    (SpectralMeasure(segments=(PowerLawSegment(0.0, 2.0, 1.0, 0.5),)), P11),
+    (SpectralMeasure(atoms=((0.5, 0.3), (2.0, 0.7), (9.0, 1.1))), P11),
+]
 
 
 def brute_tail(l_start: int, mu: float, l_stop: int = 80) -> float:
@@ -114,6 +128,30 @@ class TestTailSums:
         direct = tail_sum_direct(l_start, measure, P11, 0.0).value
         closed = tail_sum_lommel(l_start, measure, P11)
         assert closed == pytest.approx(direct, rel=1e-8)
+
+    @pytest.mark.parametrize("model", TAIL_MODELS,
+                             ids=["two_band", "inverse_decay", "segments_atom",
+                                  "origin_segment", "atoms"])
+    @pytest.mark.parametrize("l_start", [5, 16, 24, 40, 128])
+    def test_lommel_at_every_time_matches_direct(self, model, l_start):
+        measure, params = model
+        times = np.array([0.0, 0.05, 0.7, 3.0])
+        closed = tail_sum_lommel(l_start, measure, params, times)
+        direct = [tail_sum_direct(l_start, measure, params, t).value for t in times]
+        # Tails below the normal float range (3.6e-313 for the segments at
+        # L = 128) carry no relative precision.
+        np.testing.assert_allclose(closed, direct, rtol=1e-12, atol=1e-300)
+
+    def test_lommel_time_argument(self):
+        m = SpectralMeasure(atoms=((0.5, 0.3), (2.0, 0.7)))
+        both = tail_sum_lommel(3, m, P11, np.array([0.0, 0.5]))
+        single = tail_sum_lommel(3, m, P11, 0.5)
+        assert both.shape == (2,) and isinstance(single, float)
+        assert single == both[1]
+        assert tail_sum_lommel(3, m, P11) == both[0]
+        for bad in (-0.1, math.nan, math.inf, [0.0, -1.0]):
+            with pytest.raises(ValueError):
+                tail_sum_lommel(3, m, P11, bad)
 
     def test_lommel_requires_positive_degree(self):
         with pytest.raises(ValueError):
