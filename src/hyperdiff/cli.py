@@ -3,7 +3,9 @@
 Every run writes a JSON manifest next to its outputs recording the resolved
 settings, seed, tool version, output paths, and wall-clock duration; the
 `rerun` subcommand replays a manifest into a fresh output location, which for
-seeded commands reproduces the outputs bitwise. A run writes into a temporary
+seeded commands reproduces the outputs bitwise. Each setting is declared once,
+as an argument whose dest is its settings key and whose converter and choices
+the command line and `rerun` both apply. A run writes into a temporary
 directory (inside --out if it exists, else in its nearest existing ancestor)
 and moves its files into --out only once everything succeeded, so a failed
 run leaves nothing behind.
@@ -38,32 +40,61 @@ from . import field_sim
 from . import entropy1d
 
 
-def _parse_floats(text: str, name: str) -> list[float]:
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they print as one `error:` line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+# --- converters: each takes command-line text or the JSON value a manifest stores ---
+
+def _real(value, kind=float) -> float:
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"--{name} must be a comma-separated float list") from exc
-    if not values:
-        raise ConfigError(f"--{name} must contain at least one value")
-    return values
+        if isinstance(value, (str, int, kind)) and not isinstance(value, bool):
+            return kind(value)
+    except (ValueError, OverflowError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {value!r}")
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError("--grid must look like NTHETAxNPHI, e.g. 32x64")
+def _count(value) -> int:
+    return _real(value, int)
+
+
+def _reals(value) -> list[float]:
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip() != ""]
+    if not isinstance(value, list) or not value:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
+    return [_real(v) for v in value]
+
+
+def _grid(value) -> list[int]:
+    value = value.lower().split("x") if isinstance(value, str) else value
+    if not isinstance(value, list) or len(value) != 2:
+        raise argparse.ArgumentTypeError("expected NTHETAxNPHI, e.g. 32x64")
+    return [_count(v) for v in value]
+
+
+def _config(value) -> dict:
+    """A config file's path, or the config document a manifest embeds."""
+    if isinstance(value, str):
+        with open(value, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = json.dumps(value)
     try:
-        n_theta, n_phi = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError("--grid must contain two integers") from exc
-    return n_theta, n_phi
-
-
-def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    params, measure = load_config(text)
+        params, measure = load_config(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return {"params": {"c": params.c, "D": params.D}, "measure": measure.to_dict()}
+
+
+def _params(value) -> dict:
+    """kernel's params: a config file's path, or the object a manifest stores."""
+    return _config(value if isinstance(value, str)
+                   else {"params": value, "measure": {}})["params"]
 
 
 def _settings_config(settings: dict) -> tuple[DiffusionParams, SpectralMeasure]:
@@ -80,7 +111,7 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def _write_manifest(directory: str, subcommand: str, settings: dict,
                     outputs: list[str], seed: int | None,
-                    started: float, extra: dict | None = None) -> str:
+                    started: float, extra: dict | None = None) -> None:
     manifest = {
         "subcommand": subcommand,
         "tool_version": __version__,
@@ -94,7 +125,6 @@ def _write_manifest(directory: str, subcommand: str, settings: dict,
     path = os.path.join(directory, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
-    return path
 
 
 # --- subcommand implementations (settings dict -> output files) ---
@@ -131,27 +161,23 @@ def _run_spectrum(settings: dict, out: str) -> tuple[list[str], dict | None]:
 
 def _run_covariance(settings: dict, out: str) -> tuple[list[str], dict | None]:
     params, measure = _settings_config(settings)
-    gammas = settings["gammas"]
-    t, t_prime = settings["t"], settings["t_prime"]
-    route = settings["route"]
-    l_count = settings["l_count"]
+    gammas, route = settings["gammas"], settings["route"]
+    args = (np.array(gammas), settings["t"], settings["t_prime"], measure, params)
     path = os.path.join(out, "covariance.csv")
+    if route != "legendre":
+        spectral = covariance_spectral(*args)
+    if route != "spectral":
+        lc = covariance_legendre(*args, settings["l_count"])
     if route == "spectral":
-        values = covariance_spectral(np.array(gammas), t, t_prime, measure, params)
-        _write_csv(path, ["gamma", "R"], list(zip(gammas, values)))
+        _write_csv(path, ["gamma", "R"], list(zip(gammas, spectral)))
     elif route == "legendre":
-        lc = covariance_legendre(np.array(gammas), t, t_prime, measure, params, l_count)
         _write_csv(path, ["gamma", "R", "remainder"],
                    [[g, r, lc.remainder] for g, r in zip(gammas, lc.value)])
-    elif route == "both":
-        spectral = covariance_spectral(np.array(gammas), t, t_prime, measure, params)
-        lc = covariance_legendre(np.array(gammas), t, t_prime, measure, params, l_count)
+    else:
         _write_csv(path, ["gamma", "R_spectral", "R_legendre", "remainder",
                           "discrepancy"],
                    [[g, rs, rl, lc.remainder, abs(rs - rl)]
                     for g, rs, rl in zip(gammas, spectral, lc.value)])
-    else:
-        raise ConfigError(f"unknown route {route!r}")
     return [path], None
 
 
@@ -161,9 +187,8 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
     times = settings["times"]
     seed = settings["seed"]
     n_theta, n_phi = settings["grid"]
-    n_quad = settings.get("n_quad", 64)
-    fmt = settings.get("format", "csv")
-    n_runs = settings.get("ensemble", 0)
+    n_quad = settings["n_quad"]
+    n_runs = settings["ensemble"]
     ensemble = None
     if n_runs:
         if n_runs < 2:
@@ -190,7 +215,7 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
         outputs.append(cpath)
 
         grid = field_sim.synthesize(cs, ti, n_theta, n_phi)
-        if fmt == "bin":
+        if settings["format"] == "bin":
             fpath = os.path.join(out, f"field_t{ti}.bin")
             with open(fpath, "wb") as fh:
                 fh.write(field_sim.grid_to_binary(grid))
@@ -224,7 +249,7 @@ def _run_memory(settings: dict, out: str) -> tuple[list[str], dict | None]:
     report = memory_classify(measure)
     h, cumulative = integrated_abs_covariance(
         settings["t"], settings["h_max"], measure, params,
-        gamma=settings.get("gamma", 0.0),
+        gamma=settings["gamma"],
     )
     path = os.path.join(out, "memory.csv")
     _write_csv(path, ["h", "integrated_abs_cov"], list(zip(h, cumulative)))
@@ -237,15 +262,9 @@ def _run_memory(settings: dict, out: str) -> tuple[list[str], dict | None]:
 
 
 def _run_entropy1d(settings: dict, out: str) -> tuple[list[str], dict | None]:
-    result = entropy1d.run_experiment(
-        settings["experiment"],
-        half_length=settings.get("half_length", 3.0 * math.pi),
-        n_modes=settings.get("n_modes"),
-        width=settings.get("width", 2.0),
-        trace_times=settings.get("trace_times"),
-        snapshot_times=settings.get("snapshot_times", ()),
-        n_intervals=settings.get("n_intervals", 400),
-    )
+    # The other settings keys are run_experiment's keywords.
+    kwargs = {key: value for key, value in settings.items() if key != "experiment"}
+    result = entropy1d.run_experiment(settings["experiment"], **kwargs)
     outputs = []
     tpath = os.path.join(out, "entropy.csv")
     rows = [
@@ -293,8 +312,9 @@ def _execute(subcommand: str, settings: dict, out: str) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and its subparsers by name; a default is what a run records."""
+    parser = _Parser(
         prog="hyperdiff",
         description="Random hyperbolic diffusion on the sphere: kernels, "
                     "spectra, covariances, field simulation, 1D entropy.",
@@ -303,165 +323,139 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     k = sub.add_parser("kernel", help="tabulate the transfer function")
-    k.add_argument("--config", help="JSON config (params used, measure ignored)")
-    k.add_argument("--c", type=float, help="speed (overrides config)")
-    k.add_argument("--D", type=float, help="diffusivity (overrides config)")
-    k.add_argument("--mu", required=True, help="comma list of wave numbers")
-    k.add_argument("--t", required=True, help="comma list of times")
+    k.add_argument("--config", dest="params", type=_params, metavar="CONFIG",
+                   help="JSON config (params used, measure ignored)")
+    k.add_argument("--c", type=_real, help="speed (overrides config)")
+    k.add_argument("--D", type=_real, help="diffusivity (overrides config)")
+    k.add_argument("--mu", type=_reals, required=True, help="comma list of wave numbers")
+    k.add_argument("--t", type=_reals, required=True, help="comma list of times")
     k.add_argument("--out", required=True, help="output directory")
 
     s = sub.add_parser("spectrum", help="angular power spectrum C_l(t,t)")
-    s.add_argument("--config", required=True)
-    s.add_argument("--lmax", type=int, required=True,
+    s.add_argument("--config", type=_config, required=True)
+    s.add_argument("--lmax", dest="l_count", type=_count, required=True,
                    help="number of degrees (l = 0..lmax-1)")
-    s.add_argument("--times", required=True, help="strictly increasing comma list")
+    s.add_argument("--times", type=_reals, required=True,
+                   help="strictly increasing comma list")
     s.add_argument("--out", required=True)
 
     c = sub.add_parser("covariance", help="covariance R(cos gamma, t, t')")
-    c.add_argument("--config", required=True)
-    c.add_argument("--gammas", required=True, help="comma list of angles in [0, pi]")
-    c.add_argument("--t", type=float, default=0.0)
-    c.add_argument("--t-prime", type=float, default=None)
-    c.add_argument("--route", choices=["spectral", "legendre", "both"],
+    c.add_argument("--config", type=_config, required=True)
+    c.add_argument("--gammas", type=_reals, required=True,
+                   help="comma list of angles in [0, pi]")
+    c.add_argument("--t", type=_real, default=0.0)
+    c.add_argument("--t-prime", type=_real, default=None, help="defaults to --t")
+    c.add_argument("--route", choices=("spectral", "legendre", "both"),
                    default="spectral")
-    c.add_argument("--lmax", type=int, default=128,
+    c.add_argument("--lmax", dest="l_count", type=_count, default=128,
                    help="Legendre series length for the legendre/both routes")
     c.add_argument("--out", required=True)
 
     m = sub.add_parser("simulate", help="simulate coefficients and field grids")
-    m.add_argument("--config", required=True)
-    m.add_argument("--lmax", type=int, required=True, help="truncation degree L")
-    m.add_argument("--grid", default="32x64", help="NTHETAxNPHI")
-    m.add_argument("--times", required=True)
-    m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--ensemble", type=int, default=0,
+    m.add_argument("--config", type=_config, required=True)
+    m.add_argument("--lmax", dest="degree_count", type=_count, required=True,
+                   help="truncation degree L")
+    m.add_argument("--grid", type=_grid, default=[32, 64], help="NTHETAxNPHI")
+    m.add_argument("--times", type=_reals, required=True)
+    m.add_argument("--seed", type=_count, default=0)
+    m.add_argument("--ensemble", type=_count, default=0,
                    help="additionally estimate the spectrum from N runs")
     m.add_argument("--format", choices=["csv", "bin"], default="csv")
-    m.add_argument("--n-quad", type=int, default=64,
+    m.add_argument("--n-quad", type=_count, default=64,
                    help="Gauss-Legendre nodes per segment when atomising")
     m.add_argument("--out", required=True)
 
     y = sub.add_parser("memory", help="dependence classification and diagnostic")
-    y.add_argument("--config", required=True)
-    y.add_argument("--t", type=float, default=0.0)
-    y.add_argument("--hmax", type=float, required=True,
+    y.add_argument("--config", type=_config, required=True)
+    y.add_argument("--t", type=_real, default=0.0)
+    y.add_argument("--hmax", dest="h_max", type=_real, required=True,
                    help="largest time lag; the lag grid 0, h_step, ..., hmax, with "
                         "h_step = min(hmax/1e4, 2 pi/(10 c mu_max)), may have at most "
                         f"{MAX_LAGS} points")
-    y.add_argument("--gamma", type=float, default=0.0)
+    y.add_argument("--gamma", type=_real, default=0.0)
     y.add_argument("--out", required=True)
 
     e = sub.add_parser("entropy1d", help="1D entropy experiments")
-    e.add_argument("--experiment", required=True)
-    e.add_argument("--half-length", type=float, default=3.0 * math.pi)
-    e.add_argument("--n-modes", type=int, default=None,
+    e.add_argument("--experiment", choices=entropy1d.EXPERIMENTS, required=True)
+    e.add_argument("--half-length", type=_real, default=3.0 * math.pi)
+    e.add_argument("--width", type=_real, default=2.0)
+    e.add_argument("--n-intervals", type=_count, default=400)
+    e.add_argument("--n-modes", type=_count, default=None,
                    help="cosine modes (default 100 for point_source, 200 for "
                         "rectangle); n_modes * (n_intervals + 1) may be at most "
                         f"{entropy1d.MAX_BASIS_ELEMENTS}")
-    e.add_argument("--width", type=float, default=2.0)
-    e.add_argument("--times", default=None, help="trace times (comma list)")
-    e.add_argument("--snapshot-times", default="", help="profile times (comma list)")
-    e.add_argument("--n-intervals", type=int, default=400)
+    e.add_argument("--times", dest="trace_times", type=_reals, default=None,
+                   help="trace times (comma list)")
+    e.add_argument("--snapshot-times", type=_reals, default=None,
+                   help="profile times (comma list)")
     e.add_argument("--out", required=True)
 
     r = sub.add_parser("rerun", help="replay a manifest into a new directory")
     r.add_argument("manifest")
     r.add_argument("--out", required=True)
-    return parser
+    return parser, sub.choices
 
 
-def _settings_from_args(args) -> tuple[str, dict]:
-    name = args.subcommand
+def _manifest_values(path: str, commands: dict) -> tuple[str, dict]:
+    """A manifest's subcommand and its settings by dest, each value through
+    the converter and choices of its argument, unset ones at their default."""
+    with open(path, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("settings"), dict):
+        raise ConfigError("manifest must be a JSON object with a settings object")
+    name = manifest.get("subcommand")
+    if name not in _RUNNERS:
+        raise ConfigError(f"manifest names unknown subcommand {name!r}")
+    settings = manifest["settings"]
+    actions = {action.dest: action for action in commands[name]._actions
+               if action.dest not in ("help", "out")}
+    for key in settings:
+        if key not in actions:
+            raise ConfigError(f"manifest setting {key!r} is not a {name} setting")
+    values = {}
+    for key, action in actions.items():
+        if key not in settings:
+            if action.required:
+                raise ConfigError(f"manifest lacks the {name} setting {key!r}")
+            values[key] = action.default
+            continue
+        try:
+            values[key] = action.type(settings[key]) if action.type else settings[key]
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"manifest setting {key!r}: {exc}") from exc
+        if action.choices is not None and values[key] not in action.choices:
+            raise ConfigError(f"manifest setting {key!r} must be one of "
+                              f"{', '.join(action.choices)}, got {values[key]!r}")
+    return name, values
+
+
+def _settings(name: str, values: dict) -> dict:
+    """The settings a run records: the set values by dest, with kernel's
+    --config, --c and --D folded into params and t_prime defaulting to t."""
+    if name == "covariance" and values["t_prime"] is None:
+        values = {**values, "t_prime": values["t"]}
+    settings = {key: value for key, value in values.items()
+                if value is not None and key not in ("subcommand", "out")}
     if name == "kernel":
-        if args.config:
-            params = _load_config_file(args.config)["params"]
-        elif args.c is not None and args.D is not None:
-            params = {"c": args.c, "D": args.D}
-        else:
-            raise ConfigError("kernel needs --config or both --c and --D")
-        if args.c is not None:
-            params["c"] = args.c
-        if args.D is not None:
-            params["D"] = args.D
-        return name, {
-            "params": params,
-            "mu": _parse_floats(args.mu, "mu"),
-            "t": _parse_floats(args.t, "t"),
-        }
-    if name == "spectrum":
-        return name, {
-            "config": _load_config_file(args.config),
-            "l_count": args.lmax,
-            "times": _parse_floats(args.times, "times"),
-        }
-    if name == "covariance":
-        return name, {
-            "config": _load_config_file(args.config),
-            "gammas": _parse_floats(args.gammas, "gammas"),
-            "t": args.t,
-            "t_prime": args.t if args.t_prime is None else args.t_prime,
-            "route": args.route,
-            "l_count": args.lmax,
-        }
-    if name == "simulate":
-        return name, {
-            "config": _load_config_file(args.config),
-            "degree_count": args.lmax,
-            "grid": list(_parse_grid(args.grid)),
-            "times": _parse_floats(args.times, "times"),
-            "seed": args.seed,
-            "ensemble": args.ensemble,
-            "format": args.format,
-            "n_quad": args.n_quad,
-        }
-    if name == "memory":
-        return name, {
-            "config": _load_config_file(args.config),
-            "t": args.t,
-            "h_max": args.hmax,
-            "gamma": args.gamma,
-        }
-    if name == "entropy1d":
-        settings = {
-            "experiment": args.experiment,
-            "half_length": args.half_length,
-            "width": args.width,
-            "n_intervals": args.n_intervals,
-        }
-        if args.n_modes is not None:
-            settings["n_modes"] = args.n_modes
-        if args.times:
-            settings["trace_times"] = _parse_floats(args.times, "times")
-        if args.snapshot_times:
-            settings["snapshot_times"] = _parse_floats(args.snapshot_times,
-                                                       "snapshot-times")
-        return name, settings
-    raise ConfigError(f"unknown subcommand {name!r}")
+        params = settings.pop("params", {})
+        params.update((key, settings.pop(key)) for key in ("c", "D") if key in settings)
+        if len(params) != 2:
+            raise ConfigError("kernel needs params: --config or both --c and --D")
+        settings = {"params": params, **settings}
+    return settings
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 0
-    try:
         if args.subcommand == "rerun":
-            with open(args.manifest, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            if not isinstance(manifest, dict) or not isinstance(
-                    manifest.get("settings"), dict):
-                raise ConfigError("manifest must be a JSON object with a settings object")
-            name = manifest.get("subcommand")
-            if name not in _RUNNERS:
-                raise ConfigError(f"manifest names unknown subcommand {name!r}")
-            try:
-                return _execute(name, manifest["settings"], args.out)
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"manifest settings are incomplete or malformed "
-                                  f"({type(exc).__name__}: {exc})") from exc
-        name, settings = _settings_from_args(args)
-        return _execute(name, settings, args.out)
+            name, values = _manifest_values(args.manifest, commands)
+        else:
+            name, values = args.subcommand, vars(args)
+        return _execute(name, _settings(name, values), args.out)
+    except SystemExit as exc:  # --help and --version
+        return exc.code if isinstance(exc.code, int) else 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -62,8 +62,7 @@ def _validate_query(gamma, t: float, t_prime: float) -> np.ndarray:
 
 
 def covariance_spectral(gamma, t: float, t_prime: float,
-                        measure: SpectralMeasure, params: DiffusionParams,
-                        rtol: float = 1e-9):
+                        measure: SpectralMeasure, params: DiffusionParams):
     """Covariance R(cos gamma, t, t') by direct integration over the measure.
 
     gamma may be a scalar or an array of angular distances.
@@ -74,7 +73,7 @@ def covariance_spectral(gamma, t: float, t_prime: float,
     def f(mu):
         hh = transfer(mu, t, params) * transfer(mu, t_prime, params)
         return _sinc(np.multiply.outer(half_chord, mu)) * hh
-    total = integrate_measure(f, measure, rtol=rtol, breakpoints=(params.cutoff,))
+    total = integrate_measure(f, measure, breakpoints=(params.cutoff,))
     return float(total[0]) if np.ndim(g) == 0 else total
 
 
@@ -92,22 +91,20 @@ class LegendreCovariance:
 
 def covariance_legendre(gamma, t: float, t_prime: float,
                         measure: SpectralMeasure, params: DiffusionParams,
-                        l_count: int,
-                        spectrum_rtol: float = 1e-12) -> LegendreCovariance:
+                        l_count: int) -> LegendreCovariance:
     """Covariance via (1/4pi) sum_{l<l_count} (2l+1) C_l(t,t') P_l(cos gamma).
 
     The remainder bound sqrt(T(t)) sqrt(T(t')) / 4pi uses |P_l| <= 1 and
     Cauchy-Schwarz, with both tails T(t) = sum_{l>=l_count} (2l+1) C_l(t,t)
     from one tail_sum_lommel call (roots first, so tiny tails do not underflow).
     The (2l+1)-weighted sum amplifies per-degree quadrature error by about
-    l_count^2, hence the tighter default spectrum tolerance here. gamma may
+    l_count^2, hence the tighter spectrum tolerance 1e-12 here. gamma may
     be a scalar or an array of angular distances.
     """
     if l_count < 1:
         raise ValueError(f"need at least one series term, got {l_count}")
     g = _validate_query(gamma, t, t_prime)
-    spec = angular_spectrum(l_count, t, t_prime, measure, params,
-                            rtol=spectrum_rtol)
+    spec = angular_spectrum(l_count, t, t_prime, measure, params, rtol=1e-12)
     ls = np.arange(l_count)
     pl = legendre_all(l_count - 1, np.cos(g))
     value = ((2 * ls + 1) * spec.values) @ pl / (4.0 * math.pi)
@@ -167,8 +164,8 @@ def memory_classify(measure: SpectralMeasure) -> MemoryReport:
 
 
 def covariance_time_lags(gamma: float, t: float, lags: np.ndarray,
-                         measure: SpectralMeasure, params: DiffusionParams,
-                         rtol: float = 1e-9) -> np.ndarray:
+                         measure: SpectralMeasure,
+                         params: DiffusionParams) -> np.ndarray:
     """R(cos gamma, t + h, t) for evenly spaced, non-decreasing lags h >= 0.
 
     The n lags l_0 + k d are split as k = j B + i with B = ceil(sqrt(n)). At
@@ -207,7 +204,7 @@ def covariance_time_lags(gamma: float, t: float, lags: np.ndarray,
         cols = np.stack([h[:, coarse + 1:], cmu_g[:, coarse + 1:]], axis=1)
         # Node-major with lags innermost; the transpose puts nodes last.
         return (rows @ cols).reshape(mu.size, -1)[:, :n].T
-    return integrate_measure(f, measure, rtol=rtol,
+    return integrate_measure(f, measure,
                              breakpoints=(params.cutoff,)).reshape(lags_arr.shape)
 
 

@@ -53,10 +53,10 @@ _WORD = (1 << 64) - 1
 
 def atomize(measure: SpectralMeasure, n_quad: int = 64) -> SpectralMeasure:
     """Replace each power-law segment by n_quad Gauss-Legendre atoms."""
-    if not measure.segments:
-        return measure
     if n_quad < 1:
         raise ValueError(f"n_quad must be >= 1, got {n_quad}")
+    if not measure.segments:
+        return measure
     nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     atoms = list(measure.atoms)
     for seg in measure.segments:

@@ -163,6 +163,8 @@ class SpectralMeasure:
 
 
 def _require_number(obj: dict, key: str, where: str) -> float:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"each {where} must be an object, got {obj!r}")
     if key not in obj:
         raise ConfigError(f"missing key '{key}' in {where}")
     value = obj[key]

@@ -148,7 +148,10 @@ def spherical_jn_all(n_max: int, x) -> np.ndarray:
 def bessel_half_all(l_max: int, x) -> np.ndarray:
     """J_{l+1/2}(x) for l = 0..l_max; x scalar or 1D array."""
     j = spherical_jn_all(l_max, x)
-    factor = np.sqrt(2.0 * np.asarray(x, dtype=float) / math.pi)
+    x = np.asarray(x, dtype=float)
+    # 2x/pi is subnormal below x ~ 3.5e-308, so take the root of x alone there.
+    factor = np.where(x < 1e-300, np.sqrt(x) * math.sqrt(2.0 / math.pi),
+                      np.sqrt(2.0 * x / math.pi))
     return j * factor
 
 

@@ -101,11 +101,11 @@ def angular_spectrum(l_count: int, t: float, t_prime: float,
 
 
 def c_l(l: int, t: float, t_prime: float, measure: SpectralMeasure,
-        params: DiffusionParams, rtol: float = 1e-9) -> float:
+        params: DiffusionParams) -> float:
     """Single angular power spectrum coefficient C_l(t, t')."""
     if l < 0:
         raise ValueError(f"degree must be >= 0, got {l}")
-    return float(_cl_block(l, l + 1, t, t_prime, measure, params, rtol)[0])
+    return float(_cl_block(l, l + 1, t, t_prime, measure, params)[0])
 
 
 def _weighted_tail(l_start: int, measure: SpectralMeasure,
@@ -172,7 +172,7 @@ def _lommel_weight(l_start: int, mu):
 
 
 def tail_sum_lommel(l_start: int, measure: SpectralMeasure,
-                    params: DiffusionParams, t=0.0, rtol: float = 1e-9):
+                    params: DiffusionParams, t=0.0):
     """Closed form for sum_{l>=L} (2l+1) C_l(t, t), L >= 1.
 
     Evaluates 2 pi^2 * integral of mu * lommel_weight(L, mu) * transfer(mu, t)^2
@@ -186,8 +186,7 @@ def tail_sum_lommel(l_start: int, measure: SpectralMeasure,
 
     def f(mu):
         return mu * _lommel_weight(l_start, mu) * transfer(mu, times, params) ** 2
-    total = _TWO_PI_SQ * integrate_measure(f, measure, rtol=rtol,
-                                           breakpoints=(params.cutoff,))
+    total = _TWO_PI_SQ * integrate_measure(f, measure, breakpoints=(params.cutoff,))
     return float(total) if np.ndim(t) == 0 else total
 
 

@@ -336,6 +336,15 @@ class TestSimulateCommand:
         assert not out.exists()
         assert os.listdir(tmp_path) == ["atom.json"]
 
+    def test_n_quad_checked_on_atom_measure(self, atom_config, tmp_path, capsys):
+        # atomising leaves an atom-only measure as it is, but still checks n_quad
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", atom_config, "--lmax", "3",
+                   "--grid", "4x8", "--times", "0", "--n-quad", "0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: n_quad must be >= 1")
+        assert os.listdir(tmp_path) == ["atom.json"]
+
     def test_csv_rows_match_library(self, atom_config, tmp_path):
         out = str(tmp_path / "run")
         assert main(["simulate", "--config", atom_config, "--lmax", "5",
@@ -473,6 +482,125 @@ class TestEntropyCommand:
         rc = main(["entropy1d", "--experiment", "vortex",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+ATOM_CONFIG = {"params": {"c": 1.0, "D": 1.0},
+               "measure": {"atoms": [{"mu": 1.0, "mass": 1.0}], "segments": []}}
+
+# One command line per subcommand and the settings its manifest records,
+# written out in the manifest's format.
+RECORDED = {
+    "kernel": (["kernel", "--c", "1", "--D", "2", "--mu", "0,1.5", "--t", "0,1"],
+               {"params": {"c": 1.0, "D": 2.0}, "mu": [0.0, 1.5], "t": [0.0, 1.0]}),
+    "spectrum": (["spectrum", "--config", "{config}", "--lmax", "4",
+                  "--times", "0,0.5"],
+                 {"config": ATOM_CONFIG, "l_count": 4, "times": [0.0, 0.5]}),
+    "covariance": (["covariance", "--config", "{config}", "--gammas", "0,1.2",
+                    "--t", "0.2", "--route", "both", "--lmax", "16"],
+                   {"config": ATOM_CONFIG, "gammas": [0.0, 1.2], "t": 0.2,
+                    "t_prime": 0.2, "route": "both", "l_count": 16}),
+    "simulate": (["simulate", "--config", "{config}", "--lmax", "4", "--grid", "4x8",
+                  "--times", "0,0.5", "--seed", "3", "--ensemble", "4",
+                  "--n-quad", "8"],
+                 {"config": ATOM_CONFIG, "degree_count": 4, "grid": [4, 8],
+                  "times": [0.0, 0.5], "seed": 3, "ensemble": 4, "format": "csv",
+                  "n_quad": 8}),
+    "memory": (["memory", "--config", "{config}", "--t", "0.1", "--hmax", "5"],
+               {"config": ATOM_CONFIG, "t": 0.1, "h_max": 5.0, "gamma": 0.0}),
+    "entropy1d": (["entropy1d", "--experiment", "rectangle", "--n-modes", "40",
+                   "--n-intervals", "100", "--times", "0.5,1",
+                   "--snapshot-times", "1"],
+                  {"experiment": "rectangle", "half_length": 3.0 * math.pi,
+                   "width": 2.0, "n_intervals": 100, "n_modes": 40,
+                   "trace_times": [0.5, 1.0], "snapshot_times": [1.0]}),
+}
+
+
+def run_recorded(name, config, out):
+    argv = [config if a == "{config}" else a for a in RECORDED[name][0]]
+    assert main(argv + ["--out", str(out)]) == 0
+    return json.loads((out / "manifest.json").read_text())
+
+
+def write_manifest(path, name, settings):
+    path.write_text(json.dumps({"subcommand": name, "tool_version": "0.1.0",
+                                "settings": settings, "outputs": [],
+                                "seed": settings.get("seed"),
+                                "duration_seconds": 0.1}))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_rerun_reproduces_every_subcommand(name, atom_config, tmp_path):
+    manifest = run_recorded(name, atom_config, tmp_path / "a")
+    assert manifest["settings"] == RECORDED[name][1]
+    assert main(["rerun", str(tmp_path / "a" / "manifest.json"),
+                 "--out", str(tmp_path / "b")]) == 0
+    assert read_outputs(tmp_path / "a") == read_outputs(tmp_path / "b")
+    rerun = json.loads((tmp_path / "b" / "manifest.json").read_text())
+    assert rerun["settings"] == manifest["settings"]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED))
+def test_written_manifest_reruns_like_its_command_line(name, atom_config, tmp_path):
+    run_recorded(name, atom_config, tmp_path / "a")
+    path = write_manifest(tmp_path / "m.json", name, RECORDED[name][1])
+    assert main(["rerun", path, "--out", str(tmp_path / "b")]) == 0
+    assert read_outputs(tmp_path / "a") == read_outputs(tmp_path / "b")
+
+
+@pytest.mark.parametrize("name, change, key", [
+    ("simulate", {"format": "xml"}, "format"),
+    ("entropy1d", {"n_modes": 1.5}, "n_modes"),
+    ("covariance", {"route": "legendre", "l_count": True}, "l_count"),
+    ("entropy1d", {"width": True}, "width"),
+    ("covariance", {"route": "x"}, "route"),
+    ("simulate", {"bogus": 1}, "bogus"),
+    ("spectrum", {"times": None}, "times"),
+    ("kernel", {"mu": "1,a"}, "mu"),
+    ("simulate", {"grid": [4]}, "grid"),
+    ("memory", {"config": {"params": {"c": 1.0}, "measure": {}}}, "config"),
+    ("spectrum", {"config": {**ATOM_CONFIG, "measure": {"atoms": [1.0]}}}, "config"),
+], ids=["format", "n_modes", "l_count", "width", "route", "bogus", "missing_times",
+        "mu", "grid", "config", "config_atom"])
+def test_rerun_rejects_what_the_command_line_rejects(name, change, key, tmp_path,
+                                                     capsys):
+    settings = {**RECORDED[name][1], **change}
+    settings = {k: v for k, v in settings.items() if v is not None}
+    path = write_manifest(tmp_path / "m.json", name, settings)
+    out = tmp_path / "o"
+    assert main(["rerun", path, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and repr(key) in lines[0]
+    assert os.listdir(tmp_path) == ["m.json"]
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["kernel", "--c", "1", "--D", "1", "--mu", "1"], ["required", "--t"]),
+    (["kernel", "--mu", "0", "--t", "0"], ["--config", "--c", "--D"]),
+    (["covariance", "--config", "{config}", "--gammas", "0.5", "--route", "x"],
+     ["--route", "'x'"]),
+    (["spectrum", "--config", "{config}", "--lmax", "2.5", "--times", "0"],
+     ["--lmax", "2.5"]),
+    (["simulate", "--config", "{config}", "--lmax", "3", "--times", "0",
+      "--grid", "4by8"], ["--grid"]),
+    (["memory", "--config", "{config}", "--hmax", "1", "--bogus"], ["--bogus"]),
+], ids=["missing_t", "missing_params", "bad_route", "float_lmax", "bad_grid",
+        "unknown_flag"])
+def test_usage_error_is_one_line(argv, words, atom_config, tmp_path, capsys):
+    argv = [atom_config if a == "{config}" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and captured.out == ""
+    assert all(word in lines[0] for word in words)
+    assert os.listdir(tmp_path) == ["atom.json"]
+
+
+def test_help_and_version_exit_0(capsys):
+    assert main(["--version"]) == 0
+    assert main(["simulate", "--help"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestManifestAndRerun:

@@ -1,8 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hyperdiff.special import (bessel_half, bessel_half_all,
@@ -27,7 +30,6 @@ def bessel_poisson(nu: float, x: float) -> float:
     Done in extended precision: the prefactor is huge and the integral tiny
     for large order/argument, which float64 quadrature cannot resolve.
     """
-    import mpmath as mp
     with mp.workdps(50):
         num = mp.mpf(nu)
         xm = mp.mpf(x)
@@ -40,7 +42,6 @@ def bessel_poisson(nu: float, x: float) -> float:
 # closed forms for the first few half-integer orders, evaluated in extended
 # precision so their small-x cancellation does not pollute the oracle
 def closed_form(l: int, x: float) -> float:
-    import mpmath as mp
     with mp.workdps(40):
         xm = mp.mpf(x)
         s, c = mp.sin(xm), mp.cos(xm)
@@ -57,6 +58,16 @@ def closed_form(l: int, x: float) -> float:
         else:
             raise ValueError(l)
         return float(value)
+
+
+@st.composite
+def order_and_argument(draw):
+    """l in 0..500 and x in (0, 1e4], two draws in five within 10% of the
+    turning point x = l + 1/2."""
+    l = draw(st.integers(0, 500))
+    if draw(st.integers(0, 4)) < 2:
+        return l, min(draw(st.floats(0.9, 1.1)) * (l + 0.5), 1e4)
+    return l, draw(st.floats(0.0, 1e4, exclude_min=True))
 
 
 class TestBesselHalf:
@@ -111,6 +122,21 @@ class TestBesselHalf:
                 expected = bessel_poisson(l + 0.5, x)
                 assert bessel_half(l, x) == pytest.approx(expected, rel=1e-8,
                                                           abs=1e-13), (l, x)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(case=order_and_argument())
+    @example(case=(50, 1.4e-4))  # worst relative error of a 3,400-sample scan
+    @example(case=(332, 365.7))  # worst envelope error of that scan
+    @example(case=(0, 5e-324))  # 2x/pi is subnormal
+    def test_order_against_mpmath(self, case):
+        l, x = case
+        got = float(bessel_half_all(l, x)[l])
+        with mp.workdps(40):
+            ref = float(mp.besselj(l + mp.mpf(1) / 2, mp.mpf(x)))
+        if l + 0.5 <= x:
+            assert abs(got - ref) <= 1e-13 * math.sqrt(2.0 / (math.pi * x))
+        elif abs(ref) >= 1e-290:
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
