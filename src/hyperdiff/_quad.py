@@ -42,6 +42,7 @@ _WEIGHTS = np.array([_WK + _WK[-2::-1],
 # 2^14 and 2^18 both made them slower than this.
 _ELEMENTS_PER_CALL = 2 ** 16
 _MAX_BISECT = 128
+_ATOL = 1e-15
 
 
 def _gk21(f, lo: np.ndarray, hi: np.ndarray, width: int):
@@ -75,7 +76,7 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray, width: int):
 
 
 def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
-                     atol: float = 1e-15, breakpoints=(), limit: int = 2000):
+                     breakpoints=(), limit: int = 2000):
     """Integrate a vector-valued integrand over [lo, hi].
 
     f takes a 1D array of nodes and puts the node axis last; the result has
@@ -89,7 +90,7 @@ def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
     ints, errs, rounding = _gk21(f, a, b, width)
 
     def tolerance():
-        return max(atol, rtol * float(np.max(np.abs(ints.sum(axis=0)), initial=0.0)))
+        return max(_ATOL, rtol * float(np.max(np.abs(ints.sum(axis=0)), initial=0.0)))
 
     error, converged = float(errs.sum()), False
     while a.size < limit:

@@ -71,8 +71,8 @@ def covariance_spectral(gamma, t: float, t_prime: float,
     half_chord = 2.0 * np.sin(np.atleast_1d(g) / 2.0)
 
     def f(mu):
-        hh = transfer(mu, t, params) * transfer(mu, t_prime, params)
-        return _sinc(np.multiply.outer(half_chord, mu)) * hh
+        h = transfer(mu, [[t], [t_prime]], params)
+        return _sinc(np.multiply.outer(half_chord, mu)) * (h[0] * h[1])
     total = integrate_measure(f, measure, breakpoints=(params.cutoff,))
     return float(total[0]) if np.ndim(g) == 0 else total
 

@@ -6,15 +6,15 @@ q_x(+-L, t) = 0, so even unit-mass profiles evolve as a cosine series
     q(x, t) = a_0 + sum_n c_n T_n(t) cos(k_n x),   k_n = n pi / L,
 
 where each mode's clock T_n solves T'' + T' + k_n^2 T = 0. For zero initial
-velocity (T(0) = 1, T'(0) = 0) that clock is the exact transfer factor
-`kernel.transfer(k_n, t, DiffusionParams(c=1, D=1))`: modes below the cut-off
-k = 1/2 decay without oscillating, modes above it are damped standing waves,
-and the kernel is continuous through k = 1/2, so any half-length works. The
-profile at a block of times is one product, a_0 + (clocks * c) @ cos(k x).
+velocity (T(0) = 1, T'(0) = 0) that clock is the transfer factor h of
+`kernel.transfer_pair(k_n, t, DiffusionParams(c=1, D=1))`: modes below the
+cut-off k = 1/2 decay without oscillating, modes above it are damped standing
+waves, and the kernel is continuous through k = 1/2, so any half-length works.
+The profile at a block of times is one product, a_0 + (clocks * c) @ cos(k x).
 
 The standing-wave experiment is the one exception: its single mode starts
-with nonzero velocity and carries the cosine-only clock
-e^(-t/2) cos(omega t), omega = sqrt(k^2 - 1/4), which needs k > 1/2.
+with T'(0) = -1/2, so its clock is h - g/2 = e^(-t/2) cos(omega t) from the
+same call, omega = sqrt(k^2 - 1/4), which is a standing wave only for k > 1/2.
 
 Total Shannon entropy S(t) = integral of q log(1/q) is computed by composite
 trapezoid; where a truncated series dips to q <= 0 at a node the trace
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import transfer
+from .kernel import transfer_pair
 from .measure import DiffusionParams
 
 _EVEN_TOL = 1e-9
@@ -49,6 +49,11 @@ def _check_half_length(half_length) -> float:
     return L
 
 
+def _check_intervals(n_intervals: int) -> None:
+    if n_intervals < 2:
+        raise ValueError(f"need at least 2 intervals, got {n_intervals}")
+
+
 def _check_times(times, name: str) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
@@ -64,7 +69,7 @@ class ModeDecomposition:
 
     Mode n has wave number wave_numbers[n-1] = n pi / L and amplitude
     amplitudes[n-1] = c_n at t = 0. Its clock is the zero-velocity transfer
-    factor, or e^(-t/2) cos(omega t) when standing_wave is set.
+    factor h, or h - g/2 = e^(-t/2) cos(omega t) when standing_wave is set.
     """
 
     half_length: float
@@ -88,11 +93,8 @@ def _profile_blocks(md: ModeDecomposition, x: np.ndarray, times: np.ndarray):
     k = md.wave_numbers[None, :]
     for start in range(0, times.size, _TIME_BLOCK):
         block = slice(start, start + _TIME_BLOCK)
-        t = times[block, None]
-        if md.standing_wave:
-            clock = np.exp(-0.5 * t) * np.cos(np.sqrt(k * k - 0.25) * t)
-        else:
-            clock = transfer(k, t, _UNIT)
+        h, g = transfer_pair(k, times[block, None], _UNIT)
+        clock = h - 0.5 * g if md.standing_wave else h
         yield block, md.a0 + (clock * md.amplitudes) @ basis
 
 
@@ -149,8 +151,7 @@ class EntropyTrace:
 
 def entropy_trace(md: ModeDecomposition, times, n_intervals: int = 400) -> EntropyTrace:
     """Total Shannon entropy by composite trapezoid on n_intervals panels."""
-    if n_intervals < 2:
-        raise ValueError(f"need at least 2 intervals, got {n_intervals}")
+    _check_intervals(n_intervals)
     t_arr = _check_times(times, "times")
     x = np.linspace(-md.half_length, md.half_length, n_intervals + 1)
     entropy = np.empty(t_arr.shape)
@@ -163,6 +164,7 @@ def entropy_trace(md: ModeDecomposition, times, n_intervals: int = 400) -> Entro
 
 def mass(md: ModeDecomposition, t: float, n_intervals: int = 400) -> float:
     """Trapezoid integral of the profile over [-L, L] at time t."""
+    _check_intervals(n_intervals)
     x = np.linspace(-md.half_length, md.half_length, n_intervals + 1)
     return float(np.trapezoid(evaluate(md, x, t), x))
 
@@ -213,7 +215,7 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
 
     if name == "standing_wave":
         # q = (1/2L) [1 + e^(-t/2) cos(omega t) cos(k x)] with the n = 2
-        # harmonic: amplitude on the cosine clock only, no sin companion.
+        # harmonic: amplitude on the cosine clock h - g/2 only.
         k = np.array([2.0 * math.pi / L])
         c = np.array([1.0 / (2.0 * L)])
     else:

@@ -144,7 +144,7 @@ def _weights(degree_count: int, times, atomic: SpectralMeasure,
     sigmas = np.sqrt([mass for _, mass in atomic.atoms])
     jmat = bessel_half_all(degree_count - 1, mus)
     base = math.pi * math.sqrt(2.0) * jmat / np.sqrt(mus) * sigmas
-    hfac = np.stack([transfer(mus, t, params) for t in times])
+    hfac = transfer(mus, np.array(times)[:, None], params)
     return times, base[None, :, :] * hfac[:, None, :]
 
 

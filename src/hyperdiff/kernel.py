@@ -7,13 +7,15 @@ the factor multiplying the initial spectral content at wave number mu is
 
 where coshc(u) = cosh(sqrt(u)) for u >= 0 continued to cos(sqrt(-u)) for
 u < 0, and sinhc(u) = sinh(sqrt(u))/sqrt(u) continued likewise. Both are
-entire in u, so the transfer function is analytic in mu^2; near u = 0 the
-power series avoids the 0/0 cancellation of the closed forms, and for large
-positive u the evaluation moves to log space, exploiting
-exp(-a)(cosh b + r sinh b) = (1+r)/2 e^(b-a) + (1-r)/2 e^(-b-a) with b <= a.
-The ratio r = a/b (a/w above the cut-off) is cutoff/sqrt|cutoff^2 - mu^2| and
-a - b = c t mu^2 / (cutoff + sqrt(cutoff^2 - mu^2)), so huge times neither
-overflow nor cancel, and where exp(-a) underflows the other branches give 0.
+entire in u, so the transfer function is analytic in mu^2. With
+r = cutoff/sqrt|cutoff^2 - mu^2| it is evaluated in three regimes:
+
+  * |u| <= 1/4: the power series, free of the closed forms' 0/0 at the cut-off;
+  * u > 1/4: (1+r)/2 e^-(a-b) + (1-r)/2 e^-(a+b), b = sqrt(u) < a, with
+    a - b = c t mu^2 / (cutoff + sqrt(cutoff^2 - mu^2)). The second term is at
+    most e^(-2b) <= e^(-1) of the first, so nothing cancels, and exp(-a) is
+    never formed, so huge times neither overflow nor lose digits to it;
+  * u < -1/4: exp(-a) (cos w + r sin w), w = sqrt(-u); 0 where exp(-a) underflows.
 
 Below the cut-off, modes decay without travelling (diffusive regime); above
 it they are damped travelling waves. The zero mode is conserved exactly:
@@ -21,9 +23,9 @@ the transfer factor at mu = 0 is 1 for every t.
 
 Each mode solves h'' + 2 alpha h' + c^2 mu^2 h = 0 with alpha = c^2/(2D),
 h(0) = 1, h'(0) = 0. Its companion g, the solution with g(0) = 0 and
-g'(0) = 1, is exp(-a) * t * sinhc(u), evaluated on the same branches
-(log space: g = (exp(b-a) - exp(-b-a)) / (2 c s) with s = b/(c t); above the
-cut-off: exp(-a) sin(w) / (c s)). Since h' solves the same equation,
+g'(0) = 1, is exp(-a) * t * sinhc(u), evaluated in the same regimes
+(exponential pair: g = (e^-(a-b) - e^-(a+b)) / (2 c s) with s = b/(c t);
+above the cut-off: exp(-a) sin(w) / (c s)). Since h' solves the same equation,
 h' = -c^2 mu^2 g, and the addition theorem
 
     h(mu, T + d) = h(mu, T) h(mu, d) - c^2 mu^2 g(mu, T) g(mu, d)
@@ -49,77 +51,66 @@ _SERIES_U = 0.25
 _K_TERMS = 13
 _INV_EVEN = np.array([1.0 / math.factorial(2 * k) for k in range(_K_TERMS)])
 _INV_ODD = np.array([1.0 / math.factorial(2 * k + 1) for k in range(_K_TERMS)])
-_LOG_B = 700.0
 
 
-def _validate(mu, t) -> tuple[np.ndarray, np.ndarray]:
-    # Each test is written so that NaN fails it.
-    mu_arr = np.asarray(mu, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((mu_arr >= 0) & (mu_arr < np.inf)):
-        raise ValueError("wave number must be finite and >= 0")
-    if not np.all((t_arr >= 0) & (t_arr < np.inf)):
-        raise ValueError("time must be finite and >= 0")
-    return mu_arr, t_arr
+def _finite_nonnegative(x, name: str) -> np.ndarray:
+    # The test is written so that NaN fails it.
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= 0) & (arr < np.inf)):
+        raise ValueError(f"{name} must be finite and >= 0")
+    return arr
 
 
-# At huge t, u overflows (inf * 0 at the cut-off); r is inf at the cut-off.
+# At huge t, u overflows (inf * 0 at the cut-off).
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _evaluate(mu, t, params: DiffusionParams) -> tuple[np.ndarray, np.ndarray]:
     """h and g on the broadcast shape of mu and t, as arrays.
 
     transfer and transfer_pair both call this rather than each other, so a
     traced run attributes each public function's own work to it."""
-    mu_arr, t_arr = _validate(mu, t)
+    mu_arr = _finite_nonnegative(mu, "wave number")
+    t_arr = _finite_nonnegative(t, "time")
     c, cutoff = params.c, params.cutoff
     # What depends on t alone or on mu alone is computed before broadcasting.
     a_t = c * cutoff * t_arr
     s_mu = np.sqrt(np.abs(cutoff - mu_arr)) * np.sqrt(cutoff + mu_arr)
     u = (c * t_arr) ** 2 * (cutoff * cutoff - mu_arr ** 2)
-    a, damp, mu_b, t_b, s, r, u = np.broadcast_arrays(
-        a_t, np.exp(-a_t), mu_arr, t_arr, s_mu, cutoff / s_mu, u)
-    # Where exp(-a) underflows, only the log-space branch is nonzero.
-    live = damp > 0.0
+    a, mu_b, t_b, s, u = np.broadcast_arrays(a_t, mu_arr, t_arr, s_mu, u)
     h = np.zeros(u.shape)
     g = np.zeros(u.shape)
 
-    near = live & (np.abs(u) <= _SERIES_U)
+    near = np.abs(u) <= _SERIES_U
     if np.any(near):
         un, an = u[near], a[near]
+        damp = np.exp(-an)
         even = odd = np.zeros_like(un)
         for k in range(_K_TERMS - 1, -1, -1):
             even = even * un + _INV_EVEN[k]
             odd = odd * un + _INV_ODD[k]
-        h[near] = damp[near] * (even + an * odd)
-        g[near] = damp[near] * t_b[near] * odd
+        h[near] = damp * (even + an * odd)
+        g[near] = damp * t_b[near] * odd
 
     pos = u > _SERIES_U
-    mod = pos & live & (u <= _LOG_B ** 2)
-    if np.any(mod):
-        b = np.sqrt(u[mod])
-        sinh_b = np.sinh(b)
-        h[mod] = damp[mod] * (np.cosh(b) + a[mod] * sinh_b / b)
-        g[mod] = damp[mod] * t_b[mod] * (sinh_b / b)
-    log = pos & ~mod
-    if np.any(log):
+    if np.any(pos):
         # a - b = c t mu^2 / (cutoff + s) does not cancel; t/(2b) = 1/(2 c s).
-        m, rl, sl = mu_b[log], r[log], s[log]
-        gap = c * t_b[log] * m * m / (cutoff + sl)
-        slow = np.exp(-gap)
-        fast = np.exp(-a[log] - np.sqrt(u[log]))
-        h[log] = 0.5 * (1.0 + rl) * slow + 0.5 * (1.0 - rl) * fast
-        g[log] = (slow - fast) / (2.0 * c * sl)
+        m, sp = mu_b[pos], s[pos]
+        r = cutoff / sp
+        slow = np.exp(-c * t_b[pos] * m * m / (cutoff + sp))
+        fast = np.exp(-a[pos] - np.sqrt(u[pos]))
+        h[pos] = 0.5 * (1.0 + r) * slow + 0.5 * (1.0 - r) * fast
+        g[pos] = (slow - fast) / (2.0 * c * sp)
 
-    neg = live & (u < -_SERIES_U)
+    neg = u < -_SERIES_U
     if np.any(neg):
-        sn = s[neg]
-        w = c * t_b[neg] * sn
+        damp, sn = np.exp(-a[neg]), s[neg]
+        # Where exp(-a) underflows the mode is 0 and its phase is not needed.
+        w = np.where(damp > 0.0, c * t_b[neg] * sn, 0.0)
         if not np.all(w < np.inf):
             raise ValueError("the wave phase c t sqrt(mu^2 - cutoff^2) overflows "
                              "while exp(-c^2 t/(2D)) does not underflow")
         sin_w = np.sin(w)
-        h[neg] = damp[neg] * (np.cos(w) + r[neg] * sin_w)
-        g[neg] = damp[neg] * sin_w / (c * sn)
+        h[neg] = damp * (np.cos(w) + cutoff / sn * sin_w)
+        g[neg] = damp * sin_w / (c * sn)
 
     h[(mu_b == 0.0) | (t_b == 0.0)] = 1.0
     return h, g
@@ -167,6 +158,7 @@ def transfer_wave(mu, t, params: DiffusionParams):
 
 
 def wave_bound(t, params: DiffusionParams):
-    """Envelope exp(-c^2 t/(2D)) (1 + c^2 t/(2D)) bounding the wave branch."""
-    a = params.c * params.cutoff * np.asarray(t, dtype=float)
+    """Envelope exp(-c^2 t/(2D)) (1 + c^2 t/(2D)) bounding the wave branch;
+    t is checked as in transfer."""
+    a = params.c * params.cutoff * _finite_nonnegative(t, "time")
     return np.exp(-a) * (1.0 + a)

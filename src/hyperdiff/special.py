@@ -128,8 +128,8 @@ def spherical_jn_all(n_max: int, x) -> np.ndarray:
     if x_arr.ndim > 1:
         raise ValueError("x must be scalar or one-dimensional")
     xs = np.atleast_1d(x_arr)
-    if np.any(xs < 0):
-        raise ValueError("argument must be >= 0")
+    if not np.all(xs >= 0):  # written so that NaN fails it
+        raise ValueError(f"argument x must be >= 0, got {xs[~(xs >= 0)][0]}")
     _check_order_arg(n_max, float(np.max(xs)) if xs.size else 0.0)
 
     out = np.zeros((n_max + 1, xs.size))
@@ -179,8 +179,8 @@ def bessel_half_derivative(l: int, x: float) -> float:
 def legendre_all(l_max: int, x) -> np.ndarray:
     """P_l(x) for l = 0..l_max by the three-term recurrence; |x| <= 1."""
     x_arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(x_arr) > 1.0):
-        raise ValueError("Legendre argument must lie in [-1, 1]")
+    if not np.all(np.abs(x_arr) <= 1.0):  # written so that NaN fails it
+        raise ValueError(f"Legendre argument x must lie in [-1, 1], got {x}")
     if l_max < 0:
         raise ValueError(f"degree must be >= 0, got {l_max}")
     out = np.empty((l_max + 1,) + x_arr.shape)

@@ -42,6 +42,7 @@ from .special import _bessel_half_neg, bessel_half_all, log_gamma
 _TWO_PI_SQ = 2.0 * math.pi ** 2
 DEFAULT_DEGREE_CAP = 4096
 _CONSECUTIVE_BELOW = 3
+_TAIL_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ def _cl_block(l_lo: int, l_hi: int, t: float, t_prime: float,
               rtol: float = 1e-9) -> np.ndarray:
     """C_l values for l in [l_lo, l_hi)."""
     def f(mu):
-        weight = transfer(mu, t, params) * transfer(mu, t_prime, params) / mu
-        return bessel_half_all(l_hi - 1, mu)[l_lo:] ** 2 * weight
+        h = transfer(mu, [[t], [t_prime]], params)
+        return bessel_half_all(l_hi - 1, mu)[l_lo:] ** 2 * (h[0] * h[1] / mu)
     return _TWO_PI_SQ * integrate_measure(f, measure, rtol=rtol,
                                           breakpoints=(params.cutoff,))
 
@@ -110,7 +111,7 @@ def c_l(l: int, t: float, t_prime: float, measure: SpectralMeasure,
 
 def _weighted_tail(l_start: int, measure: SpectralMeasure,
                    params: DiffusionParams, t: float, power: float,
-                   rel_tol: float, degree_cap: int, block: int) -> TailSum:
+                   degree_cap: int, block: int) -> TailSum:
     """Sum of (2l+1)^power C_l(t, t) for l >= l_start, by blocks of degrees
     that double from `block`, so the cost is linear in the stopping degree."""
     if measure.is_empty:
@@ -126,7 +127,7 @@ def _weighted_tail(l_start: int, measure: SpectralMeasure,
             deg = l + off
             inc = (2 * deg + 1) ** power * cls[off]
             total += inc
-            if deg >= floor_l and inc <= rel_tol * total:
+            if deg >= floor_l and inc <= _TAIL_REL_TOL * total:
                 below += 1
                 if below >= _CONSECUTIVE_BELOW:
                     return TailSum(value=total, stopped_at=deg, converged=True)
@@ -139,7 +140,6 @@ def _weighted_tail(l_start: int, measure: SpectralMeasure,
 
 def tail_sum_direct(l_start: int, measure: SpectralMeasure,
                     params: DiffusionParams, t: float,
-                    rel_tol: float = 1e-12,
                     degree_cap: int = DEFAULT_DEGREE_CAP,
                     block: int = 64) -> TailSum:
     """Brute-force sum of (2l+1) C_l(t, t) for l >= l_start.
@@ -149,7 +149,7 @@ def tail_sum_direct(l_start: int, measure: SpectralMeasure,
     """
     if l_start < 0:
         raise ValueError(f"degree must be >= 0, got {l_start}")
-    tail = _weighted_tail(l_start, measure, params, t, 1, rel_tol, degree_cap, block)
+    tail = _weighted_tail(l_start, measure, params, t, 1, degree_cap, block)
     if not tail.converged:
         warnings.warn(
             f"tail sum from degree {l_start} hit the cap {degree_cap} before "
@@ -258,8 +258,7 @@ def finite_variance_check(measure: SpectralMeasure, params: DiffusionParams,
         logs.append(math.log(seg.amplitude) + math.log(scaled) + top)
     with np.errstate(over="ignore"):
         exp_moment = float(np.exp(np.logaddexp.reduce(logs, initial=-np.inf)))
-    tail = _weighted_tail(0, measure, params, 0.0, 1.0 + 2.0 * alpha, 1e-12,
-                          degree_cap, 64)
+    tail = _weighted_tail(0, measure, params, 0.0, 1.0 + 2.0 * alpha, degree_cap, 64)
     return FiniteVarianceReport(alpha=alpha, weighted_sum=tail.value,
                                 stopped_at=tail.stopped_at, converged=tail.converged,
                                 exp_moment=exp_moment,

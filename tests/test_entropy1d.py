@@ -204,6 +204,9 @@ class TestEntropyTrace:
         md = run_experiment("standing_wave", trace_times=[0.0]).decomposition
         with pytest.raises(ValueError):
             entropy_trace(md, [0.0], n_intervals=1)
+        for n_intervals in (0, 1):
+            with pytest.raises(ValueError, match="intervals"):
+                mass(md, 1.0, n_intervals)
 
 
 class TestExperiments:

@@ -172,6 +172,9 @@ class TestValidation:
                     transfer_diffusive(mu, t, P11)
                 with pytest.raises(ValueError):
                     transfer_wave(mu, t, P11)
+        for bad in (-5.0, math.nan, math.inf, np.array([1.0, -0.1])):
+            with pytest.raises(ValueError):
+                wave_bound(bad, P11)
 
     def test_broadcasting(self):
         mus = np.linspace(0, 2, 7)
@@ -221,8 +224,10 @@ class TestTransferPair:
     @given(c=PARAM, D=PARAM, ratio=st.floats(1e-3, 10.0),
            near=st.sampled_from([None, -1e-9, -1e-10, 1e-10, 1e-9]),
            damping=st.floats(-4.0, 4.0))
-    @example(c=1.0, D=1.0, ratio=0.2, near=None, damping=3.0)  # log branch
+    @example(c=1.0, D=1.0, ratio=0.2, near=None, damping=3.0)  # exponential pair
     @example(c=1.0, D=1.0, ratio=3.0, near=None, damping=1.0)  # wave branch
+    # exp(-a) is subnormal at a = 740: the pair must not be formed from it
+    @example(c=1.0, D=1.0, ratio=0.8, near=None, damping=math.log10(740.0))
     def test_against_mpmath(self, c, D, ratio, near, damping):
         # mu relative to the cut-off, t through the damping exponent a = 10^damping
         p = DiffusionParams(c=c, D=D)
@@ -236,12 +241,12 @@ class TestTransferPair:
         assert abs(h - h_ref) <= pair_tolerance(a, b, h_scale)
 
     def test_every_branch_reached(self):
-        # series, cosh/sinh, log space and wave phase, on one array
+        # series, exponential pair (small and huge b) and wave phase, on one array
         mu = np.array([0.5 + 1e-12, 0.3, 0.1, 3.0])
         t = np.array([1.0, 5.0, 2000.0, 4.0])
         h, g = transfer_pair(mu, t, P11)
         u = t ** 2 * (0.25 - mu ** 2)
-        assert abs(u[0]) <= 0.25 < u[1] <= 700.0 ** 2 < u[2] and u[3] < -0.25
+        assert abs(u[0]) <= 0.25 < u[1] < u[2] and u[3] < -0.25
         for i in range(4):
             h_ref, g_ref, a, b, scale = mp_pair(float(mu[i]), float(t[i]), P11)
             assert g[i] == pytest.approx(g_ref, rel=1e-12, abs=1e-12 * scale)

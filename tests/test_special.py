@@ -147,6 +147,8 @@ class TestBesselHalf:
             bessel_half(2, -0.5)
         with pytest.raises(ValueError):
             bessel_half(2, 2.0e5)
+        with pytest.raises(ValueError, match="argument x"):
+            bessel_half_all(3, math.nan)
 
 
 class TestBesselHalfDerivative:
@@ -204,6 +206,8 @@ class TestLegendre:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             legendre_p(3, 1.5)
+        with pytest.raises(ValueError, match="argument x"):
+            legendre_all(3, math.nan)
 
 
 class TestNormPlm:
