@@ -11,13 +11,12 @@ and moves its files into --out only once everything succeeded, so a failed
 run leaves nothing behind.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical accuracy error,
-4 I/O error.
+4 I/O error, 5 any other error (e.g. out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -102,11 +101,13 @@ def _settings_config(settings: dict) -> tuple[DiffusionParams, SpectralMeasure]:
     return params_from_dict(cfg["params"]), measure_from_dict(cfg["measure"])
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """A table from equal-length columns of Python numbers (from .tolist())
+    or plain strings, as csv's default dialect writes it: str of each field
+    (repr for a float), commas, CRLF after every line."""
+    lines = map(",".join, zip(*(map(str, column) for column in columns)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join([",".join(header), *lines]) + "\r\n")
 
 
 def _write_manifest(directory: str, subcommand: str, settings: dict,
@@ -134,12 +135,12 @@ def _run_kernel(settings: dict, out: str) -> tuple[list[str], dict | None]:
     mu, t = np.meshgrid(settings["mu"], settings["t"], indexing="ij")
     h = transfer(mu, t, params)
     below = mu <= params.cutoff
-    rows = zip(mu.ravel().tolist(), t.ravel().tolist(),
+    columns = [mu.ravel().tolist(), t.ravel().tolist(),
                np.where(below, h, 0.0).ravel().tolist(),
                np.where(below, 0.0, h).ravel().tolist(),
-               h.ravel().tolist())
+               h.ravel().tolist()]
     path = os.path.join(out, "kernel.csv")
-    _write_csv(path, ["mu", "t", "h1", "h2", "h"], rows)
+    _write_csv(path, ["mu", "t", "h1", "h2", "h"], columns)
     return [path], None
 
 
@@ -149,13 +150,12 @@ def _run_spectrum(settings: dict, out: str) -> tuple[list[str], dict | None]:
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("times must be strictly increasing")
     l_count = settings["l_count"]
-    rows = []
-    for t in times:
-        spec = angular_spectrum(l_count, t, t, measure, params)
-        for l, value in enumerate(spec.values):
-            rows.append([t, t, l, value])
+    values = [angular_spectrum(l_count, t, t, measure, params).values for t in times]
+    t_column = np.repeat(times, l_count).tolist()
     path = os.path.join(out, "spectrum.csv")
-    _write_csv(path, ["t", "t_prime", "l", "C_l"], rows)
+    _write_csv(path, ["t", "t_prime", "l", "C_l"],
+               [t_column, t_column, list(range(l_count)) * len(times),
+                np.concatenate(values).tolist()])
     return [path], None
 
 
@@ -169,15 +169,16 @@ def _run_covariance(settings: dict, out: str) -> tuple[list[str], dict | None]:
     if route != "spectral":
         lc = covariance_legendre(*args, settings["l_count"])
     if route == "spectral":
-        _write_csv(path, ["gamma", "R"], list(zip(gammas, spectral)))
+        _write_csv(path, ["gamma", "R"], [gammas, spectral.tolist()])
     elif route == "legendre":
         _write_csv(path, ["gamma", "R", "remainder"],
-                   [[g, r, lc.remainder] for g, r in zip(gammas, lc.value)])
+                   [gammas, lc.value.tolist(), [lc.remainder] * len(gammas)])
     else:
         _write_csv(path, ["gamma", "R_spectral", "R_legendre", "remainder",
                           "discrepancy"],
-                   [[g, rs, rl, lc.remainder, abs(rs - rl)]
-                    for g, rs, rl in zip(gammas, spectral, lc.value)])
+                   [gammas, spectral.tolist(), lc.value.tolist(),
+                    [lc.remainder] * len(gammas),
+                    np.abs(spectral - lc.value).tolist()])
     return [path], None
 
 
@@ -211,7 +212,7 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
         cpath = os.path.join(out, f"coefficients_t{ti}.csv")
         values = cs.coeffs[ti][kept]
         _write_csv(cpath, ["l", "m", "re", "im"],
-                   zip(ls, ms, values.real.tolist(), values.imag.tolist()))
+                   [ls, ms, values.real.tolist(), values.imag.tolist()])
         outputs.append(cpath)
 
         grid = field_sim.synthesize(cs, ti, n_theta, n_phi)
@@ -222,9 +223,9 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
         else:
             fpath = os.path.join(out, f"field_t{ti}.csv")
             _write_csv(fpath, ["theta", "phi", "value"],
-                       zip(np.repeat(grid.thetas(), n_phi).tolist(),
-                           np.tile(grid.phis(), n_theta).tolist(),
-                           grid.values.ravel().tolist()))
+                       [np.repeat(grid.thetas(), n_phi).tolist(),
+                        np.tile(grid.phis(), n_theta).tolist(),
+                        grid.values.ravel().tolist()])
         outputs.append(fpath)
 
     if ensemble is not None:
@@ -232,14 +233,14 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
             np.stack([member.coeffs for member in ensemble]),
             2 * np.arange(degree_count) + 1)
         atomic = field_sim.atomize(measure, n_quad)
-        rows = []
-        for ti, t in enumerate(times):
-            theory = angular_spectrum(degree_count, t, t, atomic, params).values
-            rows.extend(zip([t] * degree_count, range(degree_count),
-                            value[ti].tolist(), std_error[ti].tolist(),
-                            theory.tolist()))
+        theory = [angular_spectrum(degree_count, t, t, atomic, params).values
+                  for t in times]
         epath = os.path.join(out, "empirical_spectrum.csv")
-        _write_csv(epath, ["t", "l", "estimate", "std_error", "theory"], rows)
+        _write_csv(epath, ["t", "l", "estimate", "std_error", "theory"],
+                   [np.repeat(times, degree_count).tolist(),
+                    list(range(degree_count)) * len(times),
+                    value.ravel().tolist(), std_error.ravel().tolist(),
+                    np.concatenate(theory).tolist()])
         outputs.append(epath)
     return outputs, None
 
@@ -252,7 +253,7 @@ def _run_memory(settings: dict, out: str) -> tuple[list[str], dict | None]:
         gamma=settings["gamma"],
     )
     path = os.path.join(out, "memory.csv")
-    _write_csv(path, ["h", "integrated_abs_cov"], list(zip(h, cumulative)))
+    _write_csv(path, ["h", "integrated_abs_cov"], [h.tolist(), cumulative.tolist()])
     result = {
         "classification": report.classification.value,
         "origin_exponent": report.origin_exponent,
@@ -267,15 +268,15 @@ def _run_entropy1d(settings: dict, out: str) -> tuple[list[str], dict | None]:
     result = entropy1d.run_experiment(settings["experiment"], **kwargs)
     outputs = []
     tpath = os.path.join(out, "entropy.csv")
-    rows = [
-        [t, "" if math.isnan(s) else s, 0 if math.isnan(s) else 1]
-        for t, s in zip(result.trace.times, result.trace.entropy)
-    ]
-    _write_csv(tpath, ["t", "entropy", "computable"], rows)
+    entropy = result.trace.entropy.tolist()
+    _write_csv(tpath, ["t", "entropy", "computable"],
+               [result.trace.times.tolist(),
+                ["" if math.isnan(s) else s for s in entropy],
+                [0 if math.isnan(s) else 1 for s in entropy]])
     outputs.append(tpath)
     for idx, (t, x, q) in enumerate(result.snapshots):
         spath = os.path.join(out, f"profile_{idx}.csv")
-        _write_csv(spath, ["x", "q"], list(zip(x, q)))
+        _write_csv(spath, ["x", "q"], [x.tolist(), q.tolist()])
         outputs.append(spath)
     return outputs, None
 
@@ -465,6 +466,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # e.g. MemoryError, RecursionError: no traceback
+        detail = f": {exc}" if str(exc) else ""
+        print(f"unexpected error: {type(exc).__name__}{detail}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

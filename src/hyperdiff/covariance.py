@@ -39,8 +39,9 @@ from .special import legendre_all
 from .spectrum import angular_spectrum, tail_sum_lommel
 
 _SINC_SERIES_X = 1e-4
-# Lag budget of integrated_abs_covariance. Quadrature stores every node of a
-# round times every lag: 1e5 lags on one segment peak at about 200 MB.
+# Lag budget of integrated_abs_covariance. Quadrature stores every panel's
+# integral at every lag: 1e5 lags on one segment peak at 63 MB RSS, 1e6 at
+# 320 MB.
 MAX_LAGS = 100_000
 
 
@@ -173,9 +174,10 @@ def covariance_time_lags(gamma: float, t: float, lags: np.ndarray,
     addition theorem (kernel module docstring) with T_j = t + l_0 + j B d:
     h(T_j + i d) = h(T_j) h(i d) - (c mu g(T_j)) (c mu g(i d)), one rank-2
     product over the J = ceil(n/B) coarse times and B fine offsets, so each
-    node costs 1 + J + B kernel evaluations instead of n. Values are taken
-    at t + l_0 + j B d + i d, within a few ulps of each given lag. Raises
-    ValueError for lags that are not evenly spaced within a few ulps.
+    node costs 1 + J + B kernel evaluations instead of n, and the quadrature
+    integrates the factors without forming any node's n values. Values are
+    taken at t + l_0 + j B d + i d, within a few ulps of each given lag.
+    Raises ValueError for lags that are not evenly spaced within a few ulps.
     """
     g = float(_validate_query(float(gamma), t, t))
     lags_arr = np.asarray(lags, dtype=float)
@@ -202,10 +204,9 @@ def covariance_time_lags(gamma: float, t: float, lags: np.ndarray,
         rows = np.stack([h[:, 1:coarse + 1] * weight,
                          cmu_g[:, 1:coarse + 1] * -weight], axis=2)
         cols = np.stack([h[:, coarse + 1:], cmu_g[:, coarse + 1:]], axis=1)
-        # Node-major with lags innermost; the transpose puts nodes last.
-        return (rows @ cols).reshape(mu.size, -1)[:, :n].T
-    return integrate_measure(f, measure,
-                             breakpoints=(params.cutoff,)).reshape(lags_arr.shape)
+        return rows, cols
+    total = integrate_measure(f, measure, breakpoints=(params.cutoff,))
+    return total.ravel()[:n].reshape(lags_arr.shape)
 
 
 def integrated_abs_covariance(t: float, h_max: float, measure: SpectralMeasure,

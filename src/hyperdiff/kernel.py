@@ -157,8 +157,11 @@ def transfer_wave(mu, t, params: DiffusionParams):
     return float(out) if np.ndim(out) == 0 else out
 
 
+@np.errstate(over="ignore")
 def wave_bound(t, params: DiffusionParams):
     """Envelope exp(-c^2 t/(2D)) (1 + c^2 t/(2D)) bounding the wave branch;
-    t is checked as in transfer."""
+    t is checked as in transfer. It is 0 where exp(-c^2 t/(2D)) underflows,
+    as the wave branch is, including where c^2 t/(2D) itself overflows."""
     a = params.c * params.cutoff * _finite_nonnegative(t, "time")
-    return np.exp(-a) * (1.0 + a)
+    damp = np.exp(-a)
+    return damp * (1.0 + np.where(damp > 0.0, a, 0.0))

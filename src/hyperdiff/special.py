@@ -155,25 +155,9 @@ def bessel_half_all(l_max: int, x) -> np.ndarray:
     return j * factor
 
 
-def bessel_half(l: int, x: float) -> float:
-    """J_{l+1/2}(x) for a single order; exact 0 at x = 0 for every l >= 0."""
-    return float(bessel_half_all(l, float(x))[l])
-
-
 def _bessel_half_neg(x):
     """J_{-1/2}(x) = sqrt(2/(pi x)) cos(x); x scalar or array."""
     return np.sqrt(2.0 / (math.pi * x)) * np.cos(x)
-
-
-def bessel_half_derivative(l: int, x: float) -> float:
-    """d/dx J_{l+1/2}(x) = (J_{l-1/2}(x) - J_{l+3/2}(x)) / 2 for x > 0."""
-    if l < 0:
-        raise ValueError(f"order must be >= 0, got {l}")
-    if not x > 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
-    upper = bessel_half_all(l + 1, float(x))
-    lower = float(_bessel_half_neg(x)) if l == 0 else float(upper[l - 1])
-    return 0.5 * (lower - float(upper[l + 1]))
 
 
 def legendre_all(l_max: int, x) -> np.ndarray:
@@ -190,11 +174,6 @@ def legendre_all(l_max: int, x) -> np.ndarray:
     for l in range(1, l_max):
         out[l + 1] = ((2 * l + 1) * x_arr * out[l] - l * out[l - 1]) / (l + 1)
     return out
-
-
-def legendre_p(l: int, x: float) -> float:
-    """The degree-l Legendre polynomial at x in [-1, 1]."""
-    return float(legendre_all(l, float(x))[l])
 
 
 def norm_plm_blocks(l_count: int, theta):
@@ -248,18 +227,6 @@ def sph_harm_all(l_count: int, theta: float, phi: float) -> np.ndarray:
         y[l, half:half + l + 1] = block * phase[:l + 1]
     y[:, :half] = (-1.0) ** np.arange(half, 0, -1) * np.conj(y[:, :half:-1])
     return y
-
-
-def sph_harm(l: int, m: int, theta: float, phi: float) -> complex:
-    """Complex spherical harmonic Y_lm(theta, phi), orthonormal on the sphere.
-
-    Satisfies conj(Y_lm) = (-1)^m Y_{l,-m}.
-    """
-    if l < 0 or abs(m) > l:
-        raise ValueError(f"invalid harmonic index (l={l}, m={m})")
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
-    return complex(sph_harm_all(l + 1, theta, phi)[l, l + m])
 
 
 def log_gamma(x: float) -> float:

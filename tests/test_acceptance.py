@@ -22,7 +22,7 @@ from hyperdiff.field_sim import simulate_ensemble, empirical_spectrum, \
 from hyperdiff.kernel import transfer, transfer_diffusive, transfer_wave, \
     wave_bound
 from hyperdiff.measure import DiffusionParams, PowerLawSegment, SpectralMeasure
-from hyperdiff.special import bessel_half, bessel_half_derivative
+from hyperdiff.special import bessel_half_all
 from hyperdiff.spectrum import (angular_spectrum, finite_variance_check,
                                 tail_sum_direct, tail_sum_lommel)
 
@@ -106,9 +106,12 @@ def test_criterion_04_von_lommel():
         for mu in [0.5, 1.0, 5.0, 20.0]:
             ls = np.arange(l_start, 61)
             brute = float(np.sum((2 * ls + 1) * sp.jv(ls + 0.5, mu) ** 2))
+            # j[k] = J_{k-1/2}(mu); d/dx J_{l+1/2} = (J_{l-1/2} - J_{l+3/2}) / 2
+            j = np.concatenate([[math.sqrt(2.0 / (math.pi * mu)) * math.cos(mu)],
+                                bessel_half_all(l_start + 1, mu)])
             closed = mu ** 2 * (
-                bessel_half(l_start - 1, mu) * bessel_half_derivative(l_start, mu)
-                - bessel_half(l_start, mu) * bessel_half_derivative(l_start - 1, mu)
+                j[l_start] * 0.5 * (j[l_start] - j[l_start + 2])
+                - j[l_start + 1] * 0.5 * (j[l_start - 1] - j[l_start + 1])
             )
             ok &= abs(brute - closed) <= 1e-10 * abs(closed)
     # library tail sums on three measures

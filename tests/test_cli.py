@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperdiff import entropy1d, field_sim
+from hyperdiff import cli, entropy1d, field_sim
 from hyperdiff.cli import main
 from hyperdiff.covariance import MAX_LAGS, covariance_legendre
 from hyperdiff.field_sim import grid_from_binary, simulate_coefficients, synthesize
@@ -603,6 +603,25 @@ def test_help_and_version_exit_0(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(), "unexpected error: MemoryError\n"),
+    (RecursionError("maximum recursion depth exceeded"),
+     "unexpected error: RecursionError: maximum recursion depth exceeded\n"),
+])
+def test_unexpected_error_is_one_line(error, line, atom_config, tmp_path, capsys,
+                                      monkeypatch):
+    def failing(settings, out):
+        Path(out, "memory.csv").write_text("h,integrated_abs_cov\r\n")
+        raise error
+    monkeypatch.setitem(cli._RUNNERS, "memory", failing)
+    out = tmp_path / "run"
+    assert main(["memory", "--config", atom_config, "--hmax", "10",
+                 "--out", str(out / "nested")]) == 5
+    assert capsys.readouterr().err == line
+    assert not out.exists()
+    assert os.listdir(tmp_path) == ["atom.json"]
+
+
 class TestManifestAndRerun:
     def test_manifest_fields(self, atom_config, tmp_path):
         out = str(tmp_path / "run")
@@ -661,3 +680,24 @@ class TestThreadEnv:
             assert proc.returncode == 0, proc.stderr
             outs.append(read_outputs(out))
         assert len(outs[0]) == 5 and outs[0] == outs[1]
+
+    def test_memory_bitwise_under_blas_threads(self, tmp_path, run_cli_child):
+        # 30082 lags: the time-lag quadrature takes (173 x 42) @ (42 x 174)
+        # products per panel, a size whose unsplit product changed the last
+        # bits of R between 1 and 2 BLAS threads. The cumulative trapezoid
+        # absorbed those changes here; test_covariance compares R itself.
+        config = tmp_path / "segment.json"
+        config.write_text(json.dumps({
+            "params": {"c": 1.0, "D": 1.0},
+            "measure": {"atoms": [], "segments": [
+                {"lo": 0.0, "hi": 3.0, "amplitude": 1.0, "exponent": 0.9}]},
+        }))
+        args = ["memory", "--config", str(config), "--t", "0.2", "--hmax", "6300"]
+        outs = []
+        for threads in (1, 2):
+            out = str(tmp_path / f"blas{threads}")
+            proc = run_cli_child(args + ["--out", out], threads)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(read_outputs(out))
+        assert outs[0]["memory.csv"].count(b"\n") == 1 + 30082
+        assert outs[0] == outs[1]

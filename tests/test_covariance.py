@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from hyperdiff import _quad
 from hyperdiff.covariance import (MAX_LAGS, MemoryClass, angular_mse,
                                   covariance_legendre, covariance_spectral,
                                   covariance_time_lags, integrated_abs_covariance,
@@ -279,6 +280,34 @@ class TestIntegratedAbsCovariance:
         for k in picks:
             direct = covariance_spectral(0.2, 0.6 + lags[k], 0.6, m, p)
             assert abs(values[k] - direct) <= 1e-9 * scale
+
+    def test_lags_never_form_node_values(self, monkeypatch):
+        # the dense rule stores every node's value at every lag
+        def dense_rule(*args):
+            raise AssertionError("time lags went through the dense rule")
+        monkeypatch.setattr(_quad, "_gk21", dense_rule)
+        values = covariance_time_lags(0.2, 0.6, np.linspace(0.0, 12.0, 1001),
+                                      MIXED, P11)
+        assert values.shape == (1001,) and np.all(np.isfinite(values))
+
+    def test_lags_bitwise_under_blas_threads(self, run_python_child):
+        # 30001 lags make (173 x 42) @ (42 x 174) panel products, whose
+        # last bits depended on the BLAS thread count when taken unsplit
+        code = (
+            "import hashlib, numpy as np\n"
+            "from hyperdiff.covariance import covariance_time_lags\n"
+            "from hyperdiff.measure import (DiffusionParams, PowerLawSegment,\n"
+            "                               SpectralMeasure)\n"
+            "m = SpectralMeasure(segments=(PowerLawSegment(0.0, 3.0, 1.0, 0.9),))\n"
+            "v = covariance_time_lags(0.0, 0.2, np.linspace(0.0, 15.0, 30001), m,\n"
+            "                         DiffusionParams(1.0, 1.0))\n"
+            "print(v.size, hashlib.sha256(v.tobytes()).hexdigest())\n")
+        digests = []
+        for threads in (1, 2):
+            proc = run_python_child(code, threads)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0].startswith("30001 ") and digests[0] == digests[1]
 
     def test_lag_array_shape_kept(self):
         assert covariance_time_lags(0.0, 0.0, np.array([]), MIXED, P11).shape == (0,)

@@ -15,7 +15,7 @@ from hyperdiff.field_sim import (CoefficientSet, _draw, atomize, derive_run_seed
                                  truncation_error_mc)
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, PowerLawSegment, SpectralMeasure
-from hyperdiff.special import sph_harm, sph_harm_all
+from hyperdiff.special import sph_harm_all
 from hyperdiff.spectrum import angular_spectrum
 
 P11 = DiffusionParams(c=1.0, D=1.0)
@@ -188,14 +188,10 @@ class TestSynthesize:
         cs = simulate_coefficients(5, (0.2,), ATOMS3, P11, seed=21)
         grid = synthesize(cs, 0, 5, 8)
         thetas, phis = grid.thetas(), grid.phis()
-        half = cs.degree_count - 1
         for j in [0, 2, 4]:
             for k in [0, 3, 7]:
-                direct = sum(
-                    (cs.coeffs[0, l, half + m] *
-                     sph_harm(l, m, float(thetas[j]), float(phis[k]))).real
-                    for l in range(5) for m in range(-l, l + 1)
-                )
+                direct = (cs.coeffs[0] * sph_harm_all(
+                    5, float(thetas[j]), float(phis[k]))).sum().real
                 assert grid.values[j, k] == pytest.approx(direct, rel=1e-10,
                                                           abs=1e-12)
 
@@ -234,16 +230,11 @@ class TestSynthesize:
                                 n_runs=n_runs)
         from hyperdiff.covariance import covariance_spectral
         theory = covariance_spectral(gamma, 0.0, 0.0, ATOMS3, P11)
-        half = 3
         for (theta1, phi1), _ in pairs:
             # rotate the second point gamma away along the meridian
             theta2 = theta1 + gamma if theta1 + gamma < math.pi else theta1 - gamma
-            y1 = np.zeros((4, 7), dtype=complex)
-            y2 = np.zeros((4, 7), dtype=complex)
-            for l in range(4):
-                for m in range(-l, l + 1):
-                    y1[l, half + m] = sph_harm(l, m, theta1, phi1)
-                    y2[l, half + m] = sph_harm(l, m, theta2, phi1)
+            y1 = sph_harm_all(4, theta1, phi1)
+            y2 = sph_harm_all(4, theta2, phi1)
             v1 = np.array([(cs.coeffs[0] * y1).sum().real for cs in ens])
             v2 = np.array([(cs.coeffs[0] * y2).sum().real for cs in ens])
             prod = v1 * v2
@@ -408,9 +399,9 @@ class TestRadialCoefficient:
         assert radial_coefficient(0, 2.0, 1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_unit_radius_matches_weight(self):
-        from hyperdiff.special import bessel_half
+        from hyperdiff.special import bessel_half_all
         assert radial_coefficient(3, 2.5, 1.0) == pytest.approx(
-            bessel_half(3, 2.5) / math.sqrt(2.5), rel=1e-13)
+            bessel_half_all(3, 2.5)[3] / math.sqrt(2.5), rel=1e-13)
 
     def test_scale_invariance(self):
         assert radial_coefficient(4, 2.0, 1.5) == pytest.approx(

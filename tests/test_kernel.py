@@ -108,6 +108,15 @@ class TestBounds:
             t = float(rng.uniform(0.0, 20.0))
             assert abs(transfer_wave(mu, t, p)) <= wave_bound(t, p) + 1e-12
 
+    def test_wave_envelope_where_damping_underflows(self):
+        # c^2 t/(2D) = 2e308 overflows; the envelope's limit is 0, as
+        # transfer_wave gives, not 0 * inf (warnings are errors here)
+        p = DiffusionParams(c=2.0, D=1.0)
+        assert wave_bound(1e308, p) == 0.0
+        assert transfer_wave(3.0, 1e308, p) == 0.0
+        np.testing.assert_array_equal(
+            wave_bound(np.array([0.0, 1e3, 1e308]), p), [1.0, 0.0, 0.0])
+
     def test_support_gap_exponential_decay(self):
         # for mu >= delta the diffusive branch obeys the explicit envelope
         delta = 0.3

@@ -6,6 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec
 
 from hyperdiff.exceptions import AccuracyError
@@ -298,6 +300,24 @@ class TestFiniteVariance:
         assert not report.converged
 
 
+def rank2_integrand(rng, kink):
+    """A random (J, B) integrand of rank 2 with a kink at `kink`, as the
+    factor pair (rows, cols) and as one dense array with nodes last."""
+    n_rows, n_cols = (int(n) for n in rng.integers(1, 7, size=2))
+    left, right = rng.normal(size=(n_rows, 2)), rng.normal(size=(2, n_cols))
+    freq, rate = rng.uniform(0.5, 6.0, size=2), rng.uniform(0.0, 2.0, size=2)
+
+    def factors(x):
+        rows = np.stack([np.cos(freq[0] * x), np.abs(x - kink) ** 1.5], axis=-1)
+        cols = np.stack([np.exp(-rate[0] * x), np.sin(freq[1] * x) + rate[1]], axis=-1)
+        return left * rows[:, None, :], cols[:, :, None] * right
+
+    def dense(x):
+        rows, cols = factors(x)
+        return np.moveaxis(rows @ cols, 0, -1)
+    return factors, dense
+
+
 class TestQuadWrapper:
     def test_nonconvergence_carries_estimate(self):
         with pytest.raises(AccuracyError) as err:
@@ -317,6 +337,34 @@ class TestQuadWrapper:
         with pytest.raises(AccuracyError) as err:
             integrate_vector(nan_once, 0.0, 1.0)
         assert not math.isfinite(err.value.error)
+
+    def test_nan_in_factors_raises(self):
+        calls = []
+
+        def nan_once(x):
+            calls.append(x.size)
+            rows = np.stack([np.cos(x), np.sin(x)], axis=-1)[:, None, :]
+            if len(calls) == 3:
+                rows[0, 0, 0] = np.nan
+            return rows, np.ones((x.size, 2, 3))
+        with pytest.raises(AccuracyError) as err:
+            integrate_vector(nan_once, 0.0, 1.0)
+        assert len(calls) == 3
+        assert not math.isfinite(err.value.error)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), split=st.booleans())
+    def test_factored_rule_matches_dense_rule(self, seed, split):
+        # the kink sits on a breakpoint inside the segment, or outside it
+        rng = np.random.default_rng(seed)
+        lo = float(rng.uniform(0.0, 2.0))
+        hi = lo + float(rng.uniform(0.5, 5.0))
+        kink = float(rng.uniform(lo, hi)) if split else lo - 1.0
+        factors, dense = rank2_integrand(rng, kink)
+        got = integrate_vector(factors, lo, hi, breakpoints=(kink,))
+        expected = integrate_vector(dense, lo, hi, breakpoints=(kink,))
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
 
     def test_kink_at_breakpoint_against_quad_vec(self):
         powers = np.arange(6.0)[:, None]
@@ -376,6 +424,16 @@ class TestIntegrateMeasure:
                                * seg.amplitude * x ** seg.exponent),
                     seg.lo, seg.hi, points=pts, epsabs=0.0, epsrel=1e-13)[0]
             assert got[k] == pytest.approx(oracle, rel=1e-10, abs=1e-14)
+
+    def test_factored_integrand_matches_dense(self):
+        # atoms summed exactly from the factors, segments by the factored rule
+        factors, dense = rank2_integrand(np.random.default_rng(7), self.CUTOFF)
+        got = integrate_measure(factors, self.MIXED, breakpoints=(self.CUTOFF,))
+        expected = integrate_measure(dense, self.MIXED, breakpoints=(self.CUTOFF,))
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
+        empty = integrate_measure(factors, EMPTY)
+        assert empty.shape == expected.shape and np.all(empty == 0.0)
 
     def test_empty_measure_gives_zeros_of_integrand_shape(self):
         got = integrate_measure(self.f, EMPTY)
