@@ -5,10 +5,12 @@ settings, seed, tool version, output paths, and wall-clock duration; the
 `rerun` subcommand replays a manifest into a fresh output location, which for
 seeded commands reproduces the outputs bitwise. Each setting is declared once,
 as an argument whose dest is its settings key and whose converter and choices
-the command line and `rerun` both apply. A run writes into a temporary
-directory (inside --out if it exists, else in its nearest existing ancestor)
-and moves its files into --out only once everything succeeded, so a failed
-run leaves nothing behind.
+the command line and `rerun` both apply; the parser is built once per
+process. A run computes all its outputs first, without touching the disk;
+then one writer puts them and the manifest into a temporary directory
+(inside --out if it exists, else in its nearest existing ancestor), and the
+files move into --out only once everything was written, so a failed run
+leaves nothing behind.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical accuracy error,
 4 I/O error, 5 any other error (e.g. out of memory).
@@ -101,88 +103,85 @@ def _settings_config(settings: dict) -> tuple[DiffusionParams, SpectralMeasure]:
     return params_from_dict(cfg["params"]), measure_from_dict(cfg["measure"])
 
 
-def _write_csv(path: str, header: list[str], columns) -> None:
-    """A table from equal-length columns of Python numbers (from .tolist())
-    or plain strings, as csv's default dialect writes it: str of each field
-    (repr for a float), commas, CRLF after every line."""
+def _write_file(path: str, content) -> None:
+    """One output file: bytes as they are, or a (header, columns) table of
+    equal-length columns (numpy arrays, or lists of numbers or strings) as
+    csv's default dialect writes it: str of each field (repr for a float),
+    commas, CRLF after every line."""
+    if isinstance(content, bytes):
+        with open(path, "wb") as fh:
+            fh.write(content)
+        return
+    header, columns = content
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     lines = map(",".join, zip(*(map(str, column) for column in columns)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join([",".join(header), *lines]) + "\r\n")
 
 
 def _write_manifest(directory: str, subcommand: str, settings: dict,
-                    outputs: list[str], seed: int | None,
-                    started: float, extra: dict | None = None) -> None:
+                    outputs: list[str], started: float,
+                    result: dict | None) -> None:
     manifest = {
         "subcommand": subcommand,
         "tool_version": __version__,
         "settings": settings,
         "outputs": outputs,
-        "seed": seed,
+        "seed": settings.get("seed"),
         "duration_seconds": time.perf_counter() - started,
     }
-    if extra:
-        manifest["result"] = extra
+    if result:
+        manifest["result"] = result
     path = os.path.join(directory, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
 
 
-# --- subcommand implementations (settings dict -> output files) ---
+# --- subcommand implementations: settings -> ({file name: content}, result) ---
 
-def _run_kernel(settings: dict, out: str) -> tuple[list[str], dict | None]:
+def _run_kernel(settings: dict) -> tuple[dict, dict | None]:
     params = params_from_dict(settings["params"])
     mu, t = np.meshgrid(settings["mu"], settings["t"], indexing="ij")
     h = transfer(mu, t, params)
     below = mu <= params.cutoff
-    columns = [mu.ravel().tolist(), t.ravel().tolist(),
-               np.where(below, h, 0.0).ravel().tolist(),
-               np.where(below, 0.0, h).ravel().tolist(),
-               h.ravel().tolist()]
-    path = os.path.join(out, "kernel.csv")
-    _write_csv(path, ["mu", "t", "h1", "h2", "h"], columns)
-    return [path], None
+    return {"kernel.csv": (["mu", "t", "h1", "h2", "h"],
+                           [mu.ravel(), t.ravel(), np.where(below, h, 0.0).ravel(),
+                            np.where(below, 0.0, h).ravel(), h.ravel()])}, None
 
 
-def _run_spectrum(settings: dict, out: str) -> tuple[list[str], dict | None]:
+def _run_spectrum(settings: dict) -> tuple[dict, dict | None]:
     params, measure = _settings_config(settings)
     times = settings["times"]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("times must be strictly increasing")
     l_count = settings["l_count"]
     values = [angular_spectrum(l_count, t, t, measure, params).values for t in times]
-    t_column = np.repeat(times, l_count).tolist()
-    path = os.path.join(out, "spectrum.csv")
-    _write_csv(path, ["t", "t_prime", "l", "C_l"],
-               [t_column, t_column, list(range(l_count)) * len(times),
-                np.concatenate(values).tolist()])
-    return [path], None
+    t_column = np.repeat(times, l_count)
+    return {"spectrum.csv": (["t", "t_prime", "l", "C_l"],
+                             [t_column, t_column, np.tile(np.arange(l_count), len(times)),
+                              np.concatenate(values)])}, None
 
 
-def _run_covariance(settings: dict, out: str) -> tuple[list[str], dict | None]:
+def _run_covariance(settings: dict) -> tuple[dict, dict | None]:
     params, measure = _settings_config(settings)
     gammas, route = settings["gammas"], settings["route"]
     args = (np.array(gammas), settings["t"], settings["t_prime"], measure, params)
-    path = os.path.join(out, "covariance.csv")
     if route != "legendre":
         spectral = covariance_spectral(*args)
     if route != "spectral":
         lc = covariance_legendre(*args, settings["l_count"])
+        remainder = [lc.remainder] * len(gammas)
     if route == "spectral":
-        _write_csv(path, ["gamma", "R"], [gammas, spectral.tolist()])
+        table = (["gamma", "R"], [gammas, spectral])
     elif route == "legendre":
-        _write_csv(path, ["gamma", "R", "remainder"],
-                   [gammas, lc.value.tolist(), [lc.remainder] * len(gammas)])
+        table = (["gamma", "R", "remainder"], [gammas, lc.value, remainder])
     else:
-        _write_csv(path, ["gamma", "R_spectral", "R_legendre", "remainder",
-                          "discrepancy"],
-                   [gammas, spectral.tolist(), lc.value.tolist(),
-                    [lc.remainder] * len(gammas),
-                    np.abs(spectral - lc.value).tolist()])
-    return [path], None
+        table = (["gamma", "R_spectral", "R_legendre", "remainder", "discrepancy"],
+                 [gammas, spectral, lc.value, remainder, np.abs(spectral - lc.value)])
+    return {"covariance.csv": table}, None
 
 
-def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
+def _run_simulate(settings: dict) -> tuple[dict, dict | None]:
     params, measure = _settings_config(settings)
     degree_count = settings["degree_count"]
     times = settings["times"]
@@ -199,7 +198,7 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
             degree_count, times, measure, params, master_seed=seed,
             n_runs=n_runs, n_quad=n_quad,
         )
-    outputs = []
+    outputs = {}
 
     cs = field_sim.simulate_coefficients(degree_count, times, measure, params,
                                          seed=seed, n_quad=n_quad)
@@ -207,26 +206,20 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
     ls, ms = np.indices((degree_count, 2 * degree_count - 1))
     ms -= degree_count - 1
     kept = np.abs(ms) <= ls
-    ls, ms = ls[kept].tolist(), ms[kept].tolist()
-    for ti, t in enumerate(times):
-        cpath = os.path.join(out, f"coefficients_t{ti}.csv")
+    ls, ms = ls[kept], ms[kept]
+    for ti in range(len(times)):
         values = cs.coeffs[ti][kept]
-        _write_csv(cpath, ["l", "m", "re", "im"],
-                   [ls, ms, values.real.tolist(), values.imag.tolist()])
-        outputs.append(cpath)
-
+        outputs[f"coefficients_t{ti}.csv"] = (["l", "m", "re", "im"],
+                                              [ls, ms, values.real, values.imag])
         grid = field_sim.synthesize(cs, ti, n_theta, n_phi)
         if settings["format"] == "bin":
-            fpath = os.path.join(out, f"field_t{ti}.bin")
-            with open(fpath, "wb") as fh:
-                fh.write(field_sim.grid_to_binary(grid))
+            outputs[f"field_t{ti}.bin"] = field_sim.grid_to_binary(grid)
         else:
-            fpath = os.path.join(out, f"field_t{ti}.csv")
-            _write_csv(fpath, ["theta", "phi", "value"],
-                       [np.repeat(grid.thetas(), n_phi).tolist(),
-                        np.tile(grid.phis(), n_theta).tolist(),
-                        grid.values.ravel().tolist()])
-        outputs.append(fpath)
+            if ti == 0:  # all tables are held until written: share one copy
+                thetas = np.repeat(grid.thetas(), n_phi)
+                phis = np.tile(grid.phis(), n_theta)
+            outputs[f"field_t{ti}.csv"] = (["theta", "phi", "value"],
+                                           [thetas, phis, grid.values.ravel()])
 
     if ensemble is not None:
         value, std_error = field_sim._spectrum_estimate(
@@ -235,49 +228,39 @@ def _run_simulate(settings: dict, out: str) -> tuple[list[str], dict | None]:
         atomic = field_sim.atomize(measure, n_quad)
         theory = [angular_spectrum(degree_count, t, t, atomic, params).values
                   for t in times]
-        epath = os.path.join(out, "empirical_spectrum.csv")
-        _write_csv(epath, ["t", "l", "estimate", "std_error", "theory"],
-                   [np.repeat(times, degree_count).tolist(),
-                    list(range(degree_count)) * len(times),
-                    value.ravel().tolist(), std_error.ravel().tolist(),
-                    np.concatenate(theory).tolist()])
-        outputs.append(epath)
+        outputs["empirical_spectrum.csv"] = (
+            ["t", "l", "estimate", "std_error", "theory"],
+            [np.repeat(times, degree_count), np.tile(np.arange(degree_count), len(times)),
+             value.ravel(), std_error.ravel(), np.concatenate(theory)])
     return outputs, None
 
 
-def _run_memory(settings: dict, out: str) -> tuple[list[str], dict | None]:
+def _run_memory(settings: dict) -> tuple[dict, dict | None]:
     params, measure = _settings_config(settings)
     report = memory_classify(measure)
     h, cumulative = integrated_abs_covariance(
         settings["t"], settings["h_max"], measure, params,
         gamma=settings["gamma"],
     )
-    path = os.path.join(out, "memory.csv")
-    _write_csv(path, ["h", "integrated_abs_cov"], [h.tolist(), cumulative.tolist()])
     result = {
         "classification": report.classification.value,
         "origin_exponent": report.origin_exponent,
     }
     print(f"classification: {report.classification.value}")
-    return [path], result
+    return {"memory.csv": (["h", "integrated_abs_cov"], [h, cumulative])}, result
 
 
-def _run_entropy1d(settings: dict, out: str) -> tuple[list[str], dict | None]:
+def _run_entropy1d(settings: dict) -> tuple[dict, dict | None]:
     # The other settings keys are run_experiment's keywords.
     kwargs = {key: value for key, value in settings.items() if key != "experiment"}
     result = entropy1d.run_experiment(settings["experiment"], **kwargs)
-    outputs = []
-    tpath = os.path.join(out, "entropy.csv")
-    entropy = result.trace.entropy.tolist()
-    _write_csv(tpath, ["t", "entropy", "computable"],
-               [result.trace.times.tolist(),
-                ["" if math.isnan(s) else s for s in entropy],
-                [0 if math.isnan(s) else 1 for s in entropy]])
-    outputs.append(tpath)
+    entropy = result.trace.entropy
+    outputs = {"entropy.csv": (["t", "entropy", "computable"],
+                               [result.trace.times,
+                                ["" if math.isnan(s) else s for s in entropy.tolist()],
+                                (~np.isnan(entropy)).astype(int)])}
     for idx, (t, x, q) in enumerate(result.snapshots):
-        spath = os.path.join(out, f"profile_{idx}.csv")
-        _write_csv(spath, ["x", "q"], [x.tolist(), q.tolist()])
-        outputs.append(spath)
+        outputs[f"profile_{idx}.csv"] = (["x", "q"], [x, q])
     return outputs, None
 
 
@@ -293,6 +276,7 @@ _RUNNERS = {
 
 def _execute(subcommand: str, settings: dict, out: str) -> int:
     started = time.perf_counter()
+    outputs, result = _RUNNERS[subcommand](settings)
     # The work directory sits in --out if it exists, else in its nearest
     # existing ancestor: the final renames stay on one file system, need no
     # write access above --out, and a failure creates nothing.
@@ -301,10 +285,10 @@ def _execute(subcommand: str, settings: dict, out: str) -> int:
         base = os.path.dirname(base)
     work = tempfile.mkdtemp(prefix=".hyperdiff-", dir=base)
     try:
-        outputs, extra = _RUNNERS[subcommand](settings, work)
-        names = [os.path.basename(p) for p in outputs]
-        _write_manifest(work, subcommand, settings, names,
-                        settings.get("seed"), started, extra)
+        for name, content in outputs.items():
+            _write_file(os.path.join(work, name), content)
+        names = list(outputs)
+        _write_manifest(work, subcommand, settings, names, started, result)
         os.makedirs(out, exist_ok=True)
         for name in names + ["manifest.json"]:
             os.replace(os.path.join(work, name), os.path.join(out, name))
@@ -397,7 +381,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def _manifest_values(path: str, commands: dict) -> tuple[str, dict]:
+# Built once per process: parsing leaves a parser as it was, and no run
+# changes a value it reads from settings (--grid's default list is shared).
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _manifest_values(path: str) -> tuple[str, dict]:
     """A manifest's subcommand and its settings by dest, each value through
     the converter and choices of its argument, unset ones at their default."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -408,7 +397,7 @@ def _manifest_values(path: str, commands: dict) -> tuple[str, dict]:
     if name not in _RUNNERS:
         raise ConfigError(f"manifest names unknown subcommand {name!r}")
     settings = manifest["settings"]
-    actions = {action.dest: action for action in commands[name]._actions
+    actions = {action.dest: action for action in _COMMANDS[name]._actions
                if action.dest not in ("help", "out")}
     for key in settings:
         if key not in actions:
@@ -447,11 +436,10 @@ def _settings(name: str, values: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.subcommand == "rerun":
-            name, values = _manifest_values(args.manifest, commands)
+            name, values = _manifest_values(args.manifest)
         else:
             name, values = args.subcommand, vars(args)
         return _execute(name, _settings(name, values), args.out)

@@ -178,10 +178,8 @@ def _draw(weights: np.ndarray, seeds, degrees: range):
                 alm = z_c @ w
                 alm[0] = z[0, :, 0] @ w
                 out[ti, row, half:half + l + 1] = alm
-                if l > 0:
-                    out[ti, row, half - l:half] = (
-                        signs[:l] * np.conj(alm[1:])
-                    )[::-1]
+        # a_{l,-m} = (-1)^m conj(a_lm), every degree and time at once.
+        out[..., :half] = signs[::-1] * np.conj(out[..., :half:-1])
         yield out
 
 

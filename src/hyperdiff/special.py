@@ -1,4 +1,4 @@
-"""Special functions: half-integer Bessel, Legendre, spherical harmonics, log-gamma.
+"""Special functions: half-integer Bessel, Legendre, spherical harmonics.
 
 Half-integer Bessel functions J_{l+1/2} are computed through the spherical
 Bessel functions j_l = sqrt(pi/(2x)) J_{l+1/2}. The three-term recurrence
@@ -227,10 +227,3 @@ def sph_harm_all(l_count: int, theta: float, phi: float) -> np.ndarray:
         y[l, half:half + l + 1] = block * phase[:l + 1]
     y[:, :half] = (-1.0) ** np.arange(half, 0, -1) * np.conj(y[:, :half:-1])
     return y
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)

@@ -37,7 +37,7 @@ import numpy as np
 from ._quad import integrate_measure
 from .kernel import transfer
 from .measure import DiffusionParams, SpectralMeasure
-from .special import _bessel_half_neg, bessel_half_all, log_gamma
+from .special import _bessel_half_neg, bessel_half_all
 
 _TWO_PI_SQ = 2.0 * math.pi ** 2
 DEFAULT_DEGREE_CAP = 4096
@@ -217,7 +217,7 @@ def tail_bound_gamma(l_start: int, measure: SpectralMeasure,
     log_pref = (
         math.log(_TWO_PI_SQ)
         - (2 * l_start - 3) * math.log(2.0)
-        - 2.0 * log_gamma(l_start - 0.5)
+        - 2.0 * math.lgamma(l_start - 0.5)
     )
     low_exp = 2 * l_start - 2
     high_exp = 2 * l_start + 4

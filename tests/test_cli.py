@@ -304,12 +304,16 @@ class TestSimulateCommand:
                    "--grid", "4x8", "--times", "0", "--out", str(tmp_path / "o")])
         assert rc == 2
 
-    def test_failed_run_leaves_nothing(self, atom_config, tmp_path):
-        # a 1x1 grid fails in synthesis, after the coefficients were written
+    def test_failed_run_leaves_nothing(self, atom_config, tmp_path, monkeypatch):
+        # a 1x1 grid fails in synthesis, before anything is written, so not
+        # even a work directory is made
+        made = []
+        monkeypatch.setattr(tempfile, "mkdtemp", lambda **kwargs: made.append(kwargs))
         out = tmp_path / "o"
         rc = main(["simulate", "--config", atom_config, "--lmax", "3",
                    "--grid", "1x1", "--times", "0", "--out", str(out / "nested")])
         assert rc == 2
+        assert made == []
         assert not out.exists()
         assert os.listdir(tmp_path) == ["atom.json"]
 
@@ -610,8 +614,7 @@ def test_help_and_version_exit_0(capsys):
 ])
 def test_unexpected_error_is_one_line(error, line, atom_config, tmp_path, capsys,
                                       monkeypatch):
-    def failing(settings, out):
-        Path(out, "memory.csv").write_text("h,integrated_abs_cov\r\n")
+    def failing(settings):
         raise error
     monkeypatch.setitem(cli._RUNNERS, "memory", failing)
     out = tmp_path / "run"
@@ -620,6 +623,56 @@ def test_unexpected_error_is_one_line(error, line, atom_config, tmp_path, capsys
     assert capsys.readouterr().err == line
     assert not out.exists()
     assert os.listdir(tmp_path) == ["atom.json"]
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (OSError("disk full"), 4, "i/o error: disk full\n"),
+    (MemoryError(), 5, "unexpected error: MemoryError\n"),
+])
+def test_write_failure_leaves_nothing(error, code, line, atom_config, tmp_path,
+                                      capsys, monkeypatch):
+    # the first output is written, the second fails: neither --out nor the
+    # work directory with the first file is left
+    written = []
+    real_write = cli._write_file
+
+    def failing_write(path, content):
+        if written:
+            raise error
+        real_write(path, content)
+        written.append(path)
+    monkeypatch.setattr(cli, "_write_file", failing_write)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", atom_config, "--lmax", "2", "--grid", "4x8",
+                 "--times", "0", "--out", str(out / "nested")]) == code
+    assert capsys.readouterr().err == line
+    assert len(written) == 1 and not os.path.exists(written[0])
+    assert not out.exists()
+    assert os.listdir(tmp_path) == ["atom.json"]
+
+
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    def no_build():
+        raise AssertionError("parser rebuilt")
+    monkeypatch.setattr(cli, "_build_parser", no_build)
+    out = tmp_path / "kernel"
+    assert main(["kernel", "--c", "1", "--D", "1", "--mu", "1", "--t", "1",
+                 "--out", str(out)]) == 0
+    assert main(["rerun", str(out / "manifest.json"),
+                 "--out", str(tmp_path / "again")]) == 0
+    assert read_outputs(out) == read_outputs(tmp_path / "again")
+
+
+def test_shared_grid_default_left_unchanged(atom_config, tmp_path):
+    (grid,) = [action for action in cli._COMMANDS["simulate"]._actions
+               if action.dest == "grid"]
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["simulate", "--config", atom_config, "--lmax", "2",
+                     "--times", "0", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["settings"]["grid"] == [32, 64]
+    assert grid.default == [32, 64]
 
 
 class TestManifestAndRerun:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hyperdiff.special import (bessel_half_all, legendre_all, log_gamma,
+from hyperdiff.special import (bessel_half_all, legendre_all,
                                norm_plm_blocks, sph_harm_all)
 
 
@@ -306,21 +306,3 @@ class TestSphHarm:
                      (3, 0.5, math.inf), (3, 0.5, math.nan)]:
             with pytest.raises(ValueError):
                 sph_harm_all(*args)
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_against_scipy(self):
-        for x in np.geomspace(1e-3, 500.0, 57):
-            assert log_gamma(float(x)) == pytest.approx(float(sp.gammaln(x)),
-                                                        rel=1e-12, abs=1e-13)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-2.0)
