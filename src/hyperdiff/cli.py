@@ -155,11 +155,11 @@ def _run_spectrum(settings: dict) -> tuple[dict, dict | None]:
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("times must be strictly increasing")
     l_count = settings["l_count"]
-    values = [angular_spectrum(l_count, t, t, measure, params).values for t in times]
+    spec = angular_spectrum(l_count, times, times, measure, params)
     t_column = np.repeat(times, l_count)
     return {"spectrum.csv": (["t", "t_prime", "l", "C_l"],
                              [t_column, t_column, np.tile(np.arange(l_count), len(times)),
-                              np.concatenate(values)])}, None
+                              spec.values.ravel()])}, None
 
 
 def _run_covariance(settings: dict) -> tuple[dict, dict | None]:
@@ -226,12 +226,11 @@ def _run_simulate(settings: dict) -> tuple[dict, dict | None]:
             np.stack([member.coeffs for member in ensemble]),
             2 * np.arange(degree_count) + 1)
         atomic = field_sim.atomize(measure, n_quad)
-        theory = [angular_spectrum(degree_count, t, t, atomic, params).values
-                  for t in times]
+        theory = angular_spectrum(degree_count, times, times, atomic, params)
         outputs["empirical_spectrum.csv"] = (
             ["t", "l", "estimate", "std_error", "theory"],
             [np.repeat(times, degree_count), np.tile(np.arange(degree_count), len(times)),
-             value.ravel(), std_error.ravel(), np.concatenate(theory)])
+             value.ravel(), std_error.ravel(), theory.values.ravel()])
     return outputs, None
 
 

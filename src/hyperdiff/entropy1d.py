@@ -101,9 +101,10 @@ def _profile_blocks(md: ModeDecomposition, x: np.ndarray, times: np.ndarray):
 def decompose_initial(u0, half_length: float, n_modes: int) -> ModeDecomposition:
     """Cosine decomposition of an even profile sampled uniformly on [-L, L].
 
-    u0 must be sampled on the inclusive uniform grid x_j = -L + 2L j / (N-1);
-    its odd part must vanish to tolerance. The profile starts at rest (zero
-    initial velocity), so each mode evolves by the transfer-factor clock.
+    u0 must be finite and sampled on the inclusive uniform grid
+    x_j = -L + 2L j / (N-1); its odd part must vanish to tolerance. The
+    profile starts at rest (zero initial velocity), so each mode evolves by
+    the transfer-factor clock.
     """
     L = _check_half_length(half_length)
     if n_modes < 1:
@@ -111,6 +112,8 @@ def decompose_initial(u0, half_length: float, n_modes: int) -> ModeDecomposition
     samples = np.asarray(u0, dtype=float)
     if samples.ndim != 1 or samples.size < 3:
         raise ValueError("u0 must be a 1D array of at least 3 samples")
+    if not np.all(np.abs(samples) < np.inf):  # NaN fails it too
+        raise ValueError("u0 must be finite")
     if samples.size - 1 < 2 * n_modes:
         raise ValueError(
             f"{samples.size} samples cannot resolve {n_modes} modes; "

@@ -69,15 +69,28 @@ def atomize(measure: SpectralMeasure, n_quad: int = 64) -> SpectralMeasure:
     return SpectralMeasure(atoms=tuple(atoms))
 
 
-def _check_int(name: str, value, bits: int) -> int:
-    """value as a Python int; ValueError unless it is an integer in [0, 2**bits)."""
+def _index(name: str, value) -> int:
+    """value as a Python int; ValueError unless it is an integer."""
     try:
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_int(name: str, value, bits: int) -> int:
+    """value as a Python int; ValueError unless it is an integer in [0, 2**bits)."""
+    value = _index(name, value)
     if not 0 <= value < 1 << bits:
         raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
     return value
+
+
+def _check_degree(l, degree_count: int) -> int:
+    """l as a Python int; ValueError unless it is a degree in [0, degree_count)."""
+    l = _index("degree l", l)
+    if not 0 <= l < degree_count:
+        raise ValueError(f"degree l must lie in [0, {degree_count}), got {l}")
+    return l
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:
@@ -114,6 +127,7 @@ class CoefficientSet:
         raise ValueError(f"time {time} not among simulated times {self.times}")
 
     def coefficient(self, l: int, m: int, time_index: int) -> complex:
+        l = _check_degree(l, self.degree_count)
         return complex(self.coeffs[time_index, l, self.order_index(m)])
 
     def truncated(self, degree_count: int) -> "CoefficientSet":
@@ -138,8 +152,6 @@ def _weights(degree_count: int, times, atomic: SpectralMeasure,
     times = tuple(float(t) for t in times)
     if not times:
         raise ValueError("need at least one time")
-    if any(t < 0 for t in times):
-        raise ValueError("times must be >= 0")
     mus = np.array([mu for mu, _ in atomic.atoms])
     sigmas = np.sqrt([mass for _, mass in atomic.atoms])
     jmat = bessel_half_all(degree_count - 1, mus)
@@ -307,6 +319,7 @@ def empirical_spectrum(ensemble, l: int, time: float) -> EmpiricalSpectrum:
     ensemble = list(ensemble)
     if len(ensemble) < 2:
         raise ValueError("need an ensemble of at least 2 runs")
+    l = _check_degree(l, min(cs.degree_count for cs in ensemble))
     rows = np.stack([cs.coeffs[cs.time_index(time), l,
                                cs.degree_count - 1 - l:cs.degree_count + l]
                      for cs in ensemble])

@@ -47,7 +47,8 @@ _TAIL_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AngularSpectrum:
-    """C_l(t, t') for l = 0..len(values)-1 at a fixed pair of times."""
+    """C_l(t, t') for l = 0..l_count-1 at the times angular_spectrum was
+    given: one row of values per pair (t[i], t_prime[i]) for arrays."""
 
     params: DiffusionParams
     measure: SpectralMeasure
@@ -77,25 +78,25 @@ class FiniteVarianceReport:
     exp_moment_finite: bool
 
 
-def _cl_block(l_lo: int, l_hi: int, t: float, t_prime: float,
-              measure: SpectralMeasure, params: DiffusionParams,
-              rtol: float = 1e-9) -> np.ndarray:
-    """C_l values for l in [l_lo, l_hi)."""
+def _cl_block(l_lo: int, l_hi: int, t, t_prime, measure: SpectralMeasure,
+              params: DiffusionParams, rtol: float = 1e-9) -> np.ndarray:
+    """C_l for l in [l_lo, l_hi): (l,) for scalar times, (pairs, l) for
+    equal-length arrays, one quadrature for all rows, its tolerance relative
+    to the largest value over all rows; transfer checks the times."""
     def f(mu):
-        h = transfer(mu, [[t], [t_prime]], params)
-        return bessel_half_all(l_hi - 1, mu)[l_lo:] ** 2 * (h[0] * h[1] / mu)
+        h = transfer(mu, np.array([t, t_prime])[..., None], params)
+        return bessel_half_all(l_hi - 1, mu)[l_lo:] ** 2 * (h[0] * h[1] / mu)[..., None, :]
     return _TWO_PI_SQ * integrate_measure(f, measure, rtol=rtol,
                                           breakpoints=(params.cutoff,))
 
 
-def angular_spectrum(l_count: int, t: float, t_prime: float,
-                     measure: SpectralMeasure, params: DiffusionParams,
-                     rtol: float = 1e-9) -> AngularSpectrum:
-    """Spectrum C_l(t, t') for l = 0..l_count-1."""
+def angular_spectrum(l_count: int, t, t_prime, measure: SpectralMeasure,
+                     params: DiffusionParams, rtol: float = 1e-9) -> AngularSpectrum:
+    """Spectrum C_l(t, t') for l = 0..l_count-1; equal-length arrays of times
+    give one row per pair (t[i], t_prime[i]) from one quadrature, with rtol
+    relative to the largest value over all rows."""
     if l_count < 1:
         raise ValueError(f"need at least one degree, got {l_count}")
-    if t < 0 or t_prime < 0:
-        raise ValueError("times must be >= 0")
     values = _cl_block(0, l_count, t, t_prime, measure, params, rtol)
     return AngularSpectrum(params=params, measure=measure, t=t,
                            t_prime=t_prime, values=values)
@@ -177,7 +178,7 @@ def tail_sum_lommel(l_start: int, measure: SpectralMeasure,
 
     Evaluates 2 pi^2 * integral of mu * lommel_weight(L, mu) * transfer(mu, t)^2
     over G(d mu). A scalar t gives a float; an array gives one tail per time,
-    all from one quadrature.
+    all from one quadrature, with the tolerance relative to the largest tail.
     """
     if l_start < 1:
         raise ValueError("closed-form tail needs degree >= 1; "

@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -10,13 +13,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperdiff import cli, entropy1d, field_sim
+from hyperdiff import _quad, cli, entropy1d, field_sim
 from hyperdiff.cli import main
 from hyperdiff.covariance import MAX_LAGS, covariance_legendre
 from hyperdiff.field_sim import grid_from_binary, simulate_coefficients, synthesize
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, SpectralMeasure
 from hyperdiff.spectrum import c_l
+
+ROOT = Path(__file__).parent.parent
 
 
 @pytest.fixture
@@ -140,6 +145,22 @@ class TestSpectrumCommand:
                    "--times", "0.1,0.0", "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_all_times_from_one_quadrature(self, origin_segment_config, tmp_path,
+                                           monkeypatch):
+        calls = []
+        real = _quad.integrate_vector
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(_quad, "integrate_vector", counting)
+        out = str(tmp_path / "run")
+        assert main(["spectrum", "--config", origin_segment_config, "--lmax", "4",
+                     "--times", "0,0.5,2", "--out", out]) == 0
+        assert calls == [(0.0, 1.0)]
+        _, rows = read_csv(os.path.join(out, "spectrum.csv"))
+        assert [row[0] for row in rows[::4]] == ["0.0", "0.5", "2.0"]
+
 
 class TestCovarianceCommand:
     def test_gamma_zero_equals_variance(self, atom_config, tmp_path):
@@ -209,6 +230,9 @@ class TestCovarianceCommand:
     ["kernel", "--c", "1", "--D", "1", "--mu", "1", "--t", "inf"],
     ["spectrum", "--config", "{config}", "--lmax", "3", "--times", "nan"],
     ["spectrum", "--config", "{config}", "--lmax", "3", "--times", "0,inf"],
+    ["spectrum", "--config", "{config}", "--lmax", "3", "--times", "-1"],
+    ["simulate", "--config", "{config}", "--lmax", "3", "--times", "nan"],
+    ["simulate", "--config", "{config}", "--lmax", "3", "--times", "0,-1"],
     ["covariance", "--config", "{config}", "--gammas", "0.5", "--t", "nan"],
     ["covariance", "--config", "{config}", "--gammas", "0.5", "--t-prime", "inf"],
     ["memory", "--config", "{config}", "--hmax", "inf"],
@@ -265,6 +289,40 @@ def test_entropy1d_help_states_element_budget(capsys):
     assert main(["entropy1d", "--help"]) == 0
     assert f"at most {entropy1d.MAX_BASIS_ELEMENTS}" in " ".join(
         capsys.readouterr().out.split())
+
+
+def _readme_usage_and_schemas():
+    """The commands of README's CLI usage block, as argv lists after
+    `hyperdiff`, and its CSV schemas as {file name pattern: headers}."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(command) for command in block.replace("\\\n", " ").splitlines()
+                if command.strip() and not command.startswith("#")]
+    schemas = {}
+    section = text.split("### CSV schemas", 1)[1].split("\n\n", 2)[1]
+    for item in section.split("\n* "):
+        name, _, rest = item.lstrip("* ").partition(":")
+        pattern = re.escape(name.strip("`")).replace(r"\{i\}", r"\d+")
+        schemas[pattern] = [cols.split(",") for cols in re.findall(r"`([^`]*)`", rest)
+                            if re.fullmatch(r"\w+(,\w+)+", cols)]
+    return commands, schemas
+
+
+def test_readme_usage_runs_as_written(tmp_path, monkeypatch):
+    commands, schemas = _readme_usage_and_schemas()
+    assert len(commands) == 6 and len(schemas) == 9
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert argv[0] == "hyperdiff"
+        assert main(argv[1:]) == 0, argv
+    seen = set()
+    for path in sorted((tmp_path / "out").rglob("*.csv")):
+        (pattern,) = [p for p in schemas if re.fullmatch(p, path.name)]
+        header, _ = read_csv(path)
+        assert header in schemas[pattern], path.name
+        seen.add(pattern)
+    assert seen == set(schemas)
 
 
 @pytest.mark.parametrize("argv", [

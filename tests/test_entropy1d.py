@@ -64,6 +64,13 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose_initial(np.sin(x), L3PI, 4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        samples = np.full(401, 1.0 / (2 * L3PI))
+        samples[[0, -1]] = bad  # an even profile, so the odd-part check passes it
+        with pytest.raises(ValueError, match="u0"):
+            decompose_initial(samples, L3PI, 4)
+
     def test_undersampled_rejected(self):
         with pytest.raises(ValueError):
             decompose_initial(np.full(41, 1.0), L3PI, 30)

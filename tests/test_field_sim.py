@@ -340,6 +340,13 @@ class TestCoefficientSet:
         with pytest.raises(ValueError):
             cs.time_index(0.3)
 
+    @pytest.mark.parametrize("l", [-1, 3, 2.5])
+    def test_coefficient_degree_range(self, l):
+        cs = simulate_coefficients(3, (0.0,), ATOM1, P11, seed=1)
+        assert cs.coefficient(2, -1, 0) == cs.coeffs[0, 2, 1]
+        with pytest.raises(ValueError, match="degree l"):
+            cs.coefficient(l, 0, 0)
+
 
 class TestEmpiricalSpectrum:
     def test_single_atom_ratio_is_exact(self):
@@ -362,6 +369,12 @@ class TestEmpiricalSpectrum:
         cs = simulate_coefficients(3, (0.0,), ATOM1, P11, seed=1)
         with pytest.raises(ValueError):
             empirical_spectrum([cs], 1, 0.0)
+
+    @pytest.mark.parametrize("l", [-1, 4, 2.5])
+    def test_degree_range(self, l):
+        ens = simulate_ensemble(4, (0.0,), ATOM1, P11, master_seed=3, n_runs=2)
+        with pytest.raises(ValueError, match="degree l"):
+            empirical_spectrum(ens, l, 0.0)
 
 
 class TestHistogramEntropy:

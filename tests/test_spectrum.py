@@ -82,6 +82,24 @@ class TestCl:
             assert np.all(values >= 0.0)
             assert np.all(np.isfinite(values))
 
+    def test_time_arrays_match_scalar_calls(self):
+        # The cut-off 1/2 lies inside the segment. One call's tolerance is
+        # relative to its largest row, and the t = 20 row is 60 times smaller
+        # than the t = 0 row, so each row is held to 1e-9 of its own maximum.
+        m = SpectralMeasure(atoms=((4.0, 0.7),),
+                            segments=(PowerLawSegment(0.1, 3.0, 0.8, 0.5),))
+        times = np.array([0.0, 1.0, 5.0, 20.0])
+        spec = angular_spectrum(16, times, times[::-1], m, P11)
+        assert spec.values.shape == (4, 16)
+        assert spec.t is times
+        for row, t, tp in zip(spec.values, times, times[::-1]):
+            single = angular_spectrum(16, t, tp, m, P11).values
+            assert np.max(np.abs(row - single)) <= 1e-9 * np.max(np.abs(single))
+        diagonal = angular_spectrum(16, times, times, m, P11).values
+        for row, t in zip(diagonal, times):
+            single = angular_spectrum(16, t, t, m, P11).values
+            assert np.max(np.abs(row - single)) <= 1e-9 * np.max(single)
+
     def test_empty_measure(self):
         assert c_l(3, 0.5, 0.5, EMPTY, P11) == 0.0
 
@@ -90,6 +108,9 @@ class TestCl:
             c_l(-1, 0.0, 0.0, ATOM1, P11)
         with pytest.raises(ValueError):
             angular_spectrum(0, 0.0, 0.0, ATOM1, P11)
+        for t in (-1.0, math.nan, math.inf, [0.0, -1.0]):
+            with pytest.raises(ValueError):
+                angular_spectrum(4, t, t, ATOM1, P11)
         with pytest.raises(ValueError):
             angular_spectrum(4, -1.0, 0.0, ATOM1, P11)
 
