@@ -6,22 +6,21 @@ integrate_vector, an adaptive Gauss-Kronrod (G10, K21) integrator for
 vector-valued integrands. Its rule and error estimate are QUADPACK's
 (Piessens et al. 1983); its subdivision is global: each round bisects the
 panels with the largest error estimates together, error control on the
-dominant component (max norm). All nodes of a round go to the integrand
-as arrays, so the kernels only ever see arrays. Failure to reach the
-tolerance, or a non-finite result, raises AccuracyError carrying the
-achieved estimate instead of silently returning it.
+dominant component (max norm). The nodes of a round go to the integrand
+in calls of whole panels, so the kernels only ever see arrays, and each
+call is reduced before the next. Failure to reach the tolerance, or a
+non-finite result, raises AccuracyError carrying the achieved estimate
+instead of silently returning it.
 
-An integrand returns either an array with the node axis last (the dense
-rule, _gk21, which takes calls of at most _ELEMENTS_PER_CALL values), or a
-pair of factors, rows (nodes, J, K) and cols (nodes, K, B), whose value at
-a node is the (J, B) matrix rows @ cols. The factored rule, _gk21_factored,
-folds the weights into cols and takes each panel's Kronrod sum and its
-Kronrod-minus-Gauss difference as (J x 21K) @ (21K x B) products, so no
-node's value is ever formed. Its error estimate is the raw max |K - G|:
-QUADPACK's rescaling needs |value - mean| at every node, which does not
-factor, and for a resolved panel (200 |K - G| below that spread) the raw
-difference is the larger estimate. Its rounding bound takes
-|rows| @ |cols| in place of |value|.
+An integrand returns either an array with the node axis last, reduced by
+_dense_sums, or a pair of factors, rows (nodes, J, K) and cols
+(nodes, K, B), whose value at a node is the (J, B) matrix rows @ cols.
+_factored_sums folds the weights into cols and takes each panel's Kronrod
+sum and its Kronrod-minus-Gauss difference as (J x 21K) @ (21K x B)
+products, so no node's value is ever formed. Its error estimate is the raw
+max |K - G|: QUADPACK's rescaling needs |value - mean| at every node, which
+does not factor, and for a resolved panel (200 |K - G| below that spread)
+the raw difference is the larger estimate.
 """
 
 from __future__ import annotations
@@ -49,15 +48,12 @@ _NODES = np.array(_XK + [0.0] + [-x for x in _XK[::-1]])
 _WEIGHTS = np.array([_WK + _WK[-2::-1],
                      [w for g in _WG + _WG[::-1] for w in (0.0, g)] + [0.0]])
 
-# Output values per dense integrand call. The dense integrands (spectra,
-# spectral covariances, Lommel tails) have at most a few hundred values per
-# node, so a call carries hundreds of nodes and spreads the kernels' fixed
-# cost per call. The value was tuned on memory jobs, which now take the
-# factored rule.
-_ELEMENTS_PER_CALL = 2 ** 16
-# Panel sums per factored chunk: a chunk's (panels, J, B) integrals and the
-# products that give its errors are what the factored rule holds at once.
-_VALUES_PER_CHUNK = 2 ** 20
+# Values the integrand returns per call: its width per node for a dense
+# integrand, J*K + K*B per node for factors. A call carries as many whole
+# panels as fit, and at least one, so the kernels' fixed cost per call is
+# spread over many nodes while a call's values and their reduction stay
+# bounded.
+_VALUES_PER_CALL = 2 ** 20
 # Multiply-adds per GEMM of the factored rule. OpenBLAS runs a GEMM of at
 # most 2^18 of them on one thread; a larger one split over 2 threads gave
 # other last bits than on 1, so every product stays below this size.
@@ -66,73 +62,71 @@ _MAX_BISECT = 128
 _ATOL = 1e-15
 
 
-def _gk21(f, lo: np.ndarray, hi: np.ndarray, shape: tuple):
+def _dense_sums(values, ints: np.ndarray, stats: np.ndarray) -> None:
+    """Reduce an integrand's values at the nodes of k panels, node axis last,
+    to each panel's Kronrod sums, ints (k, width), and its stats (3, k): the
+    max |K - G|, the max Kronrod sum of |v| and QUADPACK's spread, the max
+    Kronrod sum of |v - mean|."""
+    panels = ints.shape[0]
+    v = np.reshape(values, (-1, 21))  # (width * panels, 21)
+    kg = v @ _WEIGHTS.T
+    kronrod = kg[:, 0].reshape(-1, panels)
+    ints[...] = kronrod.T
+    stats[0] = np.max(np.abs(kronrod - kg[:, 1].reshape(-1, panels)), axis=0,
+                      initial=0.0)
+    for i, dev in ((1, v), (2, v - 0.5 * kg[:, :1])):
+        stats[i] = np.max((np.abs(dev) @ _WEIGHTS[0]).reshape(-1, panels),
+                          axis=0, initial=0.0)
+
+
+def _factored_sums(factors, ints: np.ndarray, stats: np.ndarray) -> None:
+    """_dense_sums for factors (rows, cols): each panel's sums are products of
+    its rows, (J, 21K), with its weighted cols, (21K, B), each split along J
+    to stay within _SERIAL_GEMM multiply-adds. The rounding bound takes
+    |rows| @ |cols| in place of |v|, and the spread, never formed, stays 0."""
+    rows, cols = factors
+    panels, n_rows, n_cols = ints.shape[0], rows.shape[1], cols.shape[2]
+    inner = 21 * rows.shape[-1]
+    # (panel, J, node, K) and (panel, node, K, B): node-major inner index.
+    rows = rows.reshape(panels, 21, n_rows, -1).swapaxes(1, 2).reshape(
+        panels, n_rows, inner)
+    cols = cols.reshape(panels, 21, -1, n_cols)
+    kronrod, difference = (
+        (w[:, None, None] * cols).reshape(panels, inner, n_cols)
+        for w in (_WEIGHTS[0], _WEIGHTS[0] - _WEIGHTS[1]))
+    kronrod_abs = np.abs(kronrod)
+    ints = ints.reshape(panels, n_rows, n_cols)
+    block = max(1, _SERIAL_GEMM // max(inner * n_cols, 1))
+    for j in range(0, n_rows, block):
+        r = rows[:, j:j + block]
+        ints[:, j:j + block] = r @ kronrod
+        np.maximum(stats[0], np.max(np.abs(r @ difference), axis=(1, 2),
+                                    initial=0.0), out=stats[0])
+        np.maximum(stats[1], np.max(np.abs(r) @ kronrod_abs, axis=(1, 2),
+                                    initial=0.0), out=stats[1])
+
+
+def _gk21(f, lo: np.ndarray, hi: np.ndarray, reduce, per_node: int, width: int):
     """Integral and error estimate of each panel [lo, hi], and the summed
-    rounding error of all of them. The node values are stored node-major,
-    (nodes, width), and reduced in blocks of panels of about one call's size,
-    so each reduction reads contiguous rows that are still in cache."""
-    width = math.prod(shape)
+    rounding error of all of them. f gets whole panels, about
+    _VALUES_PER_CALL values and at least one panel per call, and reduce sums
+    each call's values before the next call. |K - G| is rescaled by the
+    spread where that is nonzero, and is at least the rounding bound."""
     half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi)[:, None] + half[:, None] * _NODES).ravel()
-    v = np.empty((x.size, width))
-    step = max(1, _ELEMENTS_PER_CALL // max(width, 1))
-    for i in range(0, x.size, step):
-        v[i:i + step] = np.reshape(f(x[i:i + step]), (width, -1)).T
-    v = v.reshape(lo.size, 21, width)
-    sums = np.empty((lo.size, 4, width))
-    group = max(1, step // 21)
-    for j in range(0, lo.size, group):
-        vj, sj = v[j:j + group], sums[j:j + group]
-        sj[:, :2] = _WEIGHTS @ vj
-        sj[:, 2] = _WEIGHTS[0] @ np.abs(vj)
-        sj[:, 3] = _WEIGHTS[0] @ np.abs(vj - 0.5 * sj[:, :1])
-    s_k, s_g, s_abs, s_dabs = np.moveaxis(sums, 1, 0)
-    err = half * np.max(np.abs(s_k - s_g), axis=1, initial=0.0)
-    dabs = half * np.max(s_dabs, axis=1, initial=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = dabs * np.minimum(1.0, (200.0 * err / dabs) ** 1.5)
-    err = np.where((dabs != 0.0) & (err != 0.0), scaled, err)
-    rounding = 50.0 * np.finfo(float).eps * half * np.max(s_abs, axis=1, initial=0.0)
-    err = np.where(rounding > np.finfo(float).tiny, np.maximum(err, rounding), err)
-    return half[:, None] * s_k, err, float(rounding.sum())
-
-
-def _gk21_factored(f, lo: np.ndarray, hi: np.ndarray, shape: tuple):
-    """_gk21 for an integrand that returns factors (rows, cols): each panel's
-    sums are products of its rows, (J, 21K), with its weighted cols,
-    (21K, B), over chunks of about _VALUES_PER_CHUNK panel sums, and each
-    product is split along J to stay within _SERIAL_GEMM multiply-adds."""
-    n_rows, n_cols = shape
-    half = 0.5 * (hi - lo)
-    ints = np.empty((lo.size, n_rows, n_cols))
-    err, s_abs = np.zeros(lo.size), np.zeros(lo.size)
-    step = max(1, _VALUES_PER_CHUNK // max(n_rows * n_cols, 1))
+    ints, stats = np.empty((lo.size, width)), np.zeros((3, lo.size))
+    step = max(1, _VALUES_PER_CALL // (21 * max(per_node, 1)))
     for p in range(0, lo.size, step):
         chunk = slice(p, p + step)
         x = (0.5 * (lo + hi)[chunk, None] + half[chunk, None] * _NODES).ravel()
-        rows, cols = f(x)
-        panels, inner = x.size // 21, 21 * rows.shape[-1]
-        # (panel, J, node, K) and (panel, node, K, B): node-major inner index.
-        rows = rows.reshape(panels, 21, n_rows, -1).swapaxes(1, 2).reshape(
-            panels, n_rows, inner)
-        cols = cols.reshape(panels, 21, -1, n_cols)
-        kronrod, difference = (
-            (w[:, None, None] * cols).reshape(panels, inner, n_cols)
-            for w in (_WEIGHTS[0], _WEIGHTS[0] - _WEIGHTS[1]))
-        kronrod_abs = np.abs(kronrod)
-        block = max(1, _SERIAL_GEMM // max(inner * n_cols, 1))
-        for j in range(0, n_rows, block):
-            r = rows[:, j:j + block]
-            ints[chunk, j:j + block] = r @ kronrod
-            err[chunk] = np.maximum(err[chunk], np.max(
-                np.abs(r @ difference), axis=(1, 2), initial=0.0))
-            s_abs[chunk] = np.maximum(s_abs[chunk], np.max(
-                np.abs(r) @ kronrod_abs, axis=(1, 2), initial=0.0))
-    ints *= half[:, None, None]
-    err *= half
+        reduce(f(x), ints[chunk], stats[:, chunk])
+    err, s_abs, spread = stats
+    err, spread = half * err, half * spread
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = spread * np.minimum(1.0, (200.0 * err / spread) ** 1.5)
+    err = np.where((spread != 0.0) & (err != 0.0), scaled, err)
     rounding = 50.0 * np.finfo(float).eps * half * s_abs
     err = np.where(rounding > np.finfo(float).tiny, np.maximum(err, rounding), err)
-    return ints.reshape(lo.size, -1), err, float(rounding.sum())
+    return half[:, None] * ints, err, float(rounding.sum())
 
 
 def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
@@ -149,10 +143,12 @@ def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
     a, b = np.array([lo, *inner], dtype=float), np.array([*inner, hi], dtype=float)
     probe = f(np.array([0.5 * (a[0] + b[0])]))  # one node picks the rule
     if isinstance(probe, tuple):
-        rule, shape = _gk21_factored, (probe[0].shape[1], probe[1].shape[2])
+        reduce, shape = _factored_sums, (probe[0].shape[1], probe[1].shape[2])
+        per_node = probe[0].size + probe[1].size
     else:
-        rule, shape = _gk21, np.shape(probe)[:-1]
-    ints, errs, rounding = rule(f, a, b, shape)
+        reduce, shape, per_node = _dense_sums, np.shape(probe)[:-1], np.size(probe)
+    width = math.prod(shape)
+    ints, errs, rounding = _gk21(f, a, b, reduce, per_node, width)
 
     def tolerance():
         return max(_ATOL, rtol * float(np.max(np.abs(ints.sum(axis=0)), initial=0.0)))
@@ -165,7 +161,7 @@ def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
         split, keep = np.split(order, [min(_MAX_BISECT, 1 + np.count_nonzero(covered))])
         mid = 0.5 * (a[split] + b[split])
         lo_c, hi_c = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
-        ints_c, errs_c, rounding_c = rule(f, lo_c, hi_c, shape)
+        ints_c, errs_c, rounding_c = _gk21(f, lo_c, hi_c, reduce, per_node, width)
         a, b = np.concatenate([a[keep], lo_c]), np.concatenate([b[keep], hi_c])
         ints = np.concatenate([ints[keep], ints_c])
         errs = np.concatenate([errs[keep], errs_c])

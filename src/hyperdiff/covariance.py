@@ -40,8 +40,8 @@ from .spectrum import angular_spectrum, tail_sum_lommel
 
 _SINC_SERIES_X = 1e-4
 # Lag budget of integrated_abs_covariance. Quadrature stores every panel's
-# integral at every lag: 1e5 lags on one segment peak at 63 MB RSS, 1e6 at
-# 320 MB.
+# integral at every lag: 1e5 lags on one segment peak at 64 MB RSS, 1e6 at
+# 327 MB.
 MAX_LAGS = 100_000
 
 
@@ -225,6 +225,7 @@ def integrated_abs_covariance(t: float, h_max: float, measure: SpectralMeasure,
         raise ValueError(f"h_max must be positive and finite, got {h_max}")
     if h_step is not None and not h_step > 0.0:
         raise ValueError(f"h_step must be positive, got {h_step}")
+    _validate_query(gamma, t, t)
     if measure.is_empty:
         grid = np.linspace(0.0, h_max, 2)
         return grid, np.zeros(2)

@@ -85,12 +85,12 @@ def _check_int(name: str, value, bits: int) -> int:
     return value
 
 
-def _check_degree(l, degree_count: int) -> int:
-    """l as a Python int; ValueError unless it is a degree in [0, degree_count)."""
-    l = _index("degree l", l)
-    if not 0 <= l < degree_count:
-        raise ValueError(f"degree l must lie in [0, {degree_count}), got {l}")
-    return l
+def _check_index(name: str, value, count: int) -> int:
+    """value as a Python int; ValueError unless it is an index in [0, count)."""
+    value = _index(name, value)
+    if not 0 <= value < count:
+        raise ValueError(f"{name} must lie in [0, {count}), got {value}")
+    return value
 
 
 def derive_run_seed(master_seed: int, run_index: int) -> int:
@@ -127,7 +127,8 @@ class CoefficientSet:
         raise ValueError(f"time {time} not among simulated times {self.times}")
 
     def coefficient(self, l: int, m: int, time_index: int) -> complex:
-        l = _check_degree(l, self.degree_count)
+        l = _check_index("degree l", l, self.degree_count)
+        time_index = _check_index("time index", time_index, len(self.times))
         return complex(self.coeffs[time_index, l, self.order_index(m)])
 
     def truncated(self, degree_count: int) -> "CoefficientSet":
@@ -255,6 +256,7 @@ def synthesize(cs: CoefficientSet, time_index: int, n_theta: int,
     """
     if n_theta < 2 or n_phi < 4:
         raise ValueError(f"grid must be at least 2x4, got {n_theta}x{n_phi}")
+    time_index = _check_index("time index", time_index, len(cs.times))
     L = cs.degree_count
     a = cs.coeffs[time_index]
     half = L - 1
@@ -319,7 +321,7 @@ def empirical_spectrum(ensemble, l: int, time: float) -> EmpiricalSpectrum:
     ensemble = list(ensemble)
     if len(ensemble) < 2:
         raise ValueError("need an ensemble of at least 2 runs")
-    l = _check_degree(l, min(cs.degree_count for cs in ensemble))
+    l = _check_index("degree l", l, min(cs.degree_count for cs in ensemble))
     rows = np.stack([cs.coeffs[cs.time_index(time), l,
                                cs.degree_count - 1 - l:cs.degree_count + l]
                      for cs in ensemble])

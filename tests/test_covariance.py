@@ -282,10 +282,10 @@ class TestIntegratedAbsCovariance:
             assert abs(values[k] - direct) <= 1e-9 * scale
 
     def test_lags_never_form_node_values(self, monkeypatch):
-        # the dense rule stores every node's value at every lag
-        def dense_rule(*args):
-            raise AssertionError("time lags went through the dense rule")
-        monkeypatch.setattr(_quad, "_gk21", dense_rule)
+        # the dense reduction takes every node's value at every lag
+        def dense_sums(*args):
+            raise AssertionError("time lags went through the dense reduction")
+        monkeypatch.setattr(_quad, "_dense_sums", dense_sums)
         values = covariance_time_lags(0.2, 0.6, np.linspace(0.0, 12.0, 1001),
                                       MIXED, P11)
         assert values.shape == (1001,) and np.all(np.isfinite(values))
@@ -329,6 +329,13 @@ class TestIntegratedAbsCovariance:
             integrated_abs_covariance(0.0, -1.0, ATOM1, P11)
         with pytest.raises(ValueError, match="h_step"):
             integrated_abs_covariance(0.0, 1.0, ATOM1, P11, h_step=0.0)
+
+    @pytest.mark.parametrize("t, gamma", [(math.nan, 0.0), (-1.0, 0.0),
+                                          (0.0, 9.0), (0.0, math.nan)])
+    def test_query_checked_on_empty_measure(self, t, gamma):
+        # bad input raises even where there is nothing to integrate
+        with pytest.raises(ValueError, match="times|angular"):
+            integrated_abs_covariance(t, 1.0, SpectralMeasure(), P11, gamma=gamma)
 
     def test_lag_budget_checked_before_allocating(self, monkeypatch):
         def no_lags(*args, **kwargs):

@@ -347,6 +347,17 @@ class TestCoefficientSet:
         with pytest.raises(ValueError, match="degree l"):
             cs.coefficient(l, 0, 0)
 
+    @pytest.mark.parametrize("time_index", [-1, 2, 0.5])
+    def test_time_index_range(self, time_index):
+        # -1 would read the last time, and 2 or 0.5 raised IndexError
+        cs = simulate_coefficients(3, (0.0, 0.25), ATOM1, P11, seed=1)
+        assert cs.coefficient(2, 1, 1) == cs.coeffs[1, 2, 3]
+        assert synthesize(cs, 1, 2, 4).time == 0.25
+        with pytest.raises(ValueError, match="time index"):
+            cs.coefficient(2, 1, time_index)
+        with pytest.raises(ValueError, match="time index"):
+            synthesize(cs, time_index, 2, 4)
+
 
 class TestEmpiricalSpectrum:
     def test_single_atom_ratio_is_exact(self):

@@ -409,7 +409,10 @@ class TestQuadWrapper:
         np.testing.assert_allclose(got, oracle, rtol=1e-10)
 
     def test_calls_stay_within_the_element_budget(self):
-        for width in (1, 7, _quad._ELEMENTS_PER_CALL // 3, 2 * _quad._ELEMENTS_PER_CALL):
+        # past the budget a call still carries one whole panel, not one node
+        budget = _quad._VALUES_PER_CALL
+        assert 21 * 60_000 > budget
+        for width in (1, 7, 21_845, 60_000):
             rows = np.arange(width, dtype=float)[:, None] / width
             sizes = []
 
@@ -417,7 +420,11 @@ class TestQuadWrapper:
                 sizes.append(x.size)
                 return np.exp(-rows * x) * np.sqrt(x)
             integrate_vector(f, 0.0, 2.0, breakpoints=(0.5,))
-            assert max(sizes) <= max(1, _quad._ELEMENTS_PER_CALL // width)
+            calls = sizes[1:]  # after the one-node probe
+            assert calls and all(n % 21 == 0 for n in calls)
+            assert max(calls) * width <= max(21 * width, budget)
+            if 21 * width > budget:
+                assert set(calls) == {21}
 
 
 class TestIntegrateMeasure:
