@@ -41,6 +41,11 @@ from . import field_sim
 from . import entropy1d
 
 
+# Coefficients an ensemble holds, runs x times x L x (2L - 1): every member is
+# kept, and stacked once more for the empirical spectrum.
+_MAX_ENSEMBLE_COEFFICIENTS = 10_000_000
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ConfigError, so they print as one `error:` line."""
 
@@ -134,7 +139,8 @@ def _write_manifest(directory: str, subcommand: str, settings: dict,
         manifest["result"] = result
     path = os.path.join(directory, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+        # Compact dumps runs the C encoder; json.dump and indent run the Python one.
+        fh.write(json.dumps(manifest))
 
 
 # --- subcommand implementations: settings -> ({file name: content}, result) ---
@@ -193,6 +199,12 @@ def _run_simulate(settings: dict) -> tuple[dict, dict | None]:
     if n_runs:
         if n_runs < 2:
             raise ConfigError(f"--ensemble must be 0 or at least 2, got {n_runs}")
+        size = n_runs * len(times) * degree_count * (2 * degree_count - 1)
+        if size > _MAX_ENSEMBLE_COEFFICIENTS:
+            raise ConfigError(
+                f"--ensemble holds runs x times x L x (2L - 1) = {n_runs} x {len(times)} "
+                f"x {degree_count} x {2 * degree_count - 1} = {size} coefficients, "
+                f"more than {_MAX_ENSEMBLE_COEFFICIENTS}")
         # Drawn first, so its seed and size checks come before any work.
         ensemble = field_sim.simulate_ensemble(
             degree_count, times, measure, params, master_seed=seed,
@@ -343,7 +355,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     m.add_argument("--times", type=_reals, required=True)
     m.add_argument("--seed", type=_count, default=0)
     m.add_argument("--ensemble", type=_count, default=0,
-                   help="additionally estimate the spectrum from N runs")
+                   help="additionally estimate the spectrum from N runs; N x times "
+                        f"x L x (2L - 1) may be at most {_MAX_ENSEMBLE_COEFFICIENTS}")
     m.add_argument("--format", choices=["csv", "bin"], default="csv")
     m.add_argument("--n-quad", type=_count, default=64,
                    help="Gauss-Legendre nodes per segment when atomising")

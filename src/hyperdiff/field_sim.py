@@ -20,6 +20,13 @@ each stream instead of building a generator per stream; that generator
 belongs to the call, so concurrent calls do not interfere. Seeds of single
 runs lie in [0, 2**128), master seeds of ensembles in [0, 2**64).
 
+The streams of many seeds and degrees fill one buffer of bounded size
+(_VALUES_PER_BLOCK), and each full buffer is contracted with the weights in
+a few array passes, summing over atoms in atom order. No BLAS product takes
+part: the sum behind each coefficient is then the same whatever else is in
+the buffer, which keeps ensemble members bitwise equal to single runs and
+band draws bitwise equal to full draws.
+
 The field must be real, so coefficients are drawn with Hermitian symmetry
 a_{l,-m} = (-1)^m conj(a_{lm}): the m = 0 coefficient is real with variance
 C_l, and for m > 0 real and imaginary parts are independent with variance
@@ -49,6 +56,11 @@ from .spectrum import angular_spectrum
 _GRID_MAGIC = b"HYPDGRID"
 _HERMITIAN_TOL = 1e-12
 _WORD = (1 << 64) - 1
+# Values that one block of a draw holds in normals, per-row weights and
+# products together: enough that numpy's per-call cost is spread over many
+# rows, few enough that a draw's working memory does not grow with the
+# degree count.
+_VALUES_PER_BLOCK = 2 ** 16
 
 
 def atomize(measure: SpectralMeasure, n_quad: int = 64) -> SpectralMeasure:
@@ -161,39 +173,112 @@ def _weights(degree_count: int, times, atomic: SpectralMeasure,
     return times, base[None, :, :] * hfac[:, None, :]
 
 
-def _draw(weights: np.ndarray, seeds, degrees: range):
-    """Yield the coefficients of each seed in turn, in one reused buffer.
+def _fill(normals: np.ndarray, seeds, degrees: range):
+    """Draw the Philox stream of each (seed, l), seeds outer and degrees
+    inner, into consecutive rows of normals, (rows, atoms, 2); yield the
+    number of rows filled whenever normals is full and once at the end.
 
-    The buffer has shape (times, len(degrees), 2*degrees.stop - 1): degree l
-    in row l - degrees.start, order m in column degrees.stop - 1 + m, zero
-    where |m| > l. The normals of (seed, l) come from Philox with key
-    seed and counter l << 192: the degree occupies the top 64 bits of the
-    256-bit counter and blocks are consumed from the bottom, so streams never
-    collide. One bit generator per call is reset to each stream rather than
-    built anew; it is never shared between calls.
+    Stream (seed, l) has key seed and counter l << 192: the degree occupies
+    the top 64 bits of the 256-bit counter and blocks are consumed from the
+    bottom, so streams never collide. It gives l + 1 rows, as one
+    standard_normal((l + 1, atoms, 2)) would; a stream cut by a full buffer
+    continues where it stopped once the caller resumes. One bit generator is
+    reset to each stream rather than built anew, and is never shared.
     """
-    n_t, _, n_atoms = weights.shape
-    half = degrees.stop - 1
-    out = np.zeros((n_t, len(degrees), 2 * half + 1), dtype=complex)
-    signs = (-1.0) ** np.arange(1, degrees.stop)
     bitgen = Philox(key=0)
     gen = Generator(bitgen)
     state = bitgen.state
     key, counter = state["state"]["key"], state["state"]["counter"]
+    filled = 0
     for seed in seeds:
         key[0], key[1] = seed & _WORD, seed >> 64
-        for row, l in enumerate(degrees):
+        for l in degrees:
             counter[3] = l
             bitgen.state = state
-            z = gen.standard_normal((l + 1, n_atoms, 2))
-            z_c = z.view(complex)[..., 0] / math.sqrt(2.0)
-            for ti, w in enumerate(weights[:, l]):
-                alm = z_c @ w
-                alm[0] = z[0, :, 0] @ w
-                out[ti, row, half:half + l + 1] = alm
+            row = 0
+            while row <= l:
+                take = min(l + 1 - row, len(normals) - filled)
+                gen.standard_normal(out=normals[filled:filled + take])
+                row += take
+                filled += take
+                if filled == len(normals):
+                    yield filled
+                    filled = 0
+    if filled:
+        yield filled
+
+
+def _draw(weights: np.ndarray, seeds, degrees: range):
+    """Yield the coefficients of each seed of the sequence seeds in turn.
+
+    Each has shape (times, len(degrees), 2*degrees.stop - 1): degree l in row
+    l - degrees.start, order m in column degrees.stop - 1 + m, zero where
+    |m| > l. It is a view of a buffer that holds a chunk of seeds and is
+    overwritten by the next chunk.
+
+    A seed's rows are its (l, m), m = 0..l, degree by degree; row (l, m)
+    holds the normals (x, y) of every atom from stream (seed, l) (see
+    _fill). A block, whose normals, per-row weights and products hold at
+    most _VALUES_PER_BLOCK values together, takes several whole seeds when
+    one seed's rows fit in it, else one seed's rows in consecutive pieces,
+    so a draw's memory beyond its output does not grow with the degrees or
+    the seeds. Each block is contracted with elementwise products, indexed
+    (atom, seed, time, x or y, row), summed by np.add.reduce over the
+    leading atom axis: numpy sums pairwise only along the fast axis, so it
+    adds one atom's slice at a time, in atom order.
+    a_lm = sum_a (x_a + i y_a) w_la / sqrt(2) for m > 0 and
+    a_l0 = sum_a x_a w_la are then the same sums in the same order whatever
+    else shares their block, and ensemble members equal single runs and band
+    rows equal full rows bitwise. BLAS is not used: a row of a GEMM changed
+    its last bits with the number of rows stacked with it.
+    """
+    n_t, _, n_atoms = weights.shape
+    half = degrees.stop - 1
+    width = 2 * half + 1
+    row_l = np.repeat(np.arange(degrees.start, degrees.stop),
+                      np.arange(degrees.start, degrees.stop) + 1)
+    row_m = np.concatenate([np.arange(l + 1) for l in degrees])
+    dest = (row_l - degrees.start) * width + half + row_m
+    real_only = row_m == 0
+    # numpy's complex division by sqrt(2) multiplies by this same reciprocal.
+    scale = np.where(real_only, 1.0, 1.0 / math.sqrt(2.0))
+    by_atom = np.ascontiguousarray(weights.transpose(2, 0, 1))
+    n_rows = row_l.size
+    # Rows per block: a row takes 2 normals, times weights and 2 * times
+    # products per atom.
+    cap = max(1, _VALUES_PER_BLOCK // (n_atoms * (2 + 3 * n_t)))
+    per_chunk = max(1, min(len(seeds), cap // n_rows))
+    normals = np.empty((min(per_chunk * n_rows, cap), n_atoms, 2))
+    products = np.empty(n_t * normals.size)
+    out = np.zeros((per_chunk, n_t, len(degrees), width), dtype=complex)
+    flat = out.reshape(per_chunk, n_t, -1)
+    signs = (-1.0) ** np.arange(1, degrees.stop)
+    span = None
+    for first in range(0, len(seeds), per_chunk):
+        chunk = seeds[first:first + per_chunk]
+        start = 0
+        for filled in _fill(normals, chunk, degrees):
+            k = max(1, filled // n_rows)
+            n = filled // k
+            rows = slice(start, start + n)
+            if span != rows:
+                span = rows
+                w = np.take(by_atom, row_l[rows], axis=2)
+                w *= scale[rows]
+            z = normals[:filled].reshape(k, n, n_atoms, 2).transpose(2, 0, 3, 1)
+            # C order keeps the atom axis outermost, which the sum relies on.
+            prod = products[:n_t * z.size].reshape(n_atoms, k, n_t, 2, n)
+            np.multiply(z[:, :, None], w[:, None, :, None], out=prod)
+            acc = np.add.reduce(prod, axis=0)
+            acc[:, :, 1, real_only[rows]] = 0.0
+            flat.real[:k, :, dest[rows]] = acc[:, :, 0]
+            flat.imag[:k, :, dest[rows]] = acc[:, :, 1]
+            start = rows.stop
         # a_{l,-m} = (-1)^m conj(a_lm), every degree and time at once.
-        out[..., :half] = signs[::-1] * np.conj(out[..., :half:-1])
-        yield out
+        head = out[:len(chunk)]
+        np.conjugate(head[..., :half:-1], out=head[..., :half])
+        head[..., :half] *= signs[::-1]
+        yield from head
 
 
 def simulate_coefficients(degree_count: int, times, measure: SpectralMeasure,

@@ -398,6 +398,28 @@ class TestSimulateCommand:
         assert not out.exists()
         assert os.listdir(tmp_path) == ["atom.json"]
 
+    @pytest.mark.parametrize("lmax, n_runs, drawn", [
+        ("64", "100000", False), ("1", "10000000", True), ("1", "10000001", False),
+    ])
+    def test_ensemble_size_capped_before_drawing(
+            self, lmax, n_runs, drawn, atom_config, tmp_path, capsys, monkeypatch):
+        # runs x times x L x (2L - 1) coefficients may be at most 10^7
+        def no_ensemble(*args, **kwargs):
+            raise ValueError("ensemble drawn")
+
+        monkeypatch.setattr(field_sim, "simulate_ensemble", no_ensemble)
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", atom_config, "--lmax", lmax, "--grid", "4x8",
+                   "--times", "0", "--ensemble", n_runs, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if drawn:
+            assert err == "error: ensemble drawn\n"
+        else:
+            assert err.startswith("error: --ensemble") and "10000000" in err
+        assert not out.exists()
+
     def test_n_quad_checked_on_atom_measure(self, atom_config, tmp_path, capsys):
         # atomising leaves an atom-only measure as it is, but still checks n_quad
         out = tmp_path / "o"

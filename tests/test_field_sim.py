@@ -1,13 +1,16 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
+from hyperdiff import field_sim
 from hyperdiff.exceptions import AccuracyError
-from hyperdiff.field_sim import (CoefficientSet, _draw, atomize, derive_run_seed,
+from hyperdiff.field_sim import (CoefficientSet, _draw, _weights, atomize,
+                                 derive_run_seed,
                                  empirical_spectrum, grid_from_binary,
                                  grid_to_binary, histogram_entropy,
                                  radial_coefficient, simulate_coefficients,
@@ -106,6 +109,84 @@ class TestStreams:
             expected = (z[:, 0, 0] + 1j * z[:, 0, 1]) / math.sqrt(2.0)
             expected[0] = z[0, 0, 0]
             assert np.array_equal(coeffs[0, 0, l:], expected)
+
+
+def _draw_per_run(weights, seeds, degrees):
+    """The draw one (seed, degree, time) at a time, with a generator built
+    per stream and one BLAS product per time: the reference for the blocked
+    contraction of _draw."""
+    n_t, _, n_atoms = weights.shape
+    half = degrees.stop - 1
+    signs = (-1.0) ** np.arange(1, degrees.stop)
+    result = []
+    for seed in seeds:
+        out = np.zeros((n_t, len(degrees), 2 * half + 1), dtype=complex)
+        for row, l in enumerate(degrees):
+            z = Generator(Philox(key=seed, counter=l << 192)).standard_normal(
+                (l + 1, n_atoms, 2))
+            z_c = z.view(complex)[..., 0] / math.sqrt(2.0)
+            for ti, w in enumerate(weights[:, l]):
+                alm = z_c @ w
+                alm[0] = z[0, :, 0] @ w
+                out[ti, row, half:half + l + 1] = alm
+        out[..., :half] = signs[::-1] * np.conj(out[..., :half:-1])
+        result.append(out)
+    return result
+
+
+class TestBlockedDraw:
+    SEEDS = [derive_run_seed(2 ** 64 - 1, run) for run in range(12)]
+
+    @pytest.mark.parametrize("degrees", [range(10), range(4, 10)])
+    def test_matches_per_run_loop(self, degrees):
+        # Sums in atom order round unlike BLAS products, by a few ulps.
+        atoms = tuple((0.4 + 0.9 * i, 0.1 + 0.05 * i) for i in range(7))
+        _, weights = _weights(10, (0.0, 0.2, 0.9), SpectralMeasure(atoms=atoms), P11)
+        blocked = [c.copy() for c in _draw(weights, self.SEEDS, degrees)]
+        for got, want in zip(blocked, _draw_per_run(weights, self.SEEDS, degrees),
+                             strict=True):
+            for got_t, want_t in zip(got, want):
+                assert np.max(np.abs(got_t - want_t)) <= 1e-15 * np.max(np.abs(want_t))
+
+    @pytest.mark.parametrize("values", [24 * 144, 24 * 10])
+    def test_block_layout_leaves_no_trace(self, values, monkeypatch):
+        # 3 atoms at 2 times take 24 values a row, and a seed below L = 8 has
+        # 36 rows: 144 rows a block hold 4 whole seeds, 10 rows cut a seed,
+        # and its streams, into 4 pieces.
+        _, weights = _weights(8, (0.0, 0.3), ATOMS3, P11)
+        singles = [next(_draw(weights, (seed,), range(8))).copy()
+                   for seed in self.SEEDS]
+        chunks = []
+        fill = field_sim._fill
+
+        def counted(normals, seeds, degrees):
+            chunks.append([len(seeds)])
+            for filled in fill(normals, seeds, degrees):
+                chunks[-1].append(filled)
+                yield filled
+
+        monkeypatch.setattr(field_sim, "_VALUES_PER_BLOCK", values)
+        monkeypatch.setattr(field_sim, "_fill", counted)
+        full = [c.copy() for c in _draw(weights, self.SEEDS, range(8))]
+        band = [c.copy() for c in _draw(weights, self.SEEDS, range(3, 8))]
+        if values == 24 * 144:
+            assert len(chunks) >= 6 and all(c[0] > 1 for c in chunks)
+        else:
+            assert all(c[0] == 1 and len(c) >= 4 for c in chunks)
+        for single, member, rows in zip(singles, full, band, strict=True):
+            assert np.array_equal(member, single)
+            assert np.array_equal(rows, single[:, 3:])
+
+    def test_memory_stays_within_blocks(self):
+        # One seed below L = 96 with 20 atoms: 4656 rows, 1.5 MB of normals.
+        weights = np.random.default_rng(5).uniform(0.5, 1.0, (1, 96, 20))
+        tracemalloc.start()
+        try:
+            coeffs = next(_draw(weights, (7,), range(96)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < coeffs.nbytes + 4 * 8 * field_sim._VALUES_PER_BLOCK
 
 
 class TestEnsemble:
