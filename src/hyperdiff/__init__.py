@@ -20,9 +20,9 @@ from .covariance import (LegendreCovariance, MemoryClass, MemoryReport,
                          memory_classify)
 from .field_sim import (CoefficientSet, EmpiricalSpectrum, FieldGrid,
                         TruncationError, atomize, derive_run_seed,
-                        empirical_spectrum, histogram_entropy,
-                        radial_coefficient, simulate_coefficients,
-                        simulate_ensemble, synthesize, truncation_error_mc)
+                        empirical_spectrum, ensemble_spectrum,
+                        simulate_coefficients, simulate_ensemble, synthesize,
+                        truncation_error_mc)
 from .entropy1d import (EntropyTrace, ExperimentResult, ModeDecomposition,
                         decompose_initial, entropy_trace, evaluate,
                         run_experiment)
@@ -39,9 +39,9 @@ __all__ = [
     "angular_mse", "covariance_legendre", "covariance_spectral",
     "covariance_time_lags", "integrated_abs_covariance", "memory_classify",
     "CoefficientSet", "EmpiricalSpectrum", "FieldGrid", "TruncationError",
-    "atomize", "derive_run_seed", "empirical_spectrum", "histogram_entropy",
-    "radial_coefficient", "simulate_coefficients", "simulate_ensemble",
-    "synthesize", "truncation_error_mc",
+    "atomize", "derive_run_seed", "empirical_spectrum", "ensemble_spectrum",
+    "simulate_coefficients", "simulate_ensemble", "synthesize",
+    "truncation_error_mc",
     "EntropyTrace", "ExperimentResult", "ModeDecomposition",
     "decompose_initial", "entropy_trace", "evaluate", "run_experiment",
 ]

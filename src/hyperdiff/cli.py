@@ -41,8 +41,9 @@ from . import field_sim
 from . import entropy1d
 
 
-# Coefficients an ensemble holds, runs x times x L x (2L - 1): every member is
-# kept, and stacked once more for the empirical spectrum.
+# Coefficients an ensemble draws, runs x times x L x (2L - 1). This bounds
+# work, not memory: each member is reduced to its power per degree as it is
+# drawn, so an ensemble holds one draw block plus 8 bytes per (run, time, L).
 _MAX_ENSEMBLE_COEFFICIENTS = 10_000_000
 
 
@@ -195,21 +196,24 @@ def _run_simulate(settings: dict) -> tuple[dict, dict | None]:
     n_theta, n_phi = settings["grid"]
     n_quad = settings["n_quad"]
     n_runs = settings["ensemble"]
-    ensemble = None
+    empirical = None
     if n_runs:
         if n_runs < 2:
             raise ConfigError(f"--ensemble must be 0 or at least 2, got {n_runs}")
         size = n_runs * len(times) * degree_count * (2 * degree_count - 1)
         if size > _MAX_ENSEMBLE_COEFFICIENTS:
             raise ConfigError(
-                f"--ensemble holds runs x times x L x (2L - 1) = {n_runs} x {len(times)} "
+                f"--ensemble draws runs x times x L x (2L - 1) = {n_runs} x {len(times)} "
                 f"x {degree_count} x {2 * degree_count - 1} = {size} coefficients, "
                 f"more than {_MAX_ENSEMBLE_COEFFICIENTS}")
         # Drawn first, so its seed and size checks come before any work.
-        ensemble = field_sim.simulate_ensemble(
+        estimate, std_error, theory = field_sim.ensemble_spectrum(
             degree_count, times, measure, params, master_seed=seed,
-            n_runs=n_runs, n_quad=n_quad,
-        )
+            n_runs=n_runs, n_quad=n_quad)
+        empirical = (["t", "l", "estimate", "std_error", "theory"],
+                     [np.repeat(times, degree_count),
+                      np.tile(np.arange(degree_count), len(times)),
+                      estimate.ravel(), std_error.ravel(), theory.ravel()])
     outputs = {}
 
     cs = field_sim.simulate_coefficients(degree_count, times, measure, params,
@@ -233,16 +237,8 @@ def _run_simulate(settings: dict) -> tuple[dict, dict | None]:
             outputs[f"field_t{ti}.csv"] = (["theta", "phi", "value"],
                                            [thetas, phis, grid.values.ravel()])
 
-    if ensemble is not None:
-        value, std_error = field_sim._spectrum_estimate(
-            np.stack([member.coeffs for member in ensemble]),
-            2 * np.arange(degree_count) + 1)
-        atomic = field_sim.atomize(measure, n_quad)
-        theory = angular_spectrum(degree_count, times, times, atomic, params)
-        outputs["empirical_spectrum.csv"] = (
-            ["t", "l", "estimate", "std_error", "theory"],
-            [np.repeat(times, degree_count), np.tile(np.arange(degree_count), len(times)),
-             value.ravel(), std_error.ravel(), theory.values.ravel()])
+    if empirical is not None:
+        outputs["empirical_spectrum.csv"] = empirical
     return outputs, None
 
 
@@ -355,8 +351,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     m.add_argument("--times", type=_reals, required=True)
     m.add_argument("--seed", type=_count, default=0)
     m.add_argument("--ensemble", type=_count, default=0,
-                   help="additionally estimate the spectrum from N runs; N x times "
-                        f"x L x (2L - 1) may be at most {_MAX_ENSEMBLE_COEFFICIENTS}")
+                   help="additionally estimate the spectrum from N runs, each "
+                        "reduced as it is drawn; the coefficients drawn, N x times "
+                        f"x L x (2L - 1), may be at most {_MAX_ENSEMBLE_COEFFICIENTS}")
     m.add_argument("--format", choices=["csv", "bin"], default="csv")
     m.add_argument("--n-quad", type=_count, default=64,
                    help="Gauss-Legendre nodes per segment when atomising")

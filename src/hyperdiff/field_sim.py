@@ -5,10 +5,11 @@ for an atomic measure, degree-l coefficients are weighted sums of independent
 standard normals with weights pi*sqrt(2) * J_{l+1/2}(mu_i)/sqrt(mu_i)
 * transfer(mu_i, t) * sigma_i. None of these weights depends on the seed, so
 each call computes them once, (times x degrees x atoms), and one private
-draw routine turns them into coefficients for a list of seeds and a range of
-degrees: simulate_coefficients is the one-seed case, simulate_ensemble the
-many-seed case, and truncation_error_mc draws only its degree band into one
-reused buffer.
+draw routine turns them into coefficients for a sequence of seeds and a range
+of degrees: simulate_coefficients is the one-seed case, simulate_ensemble the
+many-seed case, ensemble_spectrum reduces each member to sum_m |a_lm|^2 as it
+is drawn, and truncation_error_mc draws only its degree band into one reused
+buffer.
 
 One normal block is drawn per degree from a counter-based Philox stream
 keyed by (seed, degree) (Salmon et al., SC'11), so identical inputs give
@@ -113,6 +114,13 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
     return (master_seed << 64) | run_index
 
 
+def _run_seeds(master_seed: int, n_runs: int) -> range:
+    """The seeds of runs 0 .. n_runs - 1 (n_runs >= 1) under master_seed:
+    consecutive integers, since the run index is their low 64 bits."""
+    return range(derive_run_seed(master_seed, 0),
+                 derive_run_seed(master_seed, n_runs - 1) + 1)
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Simulated Laplace coefficients a_lm(t) for l < degree_count.
@@ -142,15 +150,6 @@ class CoefficientSet:
         l = _check_index("degree l", l, self.degree_count)
         time_index = _check_index("time index", time_index, len(self.times))
         return complex(self.coeffs[time_index, l, self.order_index(m)])
-
-    def truncated(self, degree_count: int) -> "CoefficientSet":
-        """The same realisation restricted to degrees below degree_count."""
-        if not 1 <= degree_count <= self.degree_count:
-            raise ValueError(f"invalid truncation degree {degree_count}")
-        shift = self.degree_count - degree_count
-        sub = self.coeffs[:, :degree_count, shift:shift + 2 * degree_count - 1]
-        return CoefficientSet(degree_count=degree_count, times=self.times,
-                              coeffs=sub.copy(), seed=self.seed)
 
 
 def _weights(degree_count: int, times, atomic: SpectralMeasure,
@@ -300,7 +299,7 @@ def simulate_ensemble(degree_count: int, times, measure: SpectralMeasure,
     with seed derive_run_seed(master_seed, r)."""
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
-    seeds = [derive_run_seed(master_seed, run) for run in range(n_runs)]
+    seeds = _run_seeds(master_seed, n_runs)
     times, weights = _weights(degree_count, times, atomize(measure, n_quad),
                               params)
     draws = _draw(weights, seeds, range(degree_count))
@@ -365,20 +364,6 @@ def synthesize(cs: CoefficientSet, time_index: int, n_theta: int,
                      time=cs.times[time_index], meta=meta)
 
 
-def radial_coefficient(l: int, mu: float, r: float) -> float:
-    """Radial weight J_{l+1/2}(r mu) / sqrt(r mu) for synthesis at radius r.
-
-    Depends on (l, r*mu) only; r = 1 reproduces the coefficient weight used
-    in simulate_coefficients up to the pi*sqrt(2) constant.
-    """
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    if mu <= 0:
-        raise ValueError(f"wave number must be positive, got {mu}")
-    x = r * mu
-    return float(bessel_half_all(l, x)[l]) / math.sqrt(x)
-
-
 @dataclass(frozen=True)
 class EmpiricalSpectrum:
     """Ensemble estimate of C_l(t, t) with its standard error."""
@@ -388,31 +373,59 @@ class EmpiricalSpectrum:
     n_runs: int
 
 
-def _spectrum_estimate(coeffs: np.ndarray, orders):
-    """Ensemble mean of sum_m |a_lm|^2 / orders and its standard error.
-
-    coeffs holds runs on axis 0 and orders m on the last axis (entries with
-    |m| > l zero); both estimates span the axes in between. The CLI builds
-    its empirical-spectrum table from one call on the stacked ensemble.
-    """
-    per_run = np.sum(np.abs(coeffs) ** 2, axis=-1) / orders
-    n_runs = per_run.shape[0]
-    return (per_run.mean(axis=0),
-            per_run.std(axis=0, ddof=1) / math.sqrt(n_runs))
+def _spectrum_estimate(members, shape: tuple[int, int, int]):
+    """Mean over the members (coefficients indexed time, degree, order) of
+    sum_m |a_lm|^2 / (2l+1), and its standard error, holding only the
+    (runs, times, degrees) table `shape`. numpy's order of summing over runs
+    depends on the table's shape, so callers pass whole tables to agree."""
+    power = np.empty(shape)
+    for run, coeffs in enumerate(members):
+        power[run] = np.sum(np.abs(coeffs) ** 2, axis=-1)
+    power /= 2 * np.arange(shape[2]) + 1
+    return power.mean(axis=0), power.std(axis=0, ddof=1) / math.sqrt(shape[0])
 
 
 def empirical_spectrum(ensemble, l: int, time: float) -> EmpiricalSpectrum:
-    """Estimate C_l(t, t) as the ensemble mean of (2l+1)-averaged |a_lm|^2."""
+    """Estimate C_l(t, t) as the ensemble mean of (2l+1)-averaged |a_lm|^2.
+
+    The members must share their degree count and times, as those of one
+    simulate_ensemble call do.
+    """
     ensemble = list(ensemble)
     if len(ensemble) < 2:
         raise ValueError("need an ensemble of at least 2 runs")
-    l = _check_index("degree l", l, min(cs.degree_count for cs in ensemble))
-    rows = np.stack([cs.coeffs[cs.time_index(time), l,
-                               cs.degree_count - 1 - l:cs.degree_count + l]
-                     for cs in ensemble])
-    value, std_error = _spectrum_estimate(rows, 2 * l + 1)
-    return EmpiricalSpectrum(value=float(value), std_error=float(std_error),
+    first = ensemble[0]
+    if any(cs.degree_count != first.degree_count or cs.times != first.times
+           for cs in ensemble):
+        raise ValueError("ensemble members must share degree count and times")
+    l = _check_index("degree l", l, first.degree_count)
+    time_index = first.time_index(time)
+    value, std_error = _spectrum_estimate(
+        (cs.coeffs for cs in ensemble),
+        (len(ensemble), len(first.times), first.degree_count))
+    return EmpiricalSpectrum(value=float(value[time_index, l]),
+                             std_error=float(std_error[time_index, l]),
                              n_runs=len(ensemble))
+
+
+def ensemble_spectrum(degree_count: int, times, measure: SpectralMeasure,
+                      params: DiffusionParams, master_seed: int, n_runs: int,
+                      n_quad: int = 64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(estimate, std_error, theory) of C_l(t, t), each indexed (time, l):
+    the first two equal empirical_spectrum over simulate_ensemble's members
+    bitwise, each member reduced to sum_m |a_lm|^2 as it is drawn, so memory
+    beyond one draw block is 8 bytes per (run, time, degree); theory is
+    angular_spectrum on the same atomised measure."""
+    if n_runs < 2:
+        raise ValueError(f"need an ensemble of at least 2 runs, got {n_runs}")
+    seeds = _run_seeds(master_seed, n_runs)
+    atomic = atomize(measure, n_quad)
+    times, weights = _weights(degree_count, times, atomic, params)
+    estimate, std_error = _spectrum_estimate(
+        _draw(weights, seeds, range(degree_count)),
+        (n_runs, len(times), degree_count))
+    theory = angular_spectrum(degree_count, times, times, atomic, params)
+    return estimate, std_error, theory.values
 
 
 @dataclass(frozen=True)
@@ -449,7 +462,7 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-    seeds = [derive_run_seed(master_seed, run) for run in range(n_runs)]
+    seeds = _run_seeds(master_seed, n_runs)
     if l_inner == l_outer:
         return TruncationError(estimate=0.0, std_error_sq=0.0, exact=0.0,
                                n_runs=n_runs)
@@ -470,24 +483,6 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
     return TruncationError(estimate=estimate,
                            std_error_sq=float(sq.std(ddof=1) / math.sqrt(n_runs)),
                            exact=exact, n_runs=n_runs)
-
-
-def histogram_entropy(values, n_bins: int) -> float:
-    """Natural-log Shannon entropy of the equal-width histogram of values.
-
-    Bins span [min, max]; empty bins contribute nothing; the result is at
-    most log(n_bins), and constant input gives 0.
-    """
-    if n_bins < 2:
-        raise ValueError(f"need at least 2 bins, got {n_bins}")
-    arr = np.asarray(values, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("need at least one value")
-    if np.min(arr) == np.max(arr):
-        return 0.0
-    counts, _ = np.histogram(arr, bins=n_bins)
-    p = counts[counts > 0] / arr.size
-    return float(-np.sum(p * np.log(p)))
 
 
 def grid_to_binary(grid: FieldGrid) -> bytes:

@@ -75,10 +75,17 @@ class PowerLawSegment:
 
     def mass(self) -> float:
         """Exact integral of the density over [lo, hi]."""
-        a = self.exponent
-        if a == -1.0:
-            return self.amplitude * math.log(self.hi / self.lo)
-        return self.amplitude * (self.hi ** (a + 1) - self.lo ** (a + 1)) / (a + 1)
+        return power_law_integral(self.amplitude, self.exponent, self.lo, self.hi)
+
+
+def power_law_integral(amplitude: float, exponent: float, lo: float,
+                       hi: float) -> float:
+    """Integral of amplitude * mu**exponent over [lo, hi], 0 if hi <= lo."""
+    if hi <= lo:
+        return 0.0
+    if exponent == -1.0:
+        return amplitude * math.log(hi / lo)
+    return amplitude * (hi ** (exponent + 1) - lo ** (exponent + 1)) / (exponent + 1)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import numpy as np
 
 from ._quad import integrate_measure
 from .kernel import transfer
-from .measure import DiffusionParams, SpectralMeasure
+from .measure import DiffusionParams, SpectralMeasure, power_law_integral
 from .special import _bessel_half_neg, bessel_half_all
 
 _TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -191,14 +191,6 @@ def tail_sum_lommel(l_start: int, measure: SpectralMeasure,
     return float(total) if np.ndim(t) == 0 else total
 
 
-def _power_integral(amplitude: float, exponent: float, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    if exponent == -1.0:
-        return amplitude * math.log(hi / lo)
-    return amplitude * (hi ** (exponent + 1) - lo ** (exponent + 1)) / (exponent + 1)
-
-
 def tail_bound_gamma(l_start: int, measure: SpectralMeasure,
                      params: DiffusionParams) -> float:
     """Certified upper bound on the time-zero tail for bounded-support measures.
@@ -228,10 +220,10 @@ def tail_bound_gamma(l_start: int, measure: SpectralMeasure,
         total += math.exp(exponent) * mass
     pref = math.exp(log_pref)
     for seg in measure.segments:
-        total += pref * _power_integral(
+        total += pref * power_law_integral(
             seg.amplitude, seg.exponent + low_exp, seg.lo, min(seg.hi, 1.0)
         )
-        total += pref * _power_integral(
+        total += pref * power_law_integral(
             seg.amplitude, seg.exponent + high_exp, max(seg.lo, 1.0), seg.hi
         )
     return total

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -407,7 +408,7 @@ class TestSimulateCommand:
         def no_ensemble(*args, **kwargs):
             raise ValueError("ensemble drawn")
 
-        monkeypatch.setattr(field_sim, "simulate_ensemble", no_ensemble)
+        monkeypatch.setattr(field_sim, "ensemble_spectrum", no_ensemble)
         out = tmp_path / "o"
         rc = main(["simulate", "--config", atom_config, "--lmax", lmax, "--grid", "4x8",
                    "--times", "0", "--ensemble", n_runs, "--out", str(out)])
@@ -484,6 +485,24 @@ class TestSimulateCommand:
             est = field_sim.empirical_spectrum(ens, int(l), float(t))
             assert float(estimate) == pytest.approx(est.value, rel=1e-14)
             assert float(std_error) == pytest.approx(est.std_error, rel=1e-14)
+
+    def test_ensemble_memory_does_not_grow_with_members(self, atom_config, tmp_path):
+        # Members are reduced as they are drawn: 360 more runs at L = 32 add
+        # their per-run table (runs x times x L float64) and np.std's
+        # temporary of it, not 360 members of 2 x 32 x 63 complex coefficients
+        # (23 MB), as holding and stacking them did.
+        def traced_peak(n_runs):
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", atom_config, "--lmax", "32",
+                             "--grid", "4x8", "--times", "0,0.5", "--ensemble",
+                             str(n_runs), "--out", str(tmp_path / str(n_runs))]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        table = 360 * 2 * 32 * 8
+        assert traced_peak(400) - traced_peak(40) <= table + 2 ** 20
 
     def test_coefficient_csv_schema(self, atom_config, tmp_path):
         out = str(tmp_path / "run")

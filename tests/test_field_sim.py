@@ -10,10 +10,9 @@ from numpy.random import Generator, Philox
 from hyperdiff import field_sim
 from hyperdiff.exceptions import AccuracyError
 from hyperdiff.field_sim import (CoefficientSet, _draw, _weights, atomize,
-                                 derive_run_seed,
-                                 empirical_spectrum, grid_from_binary,
-                                 grid_to_binary, histogram_entropy,
-                                 radial_coefficient, simulate_coefficients,
+                                 derive_run_seed, empirical_spectrum,
+                                 ensemble_spectrum, grid_from_binary,
+                                 grid_to_binary, simulate_coefficients,
                                  simulate_ensemble, synthesize,
                                  truncation_error_mc)
 from hyperdiff.kernel import transfer
@@ -407,14 +406,6 @@ class TestTruncationError:
 
 
 class TestCoefficientSet:
-    def test_truncated_shares_realisation(self):
-        cs = simulate_coefficients(8, (0.0,), ATOMS3, P11, seed=77)
-        sub = cs.truncated(4)
-        half_big, half_small = 7, 3
-        for l in range(4):
-            for m in range(-l, l + 1):
-                assert sub.coeffs[0, l, half_small + m] == cs.coeffs[0, l, half_big + m]
-
     def test_time_lookup(self):
         cs = simulate_coefficients(3, (0.0, 0.25), ATOM1, P11, seed=1)
         assert cs.time_index(0.25) == 1
@@ -468,55 +459,43 @@ class TestEmpiricalSpectrum:
         with pytest.raises(ValueError, match="degree l"):
             empirical_spectrum(ens, l, 0.0)
 
-
-class TestHistogramEntropy:
-    def test_uniform_sixteen_bins(self):
-        values = np.repeat(np.arange(16), 25) + 0.5
-        assert histogram_entropy(values, 16) == pytest.approx(math.log(16.0),
-                                                              rel=1e-12)
-
-    def test_constant_input(self):
-        assert histogram_entropy(np.full(100, 3.3), 16) == 0.0
-
-    def test_two_equal_bins(self):
-        values = np.array([0.0] * 40 + [1.0] * 40)
-        assert histogram_entropy(values, 2) == pytest.approx(math.log(2.0),
-                                                             rel=1e-14)
-
-    def test_upper_bound(self):
-        rng = np.random.default_rng(43)
-        for _ in range(10):
-            values = rng.normal(size=500)
-            n_bins = int(rng.integers(2, 40))
-            assert histogram_entropy(values, n_bins) <= math.log(n_bins) + 1e-12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            histogram_entropy([1.0], 1)
-        with pytest.raises(ValueError):
-            histogram_entropy([], 4)
+    def test_members_must_share_shape(self):
+        a = simulate_coefficients(3, (0.0,), ATOM1, P11, seed=1)
+        b = simulate_coefficients(4, (0.0,), ATOM1, P11, seed=2)
+        c = simulate_coefficients(3, (0.5,), ATOM1, P11, seed=3)
+        for pair in ([a, b], [a, c]):
+            with pytest.raises(ValueError, match="share"):
+                empirical_spectrum(pair, 1, 0.0)
 
 
-class TestRadialCoefficient:
-    def test_l0_closed_form(self):
-        x = 2.0
-        expected = math.sqrt(2 / (math.pi * x)) * math.sin(x) / math.sqrt(x)
-        assert radial_coefficient(0, 2.0, 1.0) == pytest.approx(expected, rel=1e-13)
+class TestEnsembleSpectrum:
+    MIXED = SpectralMeasure(atoms=((2.5, 0.4),),
+                            segments=((0.2, 1.5, 1.0, 0.5),))
 
-    def test_unit_radius_matches_weight(self):
-        from hyperdiff.special import bessel_half_all
-        assert radial_coefficient(3, 2.5, 1.0) == pytest.approx(
-            bessel_half_all(3, 2.5)[3] / math.sqrt(2.5), rel=1e-13)
+    @pytest.mark.parametrize("degree_count, times", [
+        (1, (0.0,)),  # one cell: numpy sums the runs pairwise
+        (7, (0.0, 0.4, 1.2)),  # many cells: numpy adds the runs in order
+    ])
+    def test_equals_members_bitwise(self, degree_count, times):
+        args = (degree_count, times, self.MIXED, P11)
+        estimate, std_error, theory = ensemble_spectrum(
+            *args, master_seed=9, n_runs=41, n_quad=8)
+        ens = simulate_ensemble(*args, master_seed=9, n_runs=41, n_quad=8)
+        assert estimate.shape == std_error.shape == (len(times), degree_count)
+        for ti, t in enumerate(times):
+            for l in range(degree_count):
+                est = empirical_spectrum(ens, l, t)
+                assert (estimate[ti, l], std_error[ti, l]) == (est.value,
+                                                               est.std_error)
+        expected = angular_spectrum(degree_count, times, times,
+                                    atomize(self.MIXED, 8), P11).values
+        assert np.array_equal(theory, expected)
 
-    def test_scale_invariance(self):
-        assert radial_coefficient(4, 2.0, 1.5) == pytest.approx(
-            radial_coefficient(4, 3.0, 1.0), rel=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            radial_coefficient(1, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            radial_coefficient(1, 1.0, 0.0)
+    @pytest.mark.parametrize("n_runs", [0, 1])
+    def test_needs_two_runs(self, n_runs):
+        with pytest.raises(ValueError, match="at least 2 runs"):
+            ensemble_spectrum(3, (0.0,), ATOM1, P11, master_seed=0,
+                              n_runs=n_runs)
 
 
 class TestAtomize:

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 
 from hyperdiff.exceptions import ConfigError
 from hyperdiff.measure import (DiffusionParams, PowerLawSegment, SpectralMeasure,
-                               load_config, load_measure, serialize_config)
+                               load_config, load_measure, power_law_integral,
+                               serialize_config)
 
 
 def make_config(atoms=(), segments=(), c=1.0, D=1.0):
@@ -115,6 +116,19 @@ class TestTotalMass:
             m = SpectralMeasure(atoms=tuple(zip(mus, masses)), segments=(seg,))
             parts = sum(masses) + seg.mass()
             assert m.total_mass() == pytest.approx(parts, rel=1e-13)
+
+
+class TestPowerLawIntegral:
+    @pytest.mark.parametrize("exponent", [-2.5, -1.0, 0.0, 0.5])
+    def test_against_quadrature(self, exponent):
+        value = power_law_integral(1.5, exponent, 0.4, 2.0)
+        oracle, _ = quad(lambda mu: 1.5 * mu ** exponent, 0.4, 2.0)
+        assert value == pytest.approx(oracle, rel=1e-12)
+        assert PowerLawSegment(0.4, 2.0, 1.5, exponent).mass() == value
+
+    @pytest.mark.parametrize("lo, hi", [(2.0, 2.0), (3.0, 1.0)])
+    def test_empty_interval(self, lo, hi):
+        assert power_law_integral(1.5, -1.0, lo, hi) == 0.0
 
 
 class TestSupportBounds:
