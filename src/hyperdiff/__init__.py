@@ -18,9 +18,8 @@ from .covariance import (LegendreCovariance, MemoryClass, MemoryReport,
                          angular_mse, covariance_legendre, covariance_spectral,
                          covariance_time_lags, integrated_abs_covariance,
                          memory_classify)
-from .field_sim import (CoefficientSet, EmpiricalSpectrum, FieldGrid,
-                        TruncationError, atomize, derive_run_seed,
-                        empirical_spectrum, ensemble_spectrum,
+from .field_sim import (CoefficientSet, FieldGrid, TruncationError, atomize,
+                        derive_run_seed, ensemble_spectrum,
                         simulate_coefficients, simulate_ensemble, synthesize,
                         truncation_error_mc)
 from .entropy1d import (EntropyTrace, ExperimentResult, ModeDecomposition,
@@ -38,8 +37,8 @@ __all__ = [
     "LegendreCovariance", "MemoryClass", "MemoryReport",
     "angular_mse", "covariance_legendre", "covariance_spectral",
     "covariance_time_lags", "integrated_abs_covariance", "memory_classify",
-    "CoefficientSet", "EmpiricalSpectrum", "FieldGrid", "TruncationError",
-    "atomize", "derive_run_seed", "empirical_spectrum", "ensemble_spectrum",
+    "CoefficientSet", "FieldGrid", "TruncationError",
+    "atomize", "derive_run_seed", "ensemble_spectrum",
     "simulate_coefficients", "simulate_ensemble", "synthesize",
     "truncation_error_mc",
     "EntropyTrace", "ExperimentResult", "ModeDecomposition",

@@ -4,12 +4,13 @@ Coefficients of the Laplace series are drawn in closed form from the measure:
 for an atomic measure, degree-l coefficients are weighted sums of independent
 standard normals with weights pi*sqrt(2) * J_{l+1/2}(mu_i)/sqrt(mu_i)
 * transfer(mu_i, t) * sigma_i. None of these weights depends on the seed, so
-each call computes them once, (times x degrees x atoms), and one private
-draw routine turns them into coefficients for a sequence of seeds and a range
-of degrees: simulate_coefficients is the one-seed case, simulate_ensemble the
-many-seed case, ensemble_spectrum reduces each member to sum_m |a_lm|^2 as it
-is drawn, and truncation_error_mc draws only its degree band into one reused
-buffer.
+each public simulation call prepares them once, (times x degrees x atoms),
+from the atomised measure, and one private draw routine turns them into
+coefficients for a sequence of seeds and a range of degrees.
+simulate_coefficients keeps the draw of one seed and simulate_ensemble those
+of many; ensemble_spectrum and truncation_error_mc instead reduce each run to
+one statistic as it is drawn (sum_m |a_lm|^2, or a degree band's squared
+value at a point) and report the mean over runs with its standard error.
 
 One normal block is drawn per degree from a counter-based Philox stream
 keyed by (seed, degree) (Salmon et al., SC'11), so identical inputs give
@@ -35,8 +36,9 @@ C_l/2 each. This is the real-harmonic draw expressed in the complex basis
 and preserves the defining second-moment structure E a a* = C_l(t, t').
 
 Measures with continuous segments are atomised for simulation (Gauss-Legendre
-nodes as atoms); spectra for simulation-vs-theory comparisons should be
-computed from the same atomised measure so the discretisation cancels.
+nodes as atoms). The theory that ensemble_spectrum and truncation_error_mc
+report beside their estimates is computed from that same atomised measure,
+so the discretisation cancels from the comparison.
 """
 
 from __future__ import annotations
@@ -152,11 +154,14 @@ class CoefficientSet:
         return complex(self.coeffs[time_index, l, self.order_index(m)])
 
 
-def _weights(degree_count: int, times, atomic: SpectralMeasure,
-             params: DiffusionParams) -> tuple[tuple[float, ...], np.ndarray]:
-    """Validated times and the seed-independent draw weights
+def _prepare(degree_count: int, times, measure: SpectralMeasure,
+             params: DiffusionParams, n_quad: int
+             ) -> tuple[tuple[float, ...], SpectralMeasure, np.ndarray]:
+    """Validated times, the measure atomised with n_quad nodes per segment,
+    and the seed-independent draw weights
     pi*sqrt(2) * J_{l+1/2}(mu)/sqrt(mu) * sigma * transfer(mu, t), indexed
     (time, degree l < degree_count, atom) of the atomic measure."""
+    atomic = atomize(measure, n_quad)
     if degree_count < 1:
         raise ValueError(f"degree count must be >= 1, got {degree_count}")
     if not atomic.atoms:
@@ -169,7 +174,13 @@ def _weights(degree_count: int, times, atomic: SpectralMeasure,
     jmat = bessel_half_all(degree_count - 1, mus)
     base = math.pi * math.sqrt(2.0) * jmat / np.sqrt(mus) * sigmas
     hfac = transfer(mus, np.array(times)[:, None], params)
-    return times, base[None, :, :] * hfac[:, None, :]
+    return times, atomic, base[None, :, :] * hfac[:, None, :]
+
+
+def _moments(table: np.ndarray):
+    """Mean over runs (the first axis) of a table of per-run values, and its
+    standard error."""
+    return table.mean(axis=0), table.std(axis=0, ddof=1) / math.sqrt(len(table))
 
 
 def _fill(normals: np.ndarray, seeds, degrees: range):
@@ -285,8 +296,7 @@ def simulate_coefficients(degree_count: int, times, measure: SpectralMeasure,
                           n_quad: int = 64) -> CoefficientSet:
     """Draw one realisation of the coefficients a_lm(t) for l < degree_count."""
     seed = _check_int("seed", seed, 128)
-    times, weights = _weights(degree_count, times, atomize(measure, n_quad),
-                              params)
+    times, _, weights = _prepare(degree_count, times, measure, params, n_quad)
     coeffs = next(_draw(weights, (seed,), range(degree_count)))
     return CoefficientSet(degree_count=degree_count, times=times,
                           coeffs=coeffs, seed=seed)
@@ -300,8 +310,7 @@ def simulate_ensemble(degree_count: int, times, measure: SpectralMeasure,
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
     seeds = _run_seeds(master_seed, n_runs)
-    times, weights = _weights(degree_count, times, atomize(measure, n_quad),
-                              params)
+    times, _, weights = _prepare(degree_count, times, measure, params, n_quad)
     draws = _draw(weights, seeds, range(degree_count))
     return [CoefficientSet(degree_count=degree_count, times=times,
                            coeffs=coeffs.copy(), seed=seed)
@@ -319,7 +328,6 @@ class FieldGrid:
     n_phi: int
     values: np.ndarray
     time: float
-    meta: dict
 
     def thetas(self) -> np.ndarray:
         return (np.arange(self.n_theta) + 0.5) * math.pi / self.n_theta
@@ -359,71 +367,30 @@ def synthesize(cs: CoefficientSet, time_index: int, n_theta: int,
     profiles[1:] *= 2.0
     m_phi = np.outer(np.arange(L), phi)
     values = profiles.real.T @ np.cos(m_phi) - profiles.imag.T @ np.sin(m_phi)
-    meta = {"seed": cs.seed, "degree_count": L}
     return FieldGrid(n_theta=n_theta, n_phi=n_phi, values=values,
-                     time=cs.times[time_index], meta=meta)
-
-
-@dataclass(frozen=True)
-class EmpiricalSpectrum:
-    """Ensemble estimate of C_l(t, t) with its standard error."""
-
-    value: float
-    std_error: float
-    n_runs: int
-
-
-def _spectrum_estimate(members, shape: tuple[int, int, int]):
-    """Mean over the members (coefficients indexed time, degree, order) of
-    sum_m |a_lm|^2 / (2l+1), and its standard error, holding only the
-    (runs, times, degrees) table `shape`. numpy's order of summing over runs
-    depends on the table's shape, so callers pass whole tables to agree."""
-    power = np.empty(shape)
-    for run, coeffs in enumerate(members):
-        power[run] = np.sum(np.abs(coeffs) ** 2, axis=-1)
-    power /= 2 * np.arange(shape[2]) + 1
-    return power.mean(axis=0), power.std(axis=0, ddof=1) / math.sqrt(shape[0])
-
-
-def empirical_spectrum(ensemble, l: int, time: float) -> EmpiricalSpectrum:
-    """Estimate C_l(t, t) as the ensemble mean of (2l+1)-averaged |a_lm|^2.
-
-    The members must share their degree count and times, as those of one
-    simulate_ensemble call do.
-    """
-    ensemble = list(ensemble)
-    if len(ensemble) < 2:
-        raise ValueError("need an ensemble of at least 2 runs")
-    first = ensemble[0]
-    if any(cs.degree_count != first.degree_count or cs.times != first.times
-           for cs in ensemble):
-        raise ValueError("ensemble members must share degree count and times")
-    l = _check_index("degree l", l, first.degree_count)
-    time_index = first.time_index(time)
-    value, std_error = _spectrum_estimate(
-        (cs.coeffs for cs in ensemble),
-        (len(ensemble), len(first.times), first.degree_count))
-    return EmpiricalSpectrum(value=float(value[time_index, l]),
-                             std_error=float(std_error[time_index, l]),
-                             n_runs=len(ensemble))
+                     time=cs.times[time_index])
 
 
 def ensemble_spectrum(degree_count: int, times, measure: SpectralMeasure,
                       params: DiffusionParams, master_seed: int, n_runs: int,
                       n_quad: int = 64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(estimate, std_error, theory) of C_l(t, t), each indexed (time, l):
-    the first two equal empirical_spectrum over simulate_ensemble's members
-    bitwise, each member reduced to sum_m |a_lm|^2 as it is drawn, so memory
-    beyond one draw block is 8 bytes per (run, time, degree); theory is
-    angular_spectrum on the same atomised measure."""
+    """(estimate, std_error, theory) of C_l(t, t), each indexed (time, l).
+
+    Member r (the single run with seed derive_run_seed(master_seed, r)) is
+    reduced to sum_m |a_lm|^2 / (2l+1) as it is drawn, so memory beyond one
+    draw block is 8 bytes per (run, time, degree); the estimate is the mean
+    over runs with its standard error. theory is angular_spectrum on the
+    same atomised measure.
+    """
     if n_runs < 2:
         raise ValueError(f"need an ensemble of at least 2 runs, got {n_runs}")
     seeds = _run_seeds(master_seed, n_runs)
-    atomic = atomize(measure, n_quad)
-    times, weights = _weights(degree_count, times, atomic, params)
-    estimate, std_error = _spectrum_estimate(
-        _draw(weights, seeds, range(degree_count)),
-        (n_runs, len(times), degree_count))
+    times, atomic, weights = _prepare(degree_count, times, measure, params, n_quad)
+    power = np.empty((n_runs, len(times), degree_count))
+    for run, coeffs in enumerate(_draw(weights, seeds, range(degree_count))):
+        power[run] = np.sum(np.abs(coeffs) ** 2, axis=-1)
+    power /= 2 * np.arange(degree_count) + 1
+    estimate, std_error = _moments(power)
     theory = angular_spectrum(degree_count, times, times, atomic, params)
     return estimate, std_error, theory.values
 
@@ -466,7 +433,7 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
     if l_inner == l_outer:
         return TruncationError(estimate=0.0, std_error_sq=0.0, exact=0.0,
                                n_runs=n_runs)
-    atomic = atomize(measure, n_quad)
+    _, atomic, weights = _prepare(l_outer, (time,), measure, params, n_quad)
     spec = angular_spectrum(l_outer, time, time, atomic, params)
     band = spec.values[l_inner:l_outer]
     ls = np.arange(l_inner, l_outer)
@@ -474,14 +441,13 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
 
     y_band = sph_harm_all(l_outer, theta, phi)[l_inner:]
 
-    _, weights = _weights(l_outer, (time,), atomic, params)
     sq = np.empty(n_runs)
     for run, coeffs in enumerate(_draw(weights, seeds, range(l_inner, l_outer))):
         delta = np.sum(coeffs[0] * y_band).real
         sq[run] = delta * delta
-    estimate = math.sqrt(float(sq.mean()))
-    return TruncationError(estimate=estimate,
-                           std_error_sq=float(sq.std(ddof=1) / math.sqrt(n_runs)),
+    mean_sq, std_error_sq = _moments(sq)
+    return TruncationError(estimate=math.sqrt(float(mean_sq)),
+                           std_error_sq=float(std_error_sq),
                            exact=exact, n_runs=n_runs)
 
 
@@ -494,9 +460,16 @@ def grid_to_binary(grid: FieldGrid) -> bytes:
 
 
 def grid_from_binary(blob: bytes) -> FieldGrid:
+    """The grid that grid_to_binary wrote; ValueError unless blob is one
+    whole raster."""
+    if len(blob) < 32:
+        raise ValueError(f"field grid blob needs a 32-byte header, got {len(blob)} bytes")
     magic, n_theta, n_phi, time = struct.unpack_from("<8sQQd", blob, 0)
     if magic != _GRID_MAGIC:
         raise ValueError("not a field grid blob (bad magic)")
+    expected = 32 + 8 * n_theta * n_phi
+    if len(blob) != expected:
+        raise ValueError(f"a {n_theta}x{n_phi} field grid blob takes {expected} bytes, "
+                         f"got {len(blob)}")
     values = np.frombuffer(blob, dtype="<f8", offset=32).reshape(n_theta, n_phi)
-    return FieldGrid(n_theta=n_theta, n_phi=n_phi, values=values.copy(),
-                     time=time, meta={})
+    return FieldGrid(n_theta=n_theta, n_phi=n_phi, values=values.copy(), time=time)

@@ -17,8 +17,7 @@ from hyperdiff.covariance import (MemoryClass, angular_mse, covariance_legendre,
                                   covariance_spectral, memory_classify)
 from hyperdiff.entropy1d import (decompose_initial, entropy_trace, evaluate,
                                  mass, run_experiment)
-from hyperdiff.field_sim import simulate_ensemble, empirical_spectrum, \
-    truncation_error_mc
+from hyperdiff.field_sim import ensemble_spectrum, truncation_error_mc
 from hyperdiff.kernel import transfer, transfer_diffusive, transfer_wave, \
     wave_bound
 from hyperdiff.measure import DiffusionParams, PowerLawSegment, SpectralMeasure
@@ -214,14 +213,12 @@ def test_criterion_09_mc_spectrum_recovery():
     started = time.perf_counter()
     p = DiffusionParams(1.0, 1.0)
     m = SpectralMeasure(atoms=((1.0, 1.0),))
-    ensemble = simulate_ensemble(21, (0.0, 1.0), m, p, master_seed=2026,
-                                 n_runs=2000)
+    estimate, std_error, _ = ensemble_spectrum(21, (0.0, 1.0), m, p,
+                                               master_seed=2026, n_runs=2000)
     ok = True
-    for t in [0.0, 1.0]:
+    for ti, t in enumerate([0.0, 1.0]):
         theory = angular_spectrum(21, t, t, m, p).values
-        for l in range(21):
-            est = empirical_spectrum(ensemble, l, t)
-            ok &= abs(est.value - theory[l]) <= 5 * est.std_error
+        ok &= bool(np.all(np.abs(estimate[ti] - theory) <= 5 * std_error[ti]))
     elapsed = time.perf_counter() - started
     report(9, "Monte Carlo spectrum recovery within 5 SE, N = 2000, l <= 20",
            ok and elapsed < 60.0, elapsed)

@@ -349,6 +349,12 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_every_export_is_defined():
+    # `from hyperdiff import *` raises AttributeError on an undefined name.
+    import hyperdiff
+    assert [name for name in hyperdiff.__all__ if not hasattr(hyperdiff, name)] == []
+
+
 class TestSimulateCommand:
     def test_repeat_run_bitwise_identical(self, atom_config, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -476,15 +482,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", atom_config, "--lmax", "4",
                      "--grid", "4x8", "--times", "0,0.6", "--seed", "5",
                      "--ensemble", "30", "--out", out]) == 0
-        ens = field_sim.simulate_ensemble(4, (0.0, 0.6), SpectralMeasure(atoms=((1.0, 1.0),)),
-                                          DiffusionParams(1.0, 1.0), master_seed=5, n_runs=30)
+        est, se, _ = field_sim.ensemble_spectrum(
+            4, (0.0, 0.6), SpectralMeasure(atoms=((1.0, 1.0),)),
+            DiffusionParams(1.0, 1.0), master_seed=5, n_runs=30)
         _, rows = read_csv(os.path.join(out, "empirical_spectrum.csv"))
         assert [(float(r[0]), int(r[1])) for r in rows] == [
             (t, l) for t in (0.0, 0.6) for l in range(4)]
-        for t, l, estimate, std_error, _ in rows:
-            est = field_sim.empirical_spectrum(ens, int(l), float(t))
-            assert float(estimate) == pytest.approx(est.value, rel=1e-14)
-            assert float(std_error) == pytest.approx(est.std_error, rel=1e-14)
+        for row, value, error in zip(rows, est.ravel(), se.ravel(), strict=True):
+            assert float(row[2]) == pytest.approx(value, rel=1e-14)
+            assert float(row[3]) == pytest.approx(error, rel=1e-14)
 
     def test_ensemble_memory_does_not_grow_with_members(self, atom_config, tmp_path):
         # Members are reduced as they are drawn: 360 more runs at L = 32 add

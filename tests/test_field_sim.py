@@ -9,12 +9,11 @@ from numpy.random import Generator, Philox
 
 from hyperdiff import field_sim
 from hyperdiff.exceptions import AccuracyError
-from hyperdiff.field_sim import (CoefficientSet, _draw, _weights, atomize,
-                                 derive_run_seed, empirical_spectrum,
-                                 ensemble_spectrum, grid_from_binary,
-                                 grid_to_binary, simulate_coefficients,
-                                 simulate_ensemble, synthesize,
-                                 truncation_error_mc)
+from hyperdiff.field_sim import (CoefficientSet, _draw, _prepare, atomize,
+                                 derive_run_seed, ensemble_spectrum,
+                                 grid_from_binary, grid_to_binary,
+                                 simulate_coefficients, simulate_ensemble,
+                                 synthesize, truncation_error_mc)
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, PowerLawSegment, SpectralMeasure
 from hyperdiff.special import sph_harm_all
@@ -54,13 +53,11 @@ class TestSimulateCoefficients:
         assert np.allclose(ratios, factor, rtol=1e-12)
 
     def test_second_moment_matches_spectrum(self):
-        n_runs = 1500
-        ens = simulate_ensemble(4, (0.0,), ATOMS3, P11, master_seed=123,
-                                n_runs=n_runs)
+        estimate, std_error, _ = ensemble_spectrum(4, (0.0,), ATOMS3, P11,
+                                                   master_seed=123, n_runs=1500)
         spec = angular_spectrum(4, 0.0, 0.0, ATOMS3, P11).values
         for l in [0, 3]:
-            est = empirical_spectrum(ens, l, 0.0)
-            assert abs(est.value - spec[l]) <= 5 * est.std_error
+            assert abs(estimate[0, l] - spec[l]) <= 5 * std_error[0, l]
 
     def test_m_zero_is_real(self):
         cs = simulate_coefficients(6, (0.0,), ATOMS3, P11, seed=17)
@@ -140,7 +137,8 @@ class TestBlockedDraw:
     def test_matches_per_run_loop(self, degrees):
         # Sums in atom order round unlike BLAS products, by a few ulps.
         atoms = tuple((0.4 + 0.9 * i, 0.1 + 0.05 * i) for i in range(7))
-        _, weights = _weights(10, (0.0, 0.2, 0.9), SpectralMeasure(atoms=atoms), P11)
+        _, _, weights = _prepare(10, (0.0, 0.2, 0.9), SpectralMeasure(atoms=atoms),
+                                 P11, n_quad=64)
         blocked = [c.copy() for c in _draw(weights, self.SEEDS, degrees)]
         for got, want in zip(blocked, _draw_per_run(weights, self.SEEDS, degrees),
                              strict=True):
@@ -152,7 +150,7 @@ class TestBlockedDraw:
         # 3 atoms at 2 times take 24 values a row, and a seed below L = 8 has
         # 36 rows: 144 rows a block hold 4 whole seeds, 10 rows cut a seed,
         # and its streams, into 4 pieces.
-        _, weights = _weights(8, (0.0, 0.3), ATOMS3, P11)
+        _, _, weights = _prepare(8, (0.0, 0.3), ATOMS3, P11, n_quad=64)
         singles = [next(_draw(weights, (seed,), range(8))).copy()
                    for seed in self.SEEDS]
         chunks = []
@@ -431,43 +429,6 @@ class TestCoefficientSet:
             synthesize(cs, time_index, 2, 4)
 
 
-class TestEmpiricalSpectrum:
-    def test_single_atom_ratio_is_exact(self):
-        # same draws cancel: C_hat(t)/C_hat(0) = transfer factor squared
-        ens = simulate_ensemble(4, (0.0, 0.9), ATOM1, P11, master_seed=3,
-                                n_runs=50)
-        for l in [0, 2]:
-            e0 = empirical_spectrum(ens, l, 0.0)
-            e1 = empirical_spectrum(ens, l, 0.9)
-            assert e1.value / e0.value == pytest.approx(
-                transfer(1.0, 0.9, P11) ** 2, rel=1e-12)
-
-    def test_zero_coefficients(self):
-        zero = CoefficientSet(degree_count=2, times=(0.0,),
-                              coeffs=np.zeros((1, 2, 3), dtype=complex), seed=0)
-        est = empirical_spectrum([zero, zero], 1, 0.0)
-        assert est.value == 0.0
-
-    def test_needs_two_runs(self):
-        cs = simulate_coefficients(3, (0.0,), ATOM1, P11, seed=1)
-        with pytest.raises(ValueError):
-            empirical_spectrum([cs], 1, 0.0)
-
-    @pytest.mark.parametrize("l", [-1, 4, 2.5])
-    def test_degree_range(self, l):
-        ens = simulate_ensemble(4, (0.0,), ATOM1, P11, master_seed=3, n_runs=2)
-        with pytest.raises(ValueError, match="degree l"):
-            empirical_spectrum(ens, l, 0.0)
-
-    def test_members_must_share_shape(self):
-        a = simulate_coefficients(3, (0.0,), ATOM1, P11, seed=1)
-        b = simulate_coefficients(4, (0.0,), ATOM1, P11, seed=2)
-        c = simulate_coefficients(3, (0.5,), ATOM1, P11, seed=3)
-        for pair in ([a, b], [a, c]):
-            with pytest.raises(ValueError, match="share"):
-                empirical_spectrum(pair, 1, 0.0)
-
-
 class TestEnsembleSpectrum:
     MIXED = SpectralMeasure(atoms=((2.5, 0.4),),
                             segments=((0.2, 1.5, 1.0, 0.5),))
@@ -480,16 +441,24 @@ class TestEnsembleSpectrum:
         args = (degree_count, times, self.MIXED, P11)
         estimate, std_error, theory = ensemble_spectrum(
             *args, master_seed=9, n_runs=41, n_quad=8)
+        # Reference: the members held whole, reduced to sum_m |a_lm|^2 / (2l+1).
         ens = simulate_ensemble(*args, master_seed=9, n_runs=41, n_quad=8)
+        power = np.array([np.sum(np.abs(cs.coeffs) ** 2, axis=-1) for cs in ens])
+        power /= 2 * np.arange(degree_count) + 1
         assert estimate.shape == std_error.shape == (len(times), degree_count)
-        for ti, t in enumerate(times):
-            for l in range(degree_count):
-                est = empirical_spectrum(ens, l, t)
-                assert (estimate[ti, l], std_error[ti, l]) == (est.value,
-                                                               est.std_error)
+        assert np.array_equal(estimate, power.mean(axis=0))
+        assert np.array_equal(std_error, power.std(axis=0, ddof=1) / math.sqrt(41))
         expected = angular_spectrum(degree_count, times, times,
                                     atomize(self.MIXED, 8), P11).values
         assert np.array_equal(theory, expected)
+
+    def test_single_atom_ratio_is_exact(self):
+        # same draws cancel: C_hat(t)/C_hat(0) = transfer factor squared
+        estimate, _, _ = ensemble_spectrum(4, (0.0, 0.9), ATOM1, P11,
+                                           master_seed=3, n_runs=50)
+        for l in [0, 2]:
+            assert estimate[1, l] / estimate[0, l] == pytest.approx(
+                transfer(1.0, 0.9, P11) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("n_runs", [0, 1])
     def test_needs_two_runs(self, n_runs):
@@ -525,3 +494,13 @@ class TestGridSerialisation:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             grid_from_binary(b"\x00" * 64)
+
+    def test_short_or_ragged_blob(self):
+        # These raised struct.error and numpy's buffer-size error.
+        cs = simulate_coefficients(4, (0.1,), ATOMS3, P11, seed=55)
+        blob = grid_to_binary(synthesize(cs, 0, 6, 12))
+        with pytest.raises(ValueError, match="32-byte header, got 20 bytes"):
+            grid_from_binary(blob[:20])
+        for ragged in (blob[:-3], blob + b"\x00"):
+            with pytest.raises(ValueError, match=f"6x12 .* 608 bytes, got {len(ragged)}"):
+                grid_from_binary(ragged)
