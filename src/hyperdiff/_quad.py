@@ -12,6 +12,16 @@ call is reduced before the next. Failure to reach the tolerance, or a
 non-finite result, raises AccuracyError carrying the achieved estimate
 instead of silently returning it.
 
+A segment A mu^a on [0, hi] with a non-integer exponent is singular at 0,
+where bisection alone arrives one panel per round (80 rounds at a = -0.6),
+each round paying the kernels' fixed cost per call. integrate_measure
+therefore seeds such a segment with panels graded toward 0, at
+hi 2^-k for k = 1..K, K sized by the rule's own error estimate (_halvings),
+and integrates the panel at 0 in a variable where the density is constant.
+Spectra and covariances then take about three rounds at any exponent, the
+same adaptive error control certifies them, and no node is ever subnormal,
+even for exponents near -1 whose mass lies mostly below 1e-300.
+
 An integrand returns either an array with the node axis last, reduced by
 _dense_sums, or a pair of factors, rows (nodes, J, K) and cols
 (nodes, K, B), whose value at a node is the (J, B) matrix rows @ cols.
@@ -48,11 +58,12 @@ _NODES = np.array(_XK + [0.0] + [-x for x in _XK[::-1]])
 _WEIGHTS = np.array([_WK + _WK[-2::-1],
                      [w for g in _WG + _WG[::-1] for w in (0.0, g)] + [0.0]])
 
-# Values the integrand returns per call: its width per node for a dense
-# integrand, J*K + K*B per node for factors. A call carries as many whole
-# panels as fit, and at least one, so the kernels' fixed cost per call is
-# spread over many nodes while a call's values and their reduction stay
-# bounded.
+# Values per call, counted as the integral's width per node: the values a
+# dense integrand returns, or the J*B values of rows @ cols for factors,
+# which are never formed but whose factors take kernel work on about J + B
+# columns per node. A call carries as many whole panels as fit, and at least
+# one, so the kernels' fixed cost per call is spread over many nodes while a
+# call's memory and its reduction stay bounded.
 _VALUES_PER_CALL = 2 ** 20
 # Multiply-adds per GEMM of the factored rule. OpenBLAS runs a GEMM of at
 # most 2^18 of them on one thread; a larger one split over 2 threads gave
@@ -60,6 +71,7 @@ _VALUES_PER_CALL = 2 ** 20
 _SERIAL_GEMM = 2 ** 18
 _MAX_BISECT = 128
 _ATOL = 1e-15
+_TINY = np.finfo(float).tiny
 
 
 def _dense_sums(values, ints: np.ndarray, stats: np.ndarray) -> None:
@@ -106,15 +118,16 @@ def _factored_sums(factors, ints: np.ndarray, stats: np.ndarray) -> None:
                                     initial=0.0), out=stats[1])
 
 
-def _gk21(f, lo: np.ndarray, hi: np.ndarray, reduce, per_node: int, width: int):
+def _gk21(f, lo: np.ndarray, hi: np.ndarray, reduce, width: int):
     """Integral and error estimate of each panel [lo, hi], and the summed
     rounding error of all of them. f gets whole panels, about
-    _VALUES_PER_CALL values and at least one panel per call, and reduce sums
-    each call's values before the next call. |K - G| is rescaled by the
-    spread where that is nonzero, and is at least the rounding bound."""
+    _VALUES_PER_CALL / width nodes and at least one panel per call, and
+    reduce sums each call's values before the next call. |K - G| is
+    rescaled by the spread where that is nonzero, and is at least the
+    rounding bound."""
     half = 0.5 * (hi - lo)
     ints, stats = np.empty((lo.size, width)), np.zeros((3, lo.size))
-    step = max(1, _VALUES_PER_CALL // (21 * max(per_node, 1)))
+    step = max(1, _VALUES_PER_CALL // (21 * max(width, 1)))
     for p in range(0, lo.size, step):
         chunk = slice(p, p + step)
         x = (0.5 * (lo + hi)[chunk, None] + half[chunk, None] * _NODES).ravel()
@@ -144,11 +157,10 @@ def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
     probe = f(np.array([0.5 * (a[0] + b[0])]))  # one node picks the rule
     if isinstance(probe, tuple):
         reduce, shape = _factored_sums, (probe[0].shape[1], probe[1].shape[2])
-        per_node = probe[0].size + probe[1].size
     else:
-        reduce, shape, per_node = _dense_sums, np.shape(probe)[:-1], np.size(probe)
+        reduce, shape = _dense_sums, np.shape(probe)[:-1]
     width = math.prod(shape)
-    ints, errs, rounding = _gk21(f, a, b, reduce, per_node, width)
+    ints, errs, rounding = _gk21(f, a, b, reduce, width)
 
     def tolerance():
         return max(_ATOL, rtol * float(np.max(np.abs(ints.sum(axis=0)), initial=0.0)))
@@ -161,7 +173,7 @@ def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
         split, keep = np.split(order, [min(_MAX_BISECT, 1 + np.count_nonzero(covered))])
         mid = 0.5 * (a[split] + b[split])
         lo_c, hi_c = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
-        ints_c, errs_c, rounding_c = _gk21(f, lo_c, hi_c, reduce, per_node, width)
+        ints_c, errs_c, rounding_c = _gk21(f, lo_c, hi_c, reduce, width)
         a, b = np.concatenate([a[keep], lo_c]), np.concatenate([b[keep], hi_c])
         ints = np.concatenate([ints[keep], ints_c])
         errs = np.concatenate([errs[keep], errs_c])
@@ -183,6 +195,24 @@ def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
     return total.reshape(shape)
 
 
+def _halvings(exponent: float, rtol: float) -> int:
+    """Halvings K of an origin segment [0, hi] toward 0.
+
+    The rule's integral i1 and error estimate e1 for mu^a on [0, 1] both
+    scale as h^(a+1) on [0, h], so after K = log2(e1 / (rtol/8 i1)) / (a+1)
+    halvings the estimate on the panel at 0 is below rtol/8 of the segment's
+    integral. K is at most log2(8/rtol): the panel at 0 is then at most
+    rtol/8 of the segment long, and integrate_measure integrates it where
+    the density is constant, so only f's change across it is left.
+    """
+    ints, errs, _ = _gk21(lambda x: x ** exponent, np.zeros(1), np.ones(1),
+                          _dense_sums, 1)
+    ratio = errs[0] / (rtol / 8.0 * ints[0, 0])
+    if not ratio > 1.0:  # also NaN, where mu^a underflows at every node
+        return 0
+    return math.ceil(min(math.log2(ratio) / (exponent + 1.0), math.log2(8.0 / rtol)))
+
+
 def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
                       breakpoints=()):
     """Integral of f(mu) over G(d mu).
@@ -191,8 +221,15 @@ def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
     factors as integrate_vector takes them. The atoms go in as one array, so
     f(mus) @ masses sums them exactly (for factors, the sum over atoms of
     mass * rows @ cols); each segment's f(mu) * A mu^a goes to
-    integrate_vector, its panels split at the breakpoints. The empty measure
-    gives zeros of f's shape.
+    integrate_vector, one call per segment, its panels split at the
+    breakpoints. The empty measure gives zeros of f's shape.
+
+    A segment on [0, hi] with non-integer a gets the breakpoints hi 2^-k,
+    k = 1..K, with K from _halvings. On the panel at 0, [0, h] with
+    h = hi 2^-K, the integration variable is x = h (mu/h)^(a+1), so
+    A mu^a dmu = A h^a / (a+1) dx is constant there and only f varies; its
+    nodes mu never go below the smallest normal double, where f takes its
+    value at 0 to rounding. Breakpoints below h move with the map.
     """
     mus = np.array([mu for mu, _ in measure.atoms])
     masses = np.array([mass for _, mass in measure.atoms])
@@ -204,11 +241,25 @@ def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
         else:
             total = values @ masses
     for seg in measure.segments:
-        def integrand(mu, seg=seg):
-            values, density = f(mu), seg.amplitude * mu ** seg.exponent
+        a = seg.exponent
+        k = _halvings(a, rtol) if seg.lo == 0.0 and a != math.floor(a) else 0
+        h = math.ldexp(seg.hi, -k) if k else 0.0  # the panel [0, h] at the origin
+
+        def integrand(x, seg=seg, a=a, h=h):
+            # mu = x above h; below it x = h (mu/h)^(a+1), where the
+            # density A mu^a dmu is the constant A h^a / (a+1) dx.
+            mu, density = x, seg.amplitude * np.maximum(x, h) ** a
+            if h:
+                inner = x < h
+                mu = np.where(inner, np.maximum(
+                    h * np.minimum(x / h, 1.0) ** (1.0 / (a + 1.0)), _TINY), x)
+                density[inner] /= a + 1.0
+            values = f(mu)
             if isinstance(values, tuple):
                 return values[0] * density[:, None, None], values[1]
             return values * density
+        points = [math.ldexp(seg.hi, -j) for j in range(1, k + 1)]
+        points += [h * (p / h) ** (a + 1.0) if 0.0 < p < h else p for p in breakpoints]
         total = total + integrate_vector(integrand, seg.lo, seg.hi, rtol=rtol,
-                                         breakpoints=breakpoints)
+                                         breakpoints=points)
     return total

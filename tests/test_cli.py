@@ -311,12 +311,20 @@ def _readme_usage_and_schemas():
 
 def test_readme_usage_runs_as_written(tmp_path, monkeypatch):
     commands, schemas = _readme_usage_and_schemas()
-    assert len(commands) == 6 and len(schemas) == 9
+    assert len(commands) == 7 and len(schemas) == 9
     shutil.copytree(ROOT / "configs", tmp_path / "configs")
     monkeypatch.chdir(tmp_path)
+    classes = {}
     for argv in commands:
         assert argv[0] == "hyperdiff"
         assert main(argv[1:]) == 0, argv
+        if argv[1] == "memory":
+            out = Path(argv[argv.index("--out") + 1])
+            manifest = json.loads((out / "manifest.json").read_text())
+            classes[Path(argv[argv.index("--config") + 1]).name] = (
+                manifest["result"]["classification"])
+    assert classes == {"inverse_decay.json": "ShortRange",
+                       "long_range.json": "LongRange"}
     seen = set()
     for path in sorted((tmp_path / "out").rglob("*.csv")):
         (pattern,) = [p for p in schemas if re.fullmatch(p, path.name)]
@@ -336,6 +344,24 @@ def test_huge_time_rows_are_finite(argv, tmp_path):
     assert main([argv[0], "--config", config, *argv[1:], "--out", str(out)]) == 0
     _, rows = read_csv(out / f"{argv[0]}.csv")
     assert rows and np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--lmax", "8", "--times", "0.2"],
+    ["covariance", "--gammas", "0.5", "--t", "0.2", "--route", "spectral"],
+], ids=lambda argv: argv[0])
+def test_origin_exponent_near_minus_one(argv, tmp_path, capsys):
+    config = tmp_path / "near.json"
+    config.write_text(json.dumps({
+        "params": {"c": 1.0, "D": 2.0},
+        "measure": {"atoms": [], "segments": [
+            {"lo": 0.0, "hi": 3.0, "amplitude": 1.0, "exponent": -0.99}]}}))
+    out = tmp_path / "o"
+    assert main([argv[0], "--config", str(config), *argv[1:], "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out / f"{argv[0]}.csv")
+    values = np.array(rows, dtype=float)
+    assert np.all(np.isfinite(values)) and np.all(values[:, -1] > 0.0)
 
 
 def test_cli_import_leaves_scipy_unloaded():

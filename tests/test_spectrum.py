@@ -13,6 +13,8 @@ from scipy.integrate import quad, quad_vec
 from hyperdiff.exceptions import AccuracyError
 from hyperdiff import _quad
 from hyperdiff._quad import integrate_measure, integrate_vector
+from hyperdiff.covariance import (covariance_legendre, covariance_spectral,
+                                  integrated_abs_covariance)
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import (DiffusionParams, PowerLawSegment, SpectralMeasure,
                                load_config)
@@ -476,3 +478,98 @@ class TestIntegrateMeasure:
         got = integrate_measure(self.f, m, breakpoints=(self.CUTOFF,))
         expected = self.f(np.array([0.5, 1.5])) @ np.array([2.0, 0.25])
         np.testing.assert_allclose(got, expected, rtol=1e-15)
+
+
+class TestOriginSegments:
+    """Segments A mu^a on [0, hi]: graded toward 0, the panel at 0 taken where
+    the density is constant. The oracle is QUADPACK's QAWS (scipy's
+    weight='alg') below the cut-off and plain quad above it."""
+
+    P = DiffusionParams(c=1.0, D=2.0)  # cut-off 0.25, inside [0, 3]
+
+    @classmethod
+    def oracle(cls, g, a):
+        """Integral of g(mu) mu^a over [0, 3]."""
+        cut = cls.P.cutoff
+        below, _ = quad(g, 0.0, cut, weight="alg", wvar=(a, 0.0),
+                        epsabs=0.0, epsrel=1e-13)
+        above, _ = quad(lambda mu: g(mu) * mu ** a, cut, 3.0, epsabs=0.0,
+                        epsrel=1e-13, limit=200)
+        return below + above
+
+    @classmethod
+    def spectrum_integrand(cls, t, ls, weights=1.0):
+        """2 pi^2 times the sum over ls of weights J_{l+1/2}(mu)^2 / mu, times
+        h(mu, t)^2, written as (2/pi) j_l(mu)^2, which is finite at mu = 0."""
+        return lambda mu: (4 * math.pi * np.sum(weights * sp.spherical_jn(ls, mu) ** 2)
+                           * transfer(mu, t, cls.P) ** 2)
+
+    @classmethod
+    def covariance_integrand(cls, gamma, t, tp):
+        chord = 2.0 * math.sin(gamma / 2.0)
+        return lambda mu: (np.sinc(chord * mu / math.pi)
+                           * transfer(mu, t, cls.P) * transfer(mu, tp, cls.P))
+
+    @pytest.mark.parametrize("a", [-0.6, -0.2, 0.5, 1.5])
+    def test_against_qaws(self, a):
+        m = SpectralMeasure(segments=(PowerLawSegment(0.0, 3.0, 1.0, a),))
+        t, tp = 0.2, 0.5
+        for l in (0, 3):
+            expected = self.oracle(self.spectrum_integrand(t, l), a)
+            assert c_l(l, t, t, m, self.P) == pytest.approx(expected, rel=1e-8)
+        gammas = np.array([0.3, 2.0])
+        got = covariance_spectral(gammas, t, tp, m, self.P)
+        for gamma, value in zip(gammas, got):
+            expected = self.oracle(self.covariance_integrand(gamma, t, tp), a)
+            assert value == pytest.approx(expected, rel=1e-8)
+        ls = np.arange(3, 81)
+        expected = self.oracle(self.spectrum_integrand(t, ls, 2 * ls + 1), a)
+        assert tail_sum_lommel(3, m, self.P, t) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("a", [-0.99, -0.999])
+    def test_exponent_near_minus_one(self, a):
+        # Most of the mass lies below any panel bisection could reach; at
+        # -0.99 the spectrum used to overflow at subnormal nodes.
+        m = SpectralMeasure(segments=(PowerLawSegment(0.0, 3.0, 1.0, a),))
+        expected = self.oracle(self.spectrum_integrand(0.2, 0), a)
+        assert c_l(0, 0.2, 0.2, m, self.P) == pytest.approx(expected, rel=1e-8)
+        if a == -0.99:
+            assert expected == pytest.approx(1258.6862203559247, rel=1e-12)
+        expected = self.oracle(self.covariance_integrand(0.5, 0.2, 0.2), a)
+        got = covariance_spectral(0.5, 0.2, 0.2, m, self.P)
+        assert got == pytest.approx(expected, rel=1e-8)
+        values = angular_spectrum(9, 0.2, 0.2, m, self.P).values
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+
+    @staticmethod
+    def count_rule_calls(monkeypatch):
+        counts = {"calls": 0, "panels": 0}
+        real = _quad._gk21
+
+        def counting(f, lo, hi, *args):
+            counts["calls"] += 1
+            counts["panels"] += lo.size
+            return real(f, lo, hi, *args)
+        monkeypatch.setattr(_quad, "_gk21", counting)
+        return counts
+
+    def test_a_few_rounds_at_negative_exponent(self, monkeypatch):
+        # Bisection alone reaches mu = 0 one panel per round: 79 rule calls
+        # for the spectrum and 107 for the Legendre route at a = -0.6.
+        m = SpectralMeasure(segments=(PowerLawSegment(0.0, 3.0, 1.0, -0.6),))
+        counts = self.count_rule_calls(monkeypatch)
+        times = np.array([0.0, 0.5])
+        angular_spectrum(24, times, times, m, self.P)
+        assert counts["calls"] <= 10
+        counts["calls"] = 0
+        covariance_legendre(np.linspace(0.0, 3.0, 6), 0.2, 0.2, m, self.P, 32)
+        assert counts["calls"] <= 10
+
+    def test_memory_job_evaluates_no_more_panels(self, monkeypatch):
+        # A memory job's cost is panels times lags. Bisection alone took 18
+        # panels here, in 9 rounds.
+        m = SpectralMeasure(segments=(PowerLawSegment(0.0, 3.0, 1.0, 0.9),))
+        counts = self.count_rule_calls(monkeypatch)
+        grid, _ = integrated_abs_covariance(0.2, 15.0, m, DiffusionParams(1.0, 1.0 / 3.0))
+        assert grid.size == 10_001
+        assert counts["panels"] <= 18
