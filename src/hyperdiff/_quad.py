@@ -6,11 +6,14 @@ integrate_vector, an adaptive Gauss-Kronrod (G10, K21) integrator for
 vector-valued integrands. Its rule and error estimate are QUADPACK's
 (Piessens et al. 1983); its subdivision is global: each round bisects the
 panels with the largest error estimates together, error control on the
-dominant component (max norm). The nodes of a round go to the integrand
-in calls of whole panels, so the kernels only ever see arrays, and each
-call is reduced before the next. Failure to reach the tolerance, or a
-non-finite result, raises AccuracyError carrying the achieved estimate
-instead of silently returning it.
+dominant component (max norm). As in QUADPACK's QAG, the convergence test
+covers the first round too, so an integrand the initial panels resolve is
+evaluated once. The nodes of a round go to the integrand in calls of whole
+panels, so the kernels only ever see arrays, and each call is reduced
+before the next. A probe call with zero nodes tells the rule and the
+output shape, so no kernel value is computed twice. Failure to reach the
+tolerance, or a non-finite result, raises AccuracyError carrying the
+achieved estimate instead of silently returning it.
 
 A segment A mu^a on [0, hi] with a non-integer exponent is singular at 0,
 where bisection alone arrives one panel per round (80 rounds at a = -0.6),
@@ -18,8 +21,9 @@ each round paying the kernels' fixed cost per call. integrate_measure
 therefore seeds such a segment with panels graded toward 0, at
 hi 2^-k for k = 1..K, K sized by the rule's own error estimate (_halvings),
 and integrates the panel at 0 in a variable where the density is constant.
-Spectra and covariances then take about three rounds at any exponent, the
-same adaptive error control certifies them, and no node is ever subnormal,
+Spectra and covariances then take one round in the common case, a few at
+most at any exponent, the same adaptive error control certifies them, and
+no node is ever subnormal,
 even for exponents near -1 whose mass lies mostly below 1e-300.
 
 An integrand returns either an array with the node axis last, reduced by
@@ -149,12 +153,14 @@ def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
     f takes a 1D array of nodes and either puts the node axis last, or
     returns the pair (rows (nodes, J, K), cols (nodes, K, B)) whose value at
     a node is rows @ cols; the result has the shape of one node's values.
+    f must accept an empty array of nodes: its values then have a node axis
+    of length 0, or its factors 0 rows, which picks the rule and the shape.
     breakpoints inside the interval (e.g. where a derivative jumps) seed the
     initial panel subdivision.
     """
     inner = sorted({p for p in breakpoints if lo < p < hi})
     a, b = np.array([lo, *inner], dtype=float), np.array([*inner, hi], dtype=float)
-    probe = f(np.array([0.5 * (a[0] + b[0])]))  # one node picks the rule
+    probe = f(np.empty(0))  # zero nodes give the rule and the shape
     if isinstance(probe, tuple):
         reduce, shape = _factored_sums, (probe[0].shape[1], probe[1].shape[2])
     else:
@@ -165,8 +171,9 @@ def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
     def tolerance():
         return max(_ATOL, rtol * float(np.max(np.abs(ints.sum(axis=0)), initial=0.0)))
 
-    error, converged = float(errs.sum()), False
-    while a.size < limit:
+    error = float(errs.sum())
+    converged = error < tolerance() / 8
+    while not converged and a.size < limit:
         # Bisect the worst panels until their error covers error - tol/8.
         order = np.lexsort((b, a, -errs))
         covered = np.cumsum(errs[order]) <= error - tolerance() / 8
@@ -178,9 +185,7 @@ def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
         ints = np.concatenate([ints[keep], ints_c])
         errs = np.concatenate([errs[keep], errs_c])
         error, rounding = float(errs.sum()), rounding + rounding_c
-        if error < tolerance() / 8:
-            converged = True
-            break
+        converged = error < tolerance() / 8
         if error < rounding or not (math.isfinite(error) and math.isfinite(rounding)):
             break
 
@@ -218,11 +223,13 @@ def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
     """Integral of f(mu) over G(d mu).
 
     f takes a 1D array of wave numbers and puts that axis last, or returns
-    factors as integrate_vector takes them. The atoms go in as one array, so
-    f(mus) @ masses sums them exactly (for factors, the sum over atoms of
-    mass * rows @ cols); each segment's f(mu) * A mu^a goes to
-    integrate_vector, one call per segment, its panels split at the
-    breakpoints. The empty measure gives zeros of f's shape.
+    factors as integrate_vector takes them; as there, it must accept an
+    empty array, returning a node axis of length 0 or factors with 0 rows.
+    The atoms go in as one array, so f(mus) @ masses sums them exactly (for
+    factors, the sum over atoms of mass * rows @ cols); each segment's
+    f(mu) * A mu^a goes to integrate_vector, one call per segment, its
+    panels split at the breakpoints. The empty measure gives zeros of f's
+    shape.
 
     A segment on [0, hi] with non-integer a gets the breakpoints hi 2^-k,
     k = 1..K, with K from _halvings. On the panel at 0, [0, h] with

@@ -5,9 +5,13 @@ Bessel functions j_l = sqrt(pi/(2x)) J_{l+1/2}. The three-term recurrence
 j_{n+1} = ((2n+1)/x) j_n - j_{n-1} is stable upward only while n < x; for
 n >= x the minimal solution j_n is swamped by the dominant one, so there a
 Miller-type downward recurrence is used: recurse down from a starting order
-well above max(l, x), rescale on overflow, and normalise against j_0 or j_1
+well above max(l, x), rescale before overflow, and normalise against j_0 or j_1
 (whichever is larger in magnitude, so zeros of sin(x)/x cannot poison the
-anchor). Tiny arguments use the power series directly.
+anchor). One step grows the carrier by a bounded factor, so its size is
+tested once per stride of steps that cannot overflow rather than at every
+step, and a rescale multiplies by an exact power of two, so the step at
+which it happens changes no bit of the result. Tiny arguments use the power
+series directly.
 A scalar argument goes through the same vectorised recurrences as an array.
 
 All functions are pure; safe for concurrent use.
@@ -23,7 +27,9 @@ _MAX_ORDER = 10_000
 _MAX_ARG = 1.0e5
 _SERIES_X = 1.0e-3
 _RESCALE_LIMIT = 1.0e250
-_RESCALE_FACTOR = 1.0e-250
+# 2^-830, about 1.4e-250: multiplying by a power of two is exact.
+_RESCALE_FACTOR = math.ldexp(1.0, -830)
+_RESCALE_ROOM = math.log(np.finfo(float).max / _RESCALE_LIMIT)
 
 
 def _check_order_arg(l_max: int, x_max: float) -> None:
@@ -93,11 +99,17 @@ def _sph_jn_downward(n_max: int, x: np.ndarray) -> np.ndarray:
     out = np.empty((n_max + 1, x.size))
     v_up = np.zeros(x.size)
     v = np.full(x.size, 1.0e-30)
+    # One step multiplies max(|v|, |v_up|) by at most 1 + (2 m_start + 1) / x,
+    # so from at most _RESCALE_LIMIT it stays finite for `stride` steps.
+    growth = 1.0 + (2 * m_start + 1) / float(np.min(x))
+    stride = max(1, int(_RESCALE_ROOM / math.log(growth)))
     for n in range(m_start, -1, -1):
         if n <= n_max:
             out[n] = v
         v_up, v = v, (2 * n + 1) / x * v - v_up
-        big = np.abs(v) > _RESCALE_LIMIT
+        if n % stride:
+            continue
+        big = np.maximum(np.abs(v), np.abs(v_up)) > _RESCALE_LIMIT
         if np.any(big):
             v[big] *= _RESCALE_FACTOR
             v_up[big] *= _RESCALE_FACTOR

@@ -162,6 +162,24 @@ class TestSpectrumCommand:
         _, rows = read_csv(os.path.join(out, "spectrum.csv"))
         assert [row[0] for row in rows[::4]] == ["0.0", "0.5", "2.0"]
 
+    def test_one_integrand_call_with_nodes(self, origin_segment_config, tmp_path,
+                                           monkeypatch):
+        # The first Gauss-Kronrod round meets the tolerance, and the probe
+        # that picks the rule carries no nodes.
+        sizes = []
+        real = _quad.integrate_vector
+
+        def counting(f, *args, **kwargs):
+            def counted(x):
+                sizes.append(x.size)
+                return f(x)
+            return real(counted, *args, **kwargs)
+        monkeypatch.setattr(_quad, "integrate_vector", counting)
+        assert main(["spectrum", "--config", origin_segment_config, "--lmax", "4",
+                     "--times", "0,0.5,2", "--out", str(tmp_path / "run")]) == 0
+        assert sizes[0] == 0
+        assert len([n for n in sizes if n]) == 1
+
 
 class TestCovarianceCommand:
     def test_gamma_zero_equals_variance(self, atom_config, tmp_path):

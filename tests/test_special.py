@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hyperdiff.special import (bessel_half_all, legendre_all,
+from hyperdiff.special import (_sph_jn_downward, bessel_half_all, legendre_all,
                                norm_plm_blocks, sph_harm_all)
 
 
@@ -153,6 +153,36 @@ class TestBesselHalf:
             assert abs(got - ref) <= 1e-13 * math.sqrt(2.0 / (math.pi * x))
         elif abs(ref) >= 1e-290:
             assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    def test_batch_with_strides_and_rescales_against_mpmath(self):
+        # One downward recurrence over all 25 arguments: its overflow test
+        # runs once every 10 steps (set by x = 2e-3), and the small arguments
+        # rescale many times. The reference runs the upward recurrence from
+        # the closed forms of j_0 and j_1 at 700 digits; it loses about
+        # log10(1 / (x^2 (2l+1) j_l^2)) < 590 of them where J >= 1e-290.
+        xs = np.geomspace(2e-3, 500.0, 25)
+        got = bessel_half_all(600, xs)
+        with mp.workdps(700):
+            for x, column in zip(xs, got.T):
+                xm = mp.mpf(float(x))
+                j_prev, j = mp.sin(xm) / xm, mp.sin(xm) / xm ** 2 - mp.cos(xm) / xm
+                for l in range(601):
+                    ref = float(mp.sqrt(2 * xm / mp.pi) * j_prev)
+                    if l + 0.5 <= x:
+                        assert abs(column[l] - ref) <= 1e-13 * math.sqrt(2.0 / (math.pi * x))
+                    elif abs(ref) >= 1e-290:
+                        assert abs(column[l] - ref) <= 1e-12 * abs(ref), (l, x)
+                    else:
+                        break  # J_{l+1/2}(x) only falls from here on
+                    j_prev, j = j, (2 * l + 3) / xm * j - j_prev
+
+    def test_rescale_step_changes_no_bit(self):
+        # Both batches start at the same order, but x = 2e-3 tests for
+        # overflow every 10 steps and x = 0.5 every 17, so the column at x = 5
+        # is rescaled at other steps; an exact power of two makes that moot.
+        a = _sph_jn_downward(600, np.array([0.002, 5.0]))[:, 1]
+        b = _sph_jn_downward(600, np.array([0.5, 5.0]))[:, 1]
+        assert np.array_equal(a, b)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

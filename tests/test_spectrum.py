@@ -348,32 +348,67 @@ class TestQuadWrapper:
                              0.0, 1.0, rtol=1e-13, limit=2)
         assert err.value.estimate is not None
 
-    def test_nan_at_one_node_raises(self):
+    @staticmethod
+    def nan_in_call(values, nan_call: int):
+        """An integrand whose node-carrying call number nan_call (from 1) gets
+        a NaN at its first node; the probe, with zero nodes, is not counted.
+        Returns it and the list of node counts of those calls."""
         calls = []
 
-        def nan_once(x):
-            calls.append(x.size)
-            values = np.cos(x)
-            if len(calls) == 3:
-                values[0] = np.nan
-            return values
+        def f(x):
+            result = values(x)
+            if x.size:
+                calls.append(x.size)
+                if len(calls) == nan_call:
+                    (result[0] if isinstance(result, tuple) else result)[0] = np.nan
+            return result
+        return f, calls
+
+    @staticmethod
+    def cos_factors(freq):
+        def factors(x):
+            rows = np.stack([np.cos(freq * x), np.sin(freq * x)], axis=-1)[:, None, :]
+            return rows, np.ones((x.size, 2, 3))
+        return factors
+
+    def test_nan_at_one_node_raises(self):
+        # cos converges on the first round, so its first call gets the NaN
+        f, calls = self.nan_in_call(np.cos, 1)
         with pytest.raises(AccuracyError) as err:
-            integrate_vector(nan_once, 0.0, 1.0)
+            integrate_vector(f, 0.0, 1.0)
+        assert calls[0] == 21
         assert not math.isfinite(err.value.error)
 
     def test_nan_in_factors_raises(self):
-        calls = []
-
-        def nan_once(x):
-            calls.append(x.size)
-            rows = np.stack([np.cos(x), np.sin(x)], axis=-1)[:, None, :]
-            if len(calls) == 3:
-                rows[0, 0, 0] = np.nan
-            return rows, np.ones((x.size, 2, 3))
+        f, calls = self.nan_in_call(self.cos_factors(1.0), 1)
         with pytest.raises(AccuracyError) as err:
-            integrate_vector(nan_once, 0.0, 1.0)
+            integrate_vector(f, 0.0, 1.0)
+        assert calls[0] == 21
+        assert not math.isfinite(err.value.error)
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_nan_in_a_later_round_raises(self, factored):
+        # cos(40 x) on [0, 1] takes three rule calls (four when factored), and
+        # the third gets the NaN: a round after bisection must not converge
+        # on it either.
+        values = self.cos_factors(40.0) if factored else (lambda x: np.cos(40.0 * x))
+        f, calls = self.nan_in_call(values, 3)
+        with pytest.raises(AccuracyError) as err:
+            integrate_vector(f, 0.0, 1.0)
         assert len(calls) == 3
         assert not math.isfinite(err.value.error)
+
+    def test_one_rule_call_when_the_first_round_converges(self, monkeypatch):
+        counts = TestOriginSegments.count_rule_calls(monkeypatch)
+        got = integrate_vector(lambda x: x[None, :] ** 3, 0.0, 1.0, breakpoints=(0.5,))
+        assert counts == {"calls": 1, "panels": 2}
+        assert got[0] == pytest.approx(0.25, rel=1e-15)
+
+    def test_initial_panels_at_the_limit_still_converge(self):
+        # Two breakpoint panels reach limit = 2 before any bisection.
+        got = integrate_vector(lambda x: x[None, :] ** 3, 0.0, 1.0,
+                               breakpoints=(0.5,), limit=2)
+        assert got[0] == pytest.approx(0.25, rel=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), split=st.booleans())
@@ -422,7 +457,8 @@ class TestQuadWrapper:
                 sizes.append(x.size)
                 return np.exp(-rows * x) * np.sqrt(x)
             integrate_vector(f, 0.0, 2.0, breakpoints=(0.5,))
-            calls = sizes[1:]  # after the one-node probe
+            assert sizes[0] == 0  # the probe carries no nodes
+            calls = sizes[1:]
             assert calls and all(n % 21 == 0 for n in calls)
             assert max(calls) * width <= max(21 * width, budget)
             if 21 * width > budget:
