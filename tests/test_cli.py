@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from hyperdiff.covariance import MAX_LAGS, covariance_legendre
 from hyperdiff.field_sim import grid_from_binary, simulate_coefficients, synthesize
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, SpectralMeasure
-from hyperdiff.spectrum import c_l
+from hyperdiff.spectrum import angular_spectrum, c_l
 
 ROOT = Path(__file__).parent.parent
 
@@ -562,6 +563,157 @@ class TestSimulateCommand:
         header, rows = read_csv(os.path.join(out, "coefficients_t0.csv"))
         assert header == ["l", "m", "re", "im"]
         assert len(rows) == sum(2 * l + 1 for l in range(3))
+
+    @pytest.fixture
+    def mirrored(self, monkeypatch):
+        """The columns cli._mirrored returns, in the order it returns them."""
+        columns = []
+        real = cli._mirrored
+
+        def recording(*args):
+            columns.append(real(*args))
+            return columns[-1]
+        monkeypatch.setattr(cli, "_mirrored", recording)
+        return columns
+
+    def test_csv_bytes_match_library(self, tmp_path, mirrored):
+        # Byte for byte, so a -0.0 written as 0.0 or a lost digit shows; L = 6
+        # has m < 0 rows of odd and even order. Every re and im column is
+        # written from its m >= 0 entries.
+        atoms = ((1.0, 1.0), (2.5, 0.5), (4.0, 0.25))
+        config = tmp_path / "atoms.json"
+        config.write_text(json.dumps({
+            "params": {"c": 1.0, "D": 1.0},
+            "measure": {"atoms": [{"mu": mu, "mass": mass} for mu, mass in atoms],
+                        "segments": []}}))
+        measure, params = SpectralMeasure(atoms=atoms), DiffusionParams(1.0, 1.0)
+        times = (0.0, 0.4)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--lmax", "6", "--grid", "5x8",
+                     "--times", "0,0.4", "--seed", "21", "--ensemble", "6",
+                     "--out", str(out)]) == 0
+        assert mirrored and all(isinstance(column, tuple) for column in mirrored)
+        cs = simulate_coefficients(6, times, measure, params, seed=21)
+        for ti in range(2):
+            assert (out / f"coefficients_t{ti}.csv").read_bytes() == csv_bytes(
+                ["l", "m", "re", "im"],
+                [[l, m, cs.coeffs[ti, l, 5 + m].real, cs.coeffs[ti, l, 5 + m].imag]
+                 for l in range(6) for m in range(-l, l + 1)])
+            grid = synthesize(cs, ti, 5, 8)
+            assert (out / f"field_t{ti}.csv").read_bytes() == csv_bytes(
+                ["theta", "phi", "value"],
+                [[grid.thetas()[j], grid.phis()[k], grid.values[j, k]]
+                 for j in range(5) for k in range(8)])
+        estimate, std_error, theory = field_sim.ensemble_spectrum(
+            6, times, measure, params, master_seed=21, n_runs=6)
+        assert (out / "empirical_spectrum.csv").read_bytes() == csv_bytes(
+            ["t", "l", "estimate", "std_error", "theory"],
+            [[t, l, estimate[i, l], std_error[i, l], theory[i, l]]
+             for i, t in enumerate(times) for l in range(6)])
+
+        out = tmp_path / "spectrum"
+        assert main(["spectrum", "--config", str(config), "--lmax", "6",
+                     "--times", "0,0.4", "--out", str(out)]) == 0
+        spec = angular_spectrum(6, times, times, measure, params)
+        assert (out / "spectrum.csv").read_bytes() == csv_bytes(
+            ["t", "t_prime", "l", "C_l"],
+            [[t, t, l, spec.values[i, l]] for i, t in enumerate(times) for l in range(6)])
+
+    def test_zero_coefficients_keep_their_signs(self, tmp_path, mirrored):
+        # The weights of an atom at mu = 1e-3 underflow from degree 69 on, so
+        # those a_lm are zeros, and the complex product that mirrors m > 0
+        # to m < 0 leaves signs that do not follow (-1)^m conj(a_lm).
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({
+            "params": {"c": 1.0, "D": 1.0},
+            "measure": {"atoms": [{"mu": 1e-3, "mass": 1.0}], "segments": []}}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--lmax", "80", "--grid", "4x8",
+                     "--times", "0", "--seed", "3", "--out", str(out)]) == 0
+        assert len(mirrored) == 2 and all(isinstance(c, tuple) for c in mirrored)
+        a = simulate_coefficients(80, (0.0,), SpectralMeasure(atoms=((1e-3, 1.0),)),
+                                  DiffusionParams(1.0, 1.0), seed=3).coeffs[0]
+        rows = [(l, m) for l in range(80) for m in range(-l, l + 1)]
+        written = (out / "coefficients_t0.csv").read_bytes()
+        assert written == csv_bytes(["l", "m", "re", "im"], [
+            [l, m, a[l, 79 + m].real, a[l, 79 + m].imag] for l, m in rows])
+
+        def by_parity(l, m):  # m < 0 rows as (-1)^m conj(a_l|m|), sign bits included
+            value = a[l, 79 + abs(m)].item()
+            s = (-1.0) ** m
+            return [l, m, value.real, value.imag] if m >= 0 else [
+                l, m, s * value.real, -s * value.imag]
+        assert written != csv_bytes(["l", "m", "re", "im"],
+                                    [by_parity(l, m) for l, m in rows])
+
+
+def csv_bytes(header, rows):
+    """What csv.writer's default dialect writes for header and rows, each
+    numpy scalar taken as the Python number it holds."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([[v.item() if isinstance(v, np.generic) else v for v in row]
+                      for row in rows])
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestWriteFile:
+    VALUES = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16,
+                       1e-5, 0.1])
+
+    @pytest.mark.parametrize("n_rows", [0, 1, cli._PIECE_ROWS, 2 * cli._PIECE_ROWS + 1])
+    def test_pairs_and_plain_columns_as_csv_writer(self, n_rows, tmp_path):
+        rng = np.random.default_rng(n_rows)
+        n = len(self.VALUES)
+        signed = np.concatenate([self.VALUES, -self.VALUES])
+        # Indices >= n stand for negations; two pairs share one values array.
+        first, second = rng.integers(0, 2 * n, n_rows), rng.integers(0, 2 * n, n_rows)
+        other = np.array([2.5, -1e-300])
+        third = rng.integers(0, 4, n_rows)
+        plain = rng.choice(self.VALUES, n_rows)
+        words = ["", "x"] * (n_rows // 2) + ["y"] * (n_rows % 2)
+        ints = np.arange(n_rows)
+        path = tmp_path / "table.csv"
+        cli._write_file(str(path), (["a", "b", "c", "d", "e", "f"],
+                                    [(self.VALUES, first), plain, (self.VALUES, second),
+                                     words, (other, third), ints]))
+        expected = csv_bytes(
+            ["a", "b", "c", "d", "e", "f"],
+            zip(signed[first].tolist(), plain.tolist(), signed[second].tolist(), words,
+                np.concatenate([other, -other])[third].tolist(), ints.tolist()))
+        assert path.read_bytes() == expected
+
+    def test_mirrored_pairs_by_sign_bit_or_keeps_the_column(self):
+        # A zero's sign may not follow its partner's (a complex product can
+        # flip it), so each entry takes its own sign bit; NaN pairs with NaN.
+        values = np.array([0.0, 1.5, math.nan, -2.0])
+        partner = np.array([0, 0, 1, 1, 2, 3, 3])
+        column = np.array([0.0, -0.0, 1.5, -1.5, math.nan, 2.0, -2.0])
+        pair_values, index = cli._mirrored(column, values, partner)
+        assert pair_values is values
+        gathered = np.concatenate([values, -values])[index]
+        numbers = ~np.isnan(column)
+        assert np.isnan(gathered).tolist() == np.isnan(column).tolist()
+        assert gathered[numbers].tobytes() == column[numbers].tobytes()
+        shifted = column.copy()
+        shifted[3] = -1.25
+        assert cli._mirrored(shifted, values, partner) is shifted
+
+    def test_traced_peak_of_a_memory_table(self, tmp_path):
+        # A MAX_LAGS memory job's table, 3 MB of text, is written a piece at a
+        # time; joining the whole file into one string peaks at 17 MB.
+        h = np.linspace(0.0, 15.0, MAX_LAGS + 1)
+        cumulative = np.cumsum(np.abs(np.cos(h))) * 1e-3
+        tracemalloc.start()
+        try:
+            cli._write_file(str(tmp_path / "memory.csv"),
+                            (["h", "integrated_abs_cov"], [h, cumulative]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "memory.csv").stat().st_size > 3 * 10 ** 6
+        assert peak < 2 * 2 ** 20
 
 
 class TestMemoryCommand:
