@@ -114,44 +114,41 @@ def _settings_config(settings: dict) -> tuple[DiffusionParams, SpectralMeasure]:
 _PIECE_ROWS = 2048
 
 
-def _signed_text(values: np.ndarray) -> np.ndarray:
-    """The text of each float of values, then of its negation, as one object
-    array: a negation's text is the value's with its sign flipped."""
-    text = list(map(str, values.tolist()))
-    negated = [s[1:] if s[0] == "-" else s if s == "nan" else "-" + s for s in text]
-    return np.array(text + negated, dtype=object)
+def _text(piece) -> list[str]:
+    """str of each field of a column's piece. A float64 array formats each
+    distinct magnitude once, keyed on its bits, and prefixes "-" where the
+    sign bit is set: -0.0 keeps its sign, a value shares its negation's
+    digits, and a nan reads nan whatever its sign."""
+    if not isinstance(piece, np.ndarray):
+        return list(map(str, piece))
+    if piece.dtype == np.float64:
+        magnitudes, index = np.unique(np.abs(piece).view(np.int64), return_inverse=True)
+        if magnitudes.size < piece.size:
+            text = np.array(list(map(str, magnitudes.view(np.float64).tolist())),
+                            dtype=object)[index]
+            negative = np.signbit(piece)
+            if negative.any():
+                negative &= ~np.isnan(piece)
+                text[negative] = "-" + text[negative]
+            return text.tolist()
+    return list(map(str, piece.tolist()))
 
 
 def _write_file(path: str, content) -> None:
     """One output file: bytes as they are, or a (header, columns) table of
-    equal-length columns as csv's default dialect writes it: str of each
-    field (repr for a float), commas, CRLF after every line.
-
-    A column is a numpy array, a list of numbers or strings, or a pair
-    (values, index) of a float array and an integer array that stands for
-    np.concatenate([values, -values])[index]. A pair's values are formatted
-    once per file, pairs that share one values array share that text, and
-    the column's text is gathered from it by index. The table is written in
-    pieces of _PIECE_ROWS rows."""
+    equal-length columns, numpy arrays or lists of numbers or strings, as
+    csv's default dialect writes it: str of each field (repr for a float),
+    commas, CRLF after every line. The table is written in pieces of
+    _PIECE_ROWS rows, each column's piece turned into text by _text."""
     if isinstance(content, bytes):
         with open(path, "wb") as fh:
             fh.write(content)
         return
     header, columns = content
-    texts = {}
-    for column in columns:
-        if isinstance(column, tuple) and id(column[0]) not in texts:
-            texts[id(column[0])] = _signed_text(column[0])
-    first = columns[0]
-    rows = len(first[1] if isinstance(first, tuple) else first)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, rows, _PIECE_ROWS):
-            piece = slice(start, start + _PIECE_ROWS)
-            fields = [texts[id(c[0])][c[1][piece]].tolist() if isinstance(c, tuple)
-                      else map(str, c[piece].tolist() if isinstance(c, np.ndarray)
-                               else c[piece])
-                      for c in columns]
+        for start in range(0, len(columns[0]), _PIECE_ROWS):
+            fields = [_text(c[start:start + _PIECE_ROWS]) for c in columns]
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
@@ -176,22 +173,6 @@ def _write_manifest(directory: str, subcommand: str, settings: dict,
 
 # --- subcommand implementations: settings -> ({file name: content}, result) ---
 
-def _repeated(values, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.repeat(values, count) as a pair column."""
-    return np.asarray(values, dtype=float), np.repeat(np.arange(len(values)), count)
-
-
-def _mirrored(column: np.ndarray, values: np.ndarray, partner: np.ndarray):
-    """column as a pair column over values: entry i is values[partner[i]],
-    negated where the two sign bits differ. That writes column's text when
-    every entry has its partner's magnitude (NaN matching NaN); otherwise
-    column is returned as it is."""
-    if not np.array_equal(np.abs(column), np.abs(values[partner]), equal_nan=True):
-        return column
-    flip = np.signbit(column) != np.signbit(values[partner])
-    return values, partner + flip * len(values)
-
-
 def _run_kernel(settings: dict) -> tuple[dict, dict | None]:
     params = params_from_dict(settings["params"])
     mu, t = np.meshgrid(settings["mu"], settings["t"], indexing="ij")
@@ -209,7 +190,7 @@ def _run_spectrum(settings: dict) -> tuple[dict, dict | None]:
         raise ConfigError("times must be strictly increasing")
     l_count = settings["l_count"]
     spec = angular_spectrum(l_count, times, times, measure, params)
-    t_column = _repeated(times, l_count)
+    t_column = np.repeat(times, l_count)
     return {"spectrum.csv": (["t", "t_prime", "l", "C_l"],
                              [t_column, t_column, np.tile(np.arange(l_count), len(times)),
                               spec.values.ravel()])}, None
@@ -223,7 +204,7 @@ def _run_covariance(settings: dict) -> tuple[dict, dict | None]:
         spectral = covariance_spectral(*args)
     if route != "spectral":
         lc = covariance_legendre(*args, settings["l_count"])
-        remainder = _repeated([lc.remainder], len(gammas))
+        remainder = np.full(len(gammas), lc.remainder)
     if route == "spectral":
         table = (["gamma", "R"], [gammas, spectral])
     elif route == "legendre":
@@ -257,7 +238,7 @@ def _run_simulate(settings: dict) -> tuple[dict, dict | None]:
             degree_count, times, measure, params, master_seed=seed,
             n_runs=n_runs, n_quad=n_quad)
         empirical = (["t", "l", "estimate", "std_error", "theory"],
-                     [_repeated(times, degree_count),
+                     [np.repeat(times, degree_count),
                       np.tile(np.arange(degree_count), len(times)),
                       estimate.ravel(), std_error.ravel(), theory.ravel()])
     outputs = {}
@@ -269,25 +250,17 @@ def _run_simulate(settings: dict) -> tuple[dict, dict | None]:
     ms -= degree_count - 1
     kept = np.abs(ms) <= ls
     ls, ms = ls[kept], ms[kept]
-    # Row (l, m) mirrors row (l, |m|), the (l(l+1)/2 + |m|)-th with m >= 0.
-    partner = ls * (ls + 1) // 2 + np.abs(ms)
-    # All tables are held until written: the grid's rows share one index.
-    theta_index = np.repeat(np.arange(n_theta), n_phi)
-    phi_index = np.tile(np.arange(n_phi), n_theta)
     for ti in range(len(times)):
         values = cs.coeffs[ti][kept]
-        mirrored = values[ms >= 0]
-        outputs[f"coefficients_t{ti}.csv"] = (
-            ["l", "m", "re", "im"],
-            [ls, ms, _mirrored(values.real, mirrored.real, partner),
-             _mirrored(values.imag, mirrored.imag, partner)])
+        outputs[f"coefficients_t{ti}.csv"] = (["l", "m", "re", "im"],
+                                              [ls, ms, values.real, values.imag])
         grid = field_sim.synthesize(cs, ti, n_theta, n_phi)
         if settings["format"] == "bin":
             outputs[f"field_t{ti}.bin"] = field_sim.grid_to_binary(grid)
         else:
             outputs[f"field_t{ti}.csv"] = (["theta", "phi", "value"],
-                                           [(grid.thetas(), theta_index),
-                                            (grid.phis(), phi_index),
+                                           [np.repeat(grid.thetas(), n_phi),
+                                            np.tile(grid.phis(), n_theta),
                                             grid.values.ravel()])
 
     if empirical is not None:

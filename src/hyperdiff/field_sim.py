@@ -129,7 +129,8 @@ class CoefficientSet:
 
     coeffs has shape (n_times, degree_count, 2*degree_count - 1) with column
     index (degree_count - 1) + m for order m; entries with |m| > l are zero.
-    Hermitian symmetry a_{l,-m} = (-1)^m conj(a_{lm}) holds exactly.
+    Hermitian symmetry a_{l,-m} = (-1)^m conj(a_{lm}) holds bit for bit,
+    except that a zero may carry either sign.
     """
 
     degree_count: int

@@ -17,7 +17,8 @@ import pytest
 
 from hyperdiff import _quad, cli, entropy1d, field_sim
 from hyperdiff.cli import main
-from hyperdiff.covariance import MAX_LAGS, covariance_legendre
+from hyperdiff.covariance import (MAX_LAGS, covariance_legendre, covariance_spectral,
+                                  integrated_abs_covariance)
 from hyperdiff.field_sim import grid_from_binary, simulate_coefficients, synthesize
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, SpectralMeasure
@@ -76,6 +77,23 @@ class TestKernelCommand:
                      "--t", "1", "--out", out]) == 0
         _, rows = read_csv(os.path.join(out, "kernel.csv"))
         assert float(rows[0][4]) == pytest.approx(0.6597, abs=5e-5)
+
+    def test_csv_bytes_match_library(self, tmp_path):
+        # Wave numbers on both sides of the cut-off c/(2D) = 0.5 and on it: a
+        # row takes h1 = h up to the cut-off and h2 = h above it, the other 0.0.
+        mus, times = [0.0, 0.25, 0.5, 0.75, 2.0], [0.0, 0.7, 3.0]
+        params = DiffusionParams(1.0, 1.0)
+        assert params.cutoff == 0.5
+        out = tmp_path / "run"
+        assert main(["kernel", "--c", "1", "--D", "1", "--mu", "0,0.25,0.5,0.75,2",
+                     "--t", "0,0.7,3", "--out", str(out)]) == 0
+        rows = []
+        for mu in mus:
+            for t in times:
+                h = transfer(mu, t, params)
+                rows.append([mu, t, h if mu <= 0.5 else 0.0, 0.0 if mu <= 0.5 else h, h])
+        assert (out / "kernel.csv").read_bytes() == csv_bytes(["mu", "t", "h1", "h2", "h"],
+                                                              rows)
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -241,6 +259,27 @@ class TestCovarianceCommand:
                                      DiffusionParams(1.0, 1.0), 24)
             assert float(row[1]) == pytest.approx(lc.value, rel=1e-13, abs=1e-15)
             assert float(row[2]) == lc.remainder
+
+    @pytest.mark.parametrize("route", ["spectral", "legendre", "both"])
+    def test_csv_bytes_match_library(self, route, atom_config, tmp_path):
+        out = tmp_path / "run"
+        assert main(["covariance", "--config", atom_config, "--gammas", "0,0.7,1.5,3",
+                     "--t", "0.2", "--t-prime", "0.5", "--route", route,
+                     "--lmax", "24", "--out", str(out)]) == 0
+        gammas = np.array([0.0, 0.7, 1.5, 3.0])
+        args = (gammas, 0.2, 0.5, SpectralMeasure(atoms=((1.0, 1.0),)),
+                DiffusionParams(1.0, 1.0))
+        spectral = covariance_spectral(*args)
+        lc = covariance_legendre(*args, 24)
+        header, rows = {
+            "spectral": (["gamma", "R"], zip(gammas, spectral)),
+            "legendre": (["gamma", "R", "remainder"],
+                         [[g, r, lc.remainder] for g, r in zip(gammas, lc.value)]),
+            "both": (["gamma", "R_spectral", "R_legendre", "remainder", "discrepancy"],
+                     [[g, s, r, lc.remainder, abs(s - r)]
+                      for g, s, r in zip(gammas, spectral, lc.value)]),
+        }[route]
+        assert (out / "covariance.csv").read_bytes() == csv_bytes(header, rows)
 
 
 @pytest.mark.parametrize("argv", [
@@ -564,22 +603,9 @@ class TestSimulateCommand:
         assert header == ["l", "m", "re", "im"]
         assert len(rows) == sum(2 * l + 1 for l in range(3))
 
-    @pytest.fixture
-    def mirrored(self, monkeypatch):
-        """The columns cli._mirrored returns, in the order it returns them."""
-        columns = []
-        real = cli._mirrored
-
-        def recording(*args):
-            columns.append(real(*args))
-            return columns[-1]
-        monkeypatch.setattr(cli, "_mirrored", recording)
-        return columns
-
-    def test_csv_bytes_match_library(self, tmp_path, mirrored):
+    def test_csv_bytes_match_library(self, tmp_path):
         # Byte for byte, so a -0.0 written as 0.0 or a lost digit shows; L = 6
-        # has m < 0 rows of odd and even order. Every re and im column is
-        # written from its m >= 0 entries.
+        # has m < 0 rows of odd and even order.
         atoms = ((1.0, 1.0), (2.5, 0.5), (4.0, 0.25))
         config = tmp_path / "atoms.json"
         config.write_text(json.dumps({
@@ -592,7 +618,6 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(config), "--lmax", "6", "--grid", "5x8",
                      "--times", "0,0.4", "--seed", "21", "--ensemble", "6",
                      "--out", str(out)]) == 0
-        assert mirrored and all(isinstance(column, tuple) for column in mirrored)
         cs = simulate_coefficients(6, times, measure, params, seed=21)
         for ti in range(2):
             assert (out / f"coefficients_t{ti}.csv").read_bytes() == csv_bytes(
@@ -619,7 +644,7 @@ class TestSimulateCommand:
             ["t", "t_prime", "l", "C_l"],
             [[t, t, l, spec.values[i, l]] for i, t in enumerate(times) for l in range(6)])
 
-    def test_zero_coefficients_keep_their_signs(self, tmp_path, mirrored):
+    def test_zero_coefficients_keep_their_signs(self, tmp_path):
         # The weights of an atom at mu = 1e-3 underflow from degree 69 on, so
         # those a_lm are zeros, and the complex product that mirrors m > 0
         # to m < 0 leaves signs that do not follow (-1)^m conj(a_lm).
@@ -630,7 +655,6 @@ class TestSimulateCommand:
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(config), "--lmax", "80", "--grid", "4x8",
                      "--times", "0", "--seed", "3", "--out", str(out)]) == 0
-        assert len(mirrored) == 2 and all(isinstance(c, tuple) for c in mirrored)
         a = simulate_coefficients(80, (0.0,), SpectralMeasure(atoms=((1e-3, 1.0),)),
                                   DiffusionParams(1.0, 1.0), seed=3).coeffs[0]
         rows = [(l, m) for l in range(80) for m in range(-l, l + 1)]
@@ -659,46 +683,31 @@ def csv_bytes(header, rows):
 
 
 class TestWriteFile:
-    VALUES = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16,
-                       1e-5, 0.1])
+    VALUES = np.array([0.0, -0.0, math.nan, np.copysign(math.nan, -1), math.inf,
+                       -math.inf, 5e-324, 1e16, 1e-5, 0.1])
 
     @pytest.mark.parametrize("n_rows", [0, 1, cli._PIECE_ROWS, 2 * cli._PIECE_ROWS + 1])
     def test_pairs_and_plain_columns_as_csv_writer(self, n_rows, tmp_path):
+        # Plain columns against csv.writer. Drawn values repeat within and
+        # across pieces; runs of 5 cross the piece boundary; pairs of a value
+        # and its negation share one magnitude, in a strided view as .imag
+        # gives; distinct values repeat nothing.
         rng = np.random.default_rng(n_rows)
-        n = len(self.VALUES)
-        signed = np.concatenate([self.VALUES, -self.VALUES])
-        # Indices >= n stand for negations; two pairs share one values array.
-        first, second = rng.integers(0, 2 * n, n_rows), rng.integers(0, 2 * n, n_rows)
-        other = np.array([2.5, -1e-300])
-        third = rng.integers(0, 4, n_rows)
-        plain = rng.choice(self.VALUES, n_rows)
+        drawn = rng.choice(self.VALUES, n_rows)
+        runs = np.repeat(rng.choice(self.VALUES, n_rows // 5 + 1), 5)[:n_rows]
+        half = rng.choice(self.VALUES, (n_rows + 1) // 2)
+        pairs = np.zeros(n_rows, dtype=complex)
+        pairs.imag = np.stack([half, -half], axis=1).ravel()[:n_rows]
+        distinct = rng.normal(size=n_rows)
         words = ["", "x"] * (n_rows // 2) + ["y"] * (n_rows % 2)
         ints = np.arange(n_rows)
         path = tmp_path / "table.csv"
-        cli._write_file(str(path), (["a", "b", "c", "d", "e", "f"],
-                                    [(self.VALUES, first), plain, (self.VALUES, second),
-                                     words, (other, third), ints]))
-        expected = csv_bytes(
-            ["a", "b", "c", "d", "e", "f"],
-            zip(signed[first].tolist(), plain.tolist(), signed[second].tolist(), words,
-                np.concatenate([other, -other])[third].tolist(), ints.tolist()))
+        header = ["a", "b", "c", "d", "e", "f"]
+        cli._write_file(str(path), (header, [drawn, runs, pairs.imag, distinct, words,
+                                             ints]))
+        expected = csv_bytes(header, zip(drawn.tolist(), runs.tolist(), pairs.imag.tolist(),
+                                         distinct.tolist(), words, ints.tolist()))
         assert path.read_bytes() == expected
-
-    def test_mirrored_pairs_by_sign_bit_or_keeps_the_column(self):
-        # A zero's sign may not follow its partner's (a complex product can
-        # flip it), so each entry takes its own sign bit; NaN pairs with NaN.
-        values = np.array([0.0, 1.5, math.nan, -2.0])
-        partner = np.array([0, 0, 1, 1, 2, 3, 3])
-        column = np.array([0.0, -0.0, 1.5, -1.5, math.nan, 2.0, -2.0])
-        pair_values, index = cli._mirrored(column, values, partner)
-        assert pair_values is values
-        gathered = np.concatenate([values, -values])[index]
-        numbers = ~np.isnan(column)
-        assert np.isnan(gathered).tolist() == np.isnan(column).tolist()
-        assert gathered[numbers].tobytes() == column[numbers].tobytes()
-        shifted = column.copy()
-        shifted[3] = -1.25
-        assert cli._mirrored(shifted, values, partner) is shifted
 
     def test_traced_peak_of_a_memory_table(self, tmp_path):
         # A MAX_LAGS memory job's table, 3 MB of text, is written a piece at a
@@ -740,6 +749,18 @@ class TestMemoryCommand:
         values = [float(r[1]) for r in rows]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_csv_bytes_match_library(self, atom_config, tmp_path):
+        # 10,001 lags: the table is written in several pieces.
+        out = tmp_path / "run"
+        assert main(["memory", "--config", atom_config, "--hmax", "10", "--t", "0.3",
+                     "--gamma", "0.4", "--out", str(out)]) == 0
+        h, cumulative = integrated_abs_covariance(
+            0.3, 10.0, SpectralMeasure(atoms=((1.0, 1.0),)), DiffusionParams(1.0, 1.0),
+            gamma=0.4)
+        assert h.size > 2 * cli._PIECE_ROWS
+        assert (out / "memory.csv").read_bytes() == csv_bytes(
+            ["h", "integrated_abs_cov"], zip(h, cumulative))
+
 
 class TestEntropyCommand:
     def test_standing_wave_peaks_at_log_6pi(self, tmp_path):
@@ -766,6 +787,22 @@ class TestEntropyCommand:
                      "--out", out]) == 0
         _, rows = read_csv(os.path.join(out, "entropy.csv"))
         assert rows[0][1] == "" and rows[0][2] == "0"
+
+    def test_csv_bytes_match_library(self, tmp_path):
+        # The rectangle's entropy is not computable at t = 0.5, and is at 12.
+        out = tmp_path / "run"
+        assert main(["entropy1d", "--experiment", "rectangle", "--times", "0.5,12",
+                     "--snapshot-times", "0.5", "--out", str(out)]) == 0
+        result = entropy1d.run_experiment("rectangle", trace_times=[0.5, 12.0],
+                                          snapshot_times=[0.5])
+        entropy = result.trace.entropy
+        assert np.isnan(entropy).tolist() == [True, False]
+        assert (out / "entropy.csv").read_bytes() == csv_bytes(
+            ["t", "entropy", "computable"],
+            [[t, "" if math.isnan(s) else s, int(not math.isnan(s))]
+             for t, s in zip(result.trace.times, entropy)])
+        (_, x, q), = result.snapshots
+        assert (out / "profile_0.csv").read_bytes() == csv_bytes(["x", "q"], zip(x, q))
 
     def test_critical_half_length(self, tmp_path):
         # L = 2pi puts mode 1 on the cut-off k = 1/2; neighbours agree
