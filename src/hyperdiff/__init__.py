@@ -11,9 +11,9 @@ from .exceptions import AccuracyError, ConfigError
 from .measure import (DiffusionParams, PowerLawSegment, SpectralMeasure,
                       load_config, load_measure, serialize_config)
 from .kernel import transfer, transfer_diffusive, transfer_wave, wave_bound
-from .spectrum import (AngularSpectrum, FiniteVarianceReport, TailSum,
-                       angular_spectrum, c_l, finite_variance_check,
-                       tail_bound_gamma, tail_sum_direct, tail_sum_lommel)
+from .spectrum import (FiniteVarianceReport, TailSum, angular_spectrum, c_l,
+                       finite_variance_check, tail_bound_gamma,
+                       tail_sum_direct, tail_sum_lommel)
 from .covariance import (LegendreCovariance, MemoryClass, MemoryReport,
                          angular_mse, covariance_legendre, covariance_spectral,
                          covariance_time_lags, integrated_abs_covariance,
@@ -31,8 +31,8 @@ __all__ = [
     "DiffusionParams", "PowerLawSegment", "SpectralMeasure",
     "load_config", "load_measure", "serialize_config",
     "transfer", "transfer_diffusive", "transfer_wave", "wave_bound",
-    "AngularSpectrum", "FiniteVarianceReport", "TailSum",
-    "angular_spectrum", "c_l", "finite_variance_check",
+    "FiniteVarianceReport", "TailSum", "angular_spectrum", "c_l",
+    "finite_variance_check",
     "tail_bound_gamma", "tail_sum_direct", "tail_sum_lommel",
     "LegendreCovariance", "MemoryClass", "MemoryReport",
     "angular_mse", "covariance_legendre", "covariance_spectral",

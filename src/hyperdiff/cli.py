@@ -12,8 +12,8 @@ then one writer puts them and the manifest into a temporary directory
 files move into --out only once everything was written, so a failed run
 leaves nothing behind.
 
-Exit codes: 0 success, 2 usage or config error, 3 numerical accuracy error,
-4 I/O error, 5 any other error (e.g. out of memory).
+Exit codes: 0 success, 2 usage or config error, 3 numerical accuracy error
+or an inf or nan result, 4 I/O error, 5 any other error (e.g. out of memory).
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def _run_spectrum(settings: dict) -> tuple[dict, dict | None]:
     t_column = np.repeat(times, l_count)
     return {"spectrum.csv": (["t", "t_prime", "l", "C_l"],
                              [t_column, t_column, np.tile(np.arange(l_count), len(times)),
-                              spec.values.ravel()])}, None
+                              spec.ravel()])}, None
 
 
 def _run_covariance(settings: dict) -> tuple[dict, dict | None]:
@@ -287,11 +287,11 @@ def _run_entropy1d(settings: dict) -> tuple[dict, dict | None]:
     # The other settings keys are run_experiment's keywords.
     kwargs = {key: value for key, value in settings.items() if key != "experiment"}
     result = entropy1d.run_experiment(settings["experiment"], **kwargs)
-    entropy = result.trace.entropy
+    trace = result.trace
     outputs = {"entropy.csv": (["t", "entropy", "computable"],
-                               [result.trace.times,
-                                ["" if math.isnan(s) else s for s in entropy.tolist()],
-                                (~np.isnan(entropy)).astype(int)])}
+                               [trace.times,
+                                ["" if math.isnan(s) else s for s in trace.entropy.tolist()],
+                                trace.computable.astype(int)])}
     for idx, (t, x, q) in enumerate(result.snapshots):
         outputs[f"profile_{idx}.csv"] = (["x", "q"], [x, q])
     return outputs, None
@@ -307,9 +307,22 @@ _RUNNERS = {
 }
 
 
+def _finite(content) -> bool:
+    """Whether a grid's values or a table's numbers (not entropy's "") are finite."""
+    if isinstance(content, bytes):
+        return bool(np.isfinite(np.frombuffer(content, "<f8", offset=32)).all())
+    return all(np.isfinite(c if isinstance(c, np.ndarray)
+                           else [v for v in c if isinstance(v, float)]).all()
+               for c in content[1])
+
+
 def _execute(subcommand: str, settings: dict, out: str) -> int:
     started = time.perf_counter()
-    outputs, result = _RUNNERS[subcommand](settings)
+    with np.errstate(all="ignore"):  # an overflow is caught in the outputs
+        outputs, result = _RUNNERS[subcommand](settings)
+    for name, content in outputs.items():
+        if not _finite(content):
+            raise AccuracyError(f"{name} would hold inf or nan; nothing was written")
     # The work directory sits in --out if it exists, else in its nearest
     # existing ancestor: the final renames stay on one file system, need no
     # write access above --out, and a failure creates nothing.

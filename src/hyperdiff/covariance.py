@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def covariance_legendre(gamma, t: float, t_prime: float,
     spec = angular_spectrum(l_count, t, t_prime, measure, params, rtol=1e-12)
     ls = np.arange(l_count)
     pl = legendre_all(l_count - 1, np.cos(g))
-    value = ((2 * ls + 1) * spec.values) @ pl / (4.0 * math.pi)
+    value = ((2 * ls + 1) * spec) @ pl / (4.0 * math.pi)
     if np.ndim(g) == 0:
         value = float(value)
     roots = np.sqrt(tail_sum_lommel(l_count, measure, params, [t, t_prime]))
@@ -129,7 +129,7 @@ def angular_mse(gamma: float, t: float, measure: SpectralMeasure,
     spec = angular_spectrum(l_count, t, t, measure, params)
     ls = np.arange(l_count)
     pl = legendre_all(l_count - 1, math.cos(gamma))
-    return float(np.sum((2 * ls + 1) * spec.values * (1.0 - pl)) / (2.0 * math.pi))
+    return float(np.sum((2 * ls + 1) * spec * (1.0 - pl)) / (2.0 * math.pi))
 
 
 class MemoryClass(enum.Enum):
@@ -140,11 +140,10 @@ class MemoryClass(enum.Enum):
 
 @dataclass(frozen=True)
 class MemoryReport:
-    """Dependence classification plus optional diagnostic integral curve."""
+    """Dependence classification and the lowest segment's exponent, if any."""
 
     classification: MemoryClass
     origin_exponent: float | None = None
-    integrated_abs_cov: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
 
 def memory_classify(measure: SpectralMeasure) -> MemoryReport:
@@ -218,8 +217,8 @@ def integrated_abs_covariance(t: float, h_max: float, measure: SpectralMeasure,
     The default step resolves the fastest covariance oscillation,
     h_step <= 2 pi / (10 c mu_max), and never exceeds h_max / 1e4. Returns
     (h_grid, cumulative integral); the curve plateaus for short-range
-    measures and keeps growing through h_max for long-range ones. A grid of
-    more than MAX_LAGS points raises ValueError before anything is allocated.
+    measures and keeps growing through h_max for long-range ones. A subnormal
+    lag step, or more than MAX_LAGS lags, raises ValueError before allocating.
     """
     if not 0.0 < h_max < math.inf:
         raise ValueError(f"h_max must be positive and finite, got {h_max}")
@@ -233,6 +232,9 @@ def integrated_abs_covariance(t: float, h_max: float, measure: SpectralMeasure,
         mu_max = measure.support_upper_bound()
         osc = 2.0 * math.pi / (10.0 * params.c * mu_max) if mu_max > 0 else h_max
         h_step = min(h_max / 1.0e4, osc)
+    if h_step < np.finfo(float).smallest_normal:
+        raise ValueError(f"h_max = {h_max!r} at h_step = {h_step!r}: the lag step is "
+                         "below the smallest normal float; raise h_max or h_step")
     if not h_max / h_step <= MAX_LAGS - 1:
         raise ValueError(f"h_max = {h_max!r} at h_step = {h_step!r} needs more than "
                          f"{MAX_LAGS} lags; lower h_max or raise h_step")

@@ -37,8 +37,10 @@ and preserves the defining second-moment structure E a a* = C_l(t, t').
 
 Measures with continuous segments are atomised for simulation (Gauss-Legendre
 nodes as atoms). The theory that ensemble_spectrum and truncation_error_mc
-report beside their estimates is computed from that same atomised measure,
-so the discretisation cancels from the comparison.
+report beside their estimates is sum_i w_il(t)^2 over those weights: the
+square of a weight is its atom's term of the C_l(t, t) integral, so this is
+C_l(t, t) of the atomised measure, the variance the draws have, and the
+discretisation cancels from the comparison.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from numpy.random import Generator, Philox
 from .kernel import transfer
 from .measure import DiffusionParams, SpectralMeasure
 from .special import bessel_half_all, norm_plm_blocks, sph_harm_all
-from .spectrum import angular_spectrum
 
 _GRID_MAGIC = b"HYPDGRID"
 _HERMITIAN_TOL = 1e-12
@@ -130,7 +131,7 @@ class CoefficientSet:
     coeffs has shape (n_times, degree_count, 2*degree_count - 1) with column
     index (degree_count - 1) + m for order m; entries with |m| > l are zero.
     Hermitian symmetry a_{l,-m} = (-1)^m conj(a_{lm}) holds bit for bit,
-    except that a zero may carry either sign.
+    the signs of zeros included.
     """
 
     degree_count: int
@@ -157,11 +158,11 @@ class CoefficientSet:
 
 def _prepare(degree_count: int, times, measure: SpectralMeasure,
              params: DiffusionParams, n_quad: int
-             ) -> tuple[tuple[float, ...], SpectralMeasure, np.ndarray]:
-    """Validated times, the measure atomised with n_quad nodes per segment,
-    and the seed-independent draw weights
+             ) -> tuple[tuple[float, ...], np.ndarray]:
+    """Validated times and the seed-independent draw weights
     pi*sqrt(2) * J_{l+1/2}(mu)/sqrt(mu) * sigma * transfer(mu, t), indexed
-    (time, degree l < degree_count, atom) of the atomic measure."""
+    (time, degree l < degree_count, atom) of the measure atomised with
+    n_quad nodes per segment."""
     atomic = atomize(measure, n_quad)
     if degree_count < 1:
         raise ValueError(f"degree count must be >= 1, got {degree_count}")
@@ -175,7 +176,7 @@ def _prepare(degree_count: int, times, measure: SpectralMeasure,
     jmat = bessel_half_all(degree_count - 1, mus)
     base = math.pi * math.sqrt(2.0) * jmat / np.sqrt(mus) * sigmas
     hfac = transfer(mus, np.array(times)[:, None], params)
-    return times, atomic, base[None, :, :] * hfac[:, None, :]
+    return times, base[None, :, :] * hfac[:, None, :]
 
 
 def _moments(table: np.ndarray):
@@ -263,7 +264,7 @@ def _draw(weights: np.ndarray, seeds, degrees: range):
     products = np.empty(n_t * normals.size)
     out = np.zeros((per_chunk, n_t, len(degrees), width), dtype=complex)
     flat = out.reshape(per_chunk, n_t, -1)
-    signs = (-1.0) ** np.arange(1, degrees.stop)
+    signs = (-1.0) ** np.arange(half, 0, -1)  # (-1)^m, m = -half .. -1
     span = None
     for first in range(0, len(seeds), per_chunk):
         chunk = seeds[first:first + per_chunk]
@@ -285,10 +286,10 @@ def _draw(weights: np.ndarray, seeds, degrees: range):
             flat.real[:k, :, dest[rows]] = acc[:, :, 0]
             flat.imag[:k, :, dest[rows]] = acc[:, :, 1]
             start = rows.stop
-        # a_{l,-m} = (-1)^m conj(a_lm), every degree and time at once.
+        # a_{l,-m} = (-1)^m conj(a_lm), part by part so that zeros keep signs.
         head = out[:len(chunk)]
-        np.conjugate(head[..., :half:-1], out=head[..., :half])
-        head[..., :half] *= signs[::-1]
+        np.multiply(head.real[..., :half:-1], signs, out=head.real[..., :half])
+        np.multiply(head.imag[..., :half:-1], -signs, out=head.imag[..., :half])
         yield from head
 
 
@@ -297,7 +298,7 @@ def simulate_coefficients(degree_count: int, times, measure: SpectralMeasure,
                           n_quad: int = 64) -> CoefficientSet:
     """Draw one realisation of the coefficients a_lm(t) for l < degree_count."""
     seed = _check_int("seed", seed, 128)
-    times, _, weights = _prepare(degree_count, times, measure, params, n_quad)
+    times, weights = _prepare(degree_count, times, measure, params, n_quad)
     coeffs = next(_draw(weights, (seed,), range(degree_count)))
     return CoefficientSet(degree_count=degree_count, times=times,
                           coeffs=coeffs, seed=seed)
@@ -311,7 +312,7 @@ def simulate_ensemble(degree_count: int, times, measure: SpectralMeasure,
     if n_runs < 1:
         raise ValueError(f"need at least one run, got {n_runs}")
     seeds = _run_seeds(master_seed, n_runs)
-    times, _, weights = _prepare(degree_count, times, measure, params, n_quad)
+    times, weights = _prepare(degree_count, times, measure, params, n_quad)
     draws = _draw(weights, seeds, range(degree_count))
     return [CoefficientSet(degree_count=degree_count, times=times,
                            coeffs=coeffs.copy(), seed=seed)
@@ -380,20 +381,19 @@ def ensemble_spectrum(degree_count: int, times, measure: SpectralMeasure,
     Member r (the single run with seed derive_run_seed(master_seed, r)) is
     reduced to sum_m |a_lm|^2 / (2l+1) as it is drawn, so memory beyond one
     draw block is 8 bytes per (run, time, degree); the estimate is the mean
-    over runs with its standard error. theory is angular_spectrum on the
-    same atomised measure.
+    over runs with its standard error. theory, the squared draw weights
+    summed over atoms, is C_l(t, t) of the atomised measure the draws use.
     """
     if n_runs < 2:
         raise ValueError(f"need an ensemble of at least 2 runs, got {n_runs}")
     seeds = _run_seeds(master_seed, n_runs)
-    times, atomic, weights = _prepare(degree_count, times, measure, params, n_quad)
+    times, weights = _prepare(degree_count, times, measure, params, n_quad)
     power = np.empty((n_runs, len(times), degree_count))
     for run, coeffs in enumerate(_draw(weights, seeds, range(degree_count))):
         power[run] = np.sum(np.abs(coeffs) ** 2, axis=-1)
     power /= 2 * np.arange(degree_count) + 1
     estimate, std_error = _moments(power)
-    theory = angular_spectrum(degree_count, times, times, atomic, params)
-    return estimate, std_error, theory.values
+    return estimate, std_error, np.sum(weights ** 2, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -434,9 +434,8 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
     if l_inner == l_outer:
         return TruncationError(estimate=0.0, std_error_sq=0.0, exact=0.0,
                                n_runs=n_runs)
-    _, atomic, weights = _prepare(l_outer, (time,), measure, params, n_quad)
-    spec = angular_spectrum(l_outer, time, time, atomic, params)
-    band = spec.values[l_inner:l_outer]
+    _, weights = _prepare(l_outer, (time,), measure, params, n_quad)
+    band = np.sum(weights[0, l_inner:] ** 2, axis=-1)
     ls = np.arange(l_inner, l_outer)
     exact = math.sqrt(float(np.sum((2 * ls + 1) * band))) / (2.0 * math.sqrt(math.pi))
 

@@ -46,18 +46,6 @@ _TAIL_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class AngularSpectrum:
-    """C_l(t, t') for l = 0..l_count-1 at the times angular_spectrum was
-    given: one row of values per pair (t[i], t_prime[i]) for arrays."""
-
-    params: DiffusionParams
-    measure: SpectralMeasure
-    t: float
-    t_prime: float
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class TailSum:
     """Accumulated sum of (2l+1) C_l(t, t) from degree L upward."""
 
@@ -80,9 +68,8 @@ class FiniteVarianceReport:
 
 def _cl_block(l_lo: int, l_hi: int, t, t_prime, measure: SpectralMeasure,
               params: DiffusionParams, rtol: float = 1e-9) -> np.ndarray:
-    """C_l for l in [l_lo, l_hi): (l,) for scalar times, (pairs, l) for
-    equal-length arrays, one quadrature for all rows, its tolerance relative
-    to the largest value over all rows; transfer checks the times."""
+    """C_l for l in [l_lo, l_hi), in angular_spectrum's shape and to its
+    tolerance; transfer checks the times."""
     def f(mu):
         h = transfer(mu, np.array([t, t_prime])[..., None], params)
         return bessel_half_all(l_hi - 1, mu)[l_lo:] ** 2 * (h[0] * h[1] / mu)[..., None, :]
@@ -91,15 +78,13 @@ def _cl_block(l_lo: int, l_hi: int, t, t_prime, measure: SpectralMeasure,
 
 
 def angular_spectrum(l_count: int, t, t_prime, measure: SpectralMeasure,
-                     params: DiffusionParams, rtol: float = 1e-9) -> AngularSpectrum:
-    """Spectrum C_l(t, t') for l = 0..l_count-1; equal-length arrays of times
-    give one row per pair (t[i], t_prime[i]) from one quadrature, with rtol
-    relative to the largest value over all rows."""
+                     params: DiffusionParams, rtol: float = 1e-9) -> np.ndarray:
+    """Spectrum C_l(t, t') for l = 0..l_count-1: (l,) for scalar times, or
+    (pairs, l) for equal-length arrays, row i at (t[i], t_prime[i]), all from
+    one quadrature with rtol relative to the largest value over all rows."""
     if l_count < 1:
         raise ValueError(f"need at least one degree, got {l_count}")
-    values = _cl_block(0, l_count, t, t_prime, measure, params, rtol)
-    return AngularSpectrum(params=params, measure=measure, t=t,
-                           t_prime=t_prime, values=values)
+    return _cl_block(0, l_count, t, t_prime, measure, params, rtol)
 
 
 def c_l(l: int, t: float, t_prime: float, measure: SpectralMeasure,

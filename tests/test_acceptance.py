@@ -155,7 +155,7 @@ def test_criterion_06_variance_identity():
     for t in [0.0, 0.05, 0.1]:
         variance = covariance_spectral(0.0, t, t, m, p)
         l_count = 200
-        values = angular_spectrum(l_count, t, t, m, p).values
+        values = angular_spectrum(l_count, t, t, m, p)
         series = float(np.sum((2 * np.arange(l_count) + 1) * values)) / (4 * math.pi)
         tail = tail_sum_direct(l_count, m, p, t).value / (4 * math.pi)
         ok &= tail <= 1e-9 * abs(variance)
@@ -176,7 +176,7 @@ def test_criterion_07_hoelder_mse_bound():
                 bound = constant * (1 - math.cos(gamma)) ** alpha
                 ok &= angular_mse(float(gamma), t, m, p, l_count) <= bound * (1 + 1e-10)
     # bounded support: MSE/(1 - cos gamma) bounded across three decades
-    values = angular_spectrum(l_count, 0.0, 0.0, m, p).values
+    values = angular_spectrum(l_count, 0.0, 0.0, m, p)
     ls = np.arange(l_count)
     limit = float(np.sum((2 * ls + 1) * ls * (ls + 1) * values)) / (2 * math.pi)
     for gamma in [1e-1, 1e-2, 1e-3]:
@@ -193,18 +193,18 @@ def test_criterion_08_support_gap_decay():
     delta = 0.3
     m_gap = SpectralMeasure(atoms=((0.3, 0.4), (0.35, 0.3), (0.45, 0.3)))
     const = (1.0 + (1.0 - 4.0 * delta ** 2) ** -0.5) ** 2
-    base = angular_spectrum(51, 0.0, 0.0, m_gap, p).values
+    base = angular_spectrum(51, 0.0, 0.0, m_gap, p)
     for t in [0.5, 1.0, 5.0]:
-        values = angular_spectrum(51, t, t, m_gap, p).values
+        values = angular_spectrum(51, t, t, m_gap, p)
         envelope = const * math.exp(-2.0 * delta ** 2 * t) * base
         ok &= bool(np.all(values <= envelope * (1 + 1e-10)))
     # no mass at or below the cut-off: wave-regime envelope
     m_wave = SpectralMeasure(atoms=((0.6, 0.5), (1.0, 0.3), (2.0, 0.2)))
-    base_w = angular_spectrum(51, 0.0, 0.0, m_wave, p).values
+    base_w = angular_spectrum(51, 0.0, 0.0, m_wave, p)
     for t in [0.5, 1.0, 5.0]:
         a = p.c ** 2 * t / (2 * p.D)
         envelope = (1 + a) ** 2 * math.exp(-2 * a) * base_w
-        values = angular_spectrum(51, t, t, m_wave, p).values
+        values = angular_spectrum(51, t, t, m_wave, p)
         ok &= bool(np.all(values <= envelope * (1 + 1e-10)))
     report(8, "support-gap and pure-wave spectral decay envelopes, l <= 50", ok)
 
@@ -217,7 +217,7 @@ def test_criterion_09_mc_spectrum_recovery():
                                                master_seed=2026, n_runs=2000)
     ok = True
     for ti, t in enumerate([0.0, 1.0]):
-        theory = angular_spectrum(21, t, t, m, p).values
+        theory = angular_spectrum(21, t, t, m, p)
         ok &= bool(np.all(np.abs(estimate[ti] - theory) <= 5 * std_error[ti]))
     elapsed = time.perf_counter() - started
     report(9, "Monte Carlo spectrum recovery within 5 SE, N = 2000, l <= 20",

@@ -339,6 +339,60 @@ def test_unrepresentable_run_exits_2(argv, words, tmp_path, capsys):
     assert not out.exists() and os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("h_max", ["5e-324", "1e-310"])
+def test_subnormal_lag_step_exits_2(h_max, atom_config, tmp_path, capsys):
+    # h_max / 1e4 is 0.0 or subnormal: no evenly spaced lag grid exists
+    out = tmp_path / "X"
+    assert main(["memory", "--config", atom_config, "--hmax", h_max,
+                 "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "h_max" in lines[0] and "h_step" in lines[0]
+    assert not out.exists() and os.listdir(tmp_path) == ["atom.json"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["spectrum", "--lmax", "4", "--times", "0"], "spectrum.csv"),
+    (["covariance", "--gammas", "0.5", "--route", "both"], "covariance.csv"),
+    (["simulate", "--lmax", "4", "--times", "0", "--ensemble", "3"],
+     "empirical_spectrum.csv"),
+    (["memory", "--hmax", "10"], "memory.csv"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_overflowing_result_exits_3(argv, name, tmp_path, capsys):
+    # Two atoms of mass 1e308 overflow each of these results to inf or nan.
+    # numpy's warnings would fail the run (exit 5) under this suite's
+    # warning filter, so exit 3 also shows that none was issued.
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({
+        "params": {"c": 1.0, "D": 1.0},
+        "measure": {"atoms": [{"mu": 1.0, "mass": 1e308}, {"mu": 2.0, "mass": 1e308}],
+                    "segments": []}}))
+    out = tmp_path / "run"
+    assert main(argv[:1] + ["--config", str(config)] + argv[1:]
+                + ["--out", str(out)]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("accuracy error:")
+    assert name in lines[0]
+    assert not out.exists() and os.listdir(tmp_path) == ["huge.json"]
+
+
+def test_non_finite_grid_exits_3(atom_config, tmp_path, capsys, monkeypatch):
+    # a field grid is checked in its bytes, past the 32-byte header
+    values = np.zeros((2, 4))
+    values[1, 2] = math.nan
+    grid = field_sim.FieldGrid(n_theta=2, n_phi=4, values=values, time=0.0)
+
+    def nan_grid(settings):
+        return {"coefficients_t0.csv": (["l", "re"], [np.arange(2), np.ones(2)]),
+                "field_t0.bin": field_sim.grid_to_binary(grid)}, None
+    monkeypatch.setitem(cli._RUNNERS, "simulate", nan_grid)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", atom_config, "--lmax", "2", "--times", "0",
+                 "--format", "bin", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("accuracy error: field_t0.bin ")
+    assert not out.exists() and os.listdir(tmp_path) == ["atom.json"]
+
+
 def test_memory_help_states_lag_budget(capsys):
     assert main(["memory", "--help"]) == 0
     assert f"{MAX_LAGS} points" in " ".join(capsys.readouterr().out.split())
@@ -642,12 +696,12 @@ class TestSimulateCommand:
         spec = angular_spectrum(6, times, times, measure, params)
         assert (out / "spectrum.csv").read_bytes() == csv_bytes(
             ["t", "t_prime", "l", "C_l"],
-            [[t, t, l, spec.values[i, l]] for i, t in enumerate(times) for l in range(6)])
+            [[t, t, l, spec[i, l]] for i, t in enumerate(times) for l in range(6)])
 
     def test_zero_coefficients_keep_their_signs(self, tmp_path):
         # The weights of an atom at mu = 1e-3 underflow from degree 69 on, so
-        # those a_lm are zeros, and the complex product that mirrors m > 0
-        # to m < 0 leaves signs that do not follow (-1)^m conj(a_lm).
+        # those a_lm are zeros; the m < 0 rows still follow (-1)^m conj(a_lm)
+        # in the signs of those zeros.
         config = tmp_path / "tiny.json"
         config.write_text(json.dumps({
             "params": {"c": 1.0, "D": 1.0},
@@ -667,7 +721,7 @@ class TestSimulateCommand:
             s = (-1.0) ** m
             return [l, m, value.real, value.imag] if m >= 0 else [
                 l, m, s * value.real, -s * value.imag]
-        assert written != csv_bytes(["l", "m", "re", "im"],
+        assert written == csv_bytes(["l", "m", "re", "im"],
                                     [by_parity(l, m) for l, m in rows])
 
 

@@ -140,7 +140,7 @@ class TestLegendreRoute:
         elapsed = time.perf_counter() - start
         ls = np.arange(16)
         head = float(np.sum((2 * ls + 1)
-                            * angular_spectrum(16, 0.0, 0.0, ABOVE_CAP, P11).values))
+                            * angular_spectrum(16, 0.0, 0.0, ABOVE_CAP, P11)))
         # sum_l (2l+1) C_l(0, 0) = 4 pi times the total mass
         tail = (4 * math.pi * ABOVE_CAP.total_mass() - head) / (4 * math.pi)
         assert lc.remainder >= tail * (1 - 1e-9)
@@ -171,7 +171,7 @@ class TestAngularMse:
         # MSE <= (1/pi) sum (2l+1)^(1+2a) C_l (1 - cos g)^a
         l_count = 60
         for t in [0.0, 0.1]:
-            values = angular_spectrum(l_count, t, t, ATOM1, P11).values
+            values = angular_spectrum(l_count, t, t, ATOM1, P11)
             ls = np.arange(l_count)
             constant = float(np.sum((2 * ls + 1) ** (1 + 2 * alpha) * values)) / math.pi
             for g in np.geomspace(1e-3, math.pi, 25):
@@ -184,7 +184,7 @@ class TestAngularMse:
         m = SpectralMeasure(atoms=((0.6, 0.5), (1.5, 0.5)))
         l_count = 60
         alpha = 1.0
-        base = angular_spectrum(l_count, 0.0, 0.0, m, P11).values
+        base = angular_spectrum(l_count, 0.0, 0.0, m, P11)
         ls = np.arange(l_count)
         constant = float(np.sum((2 * ls + 1) ** (1 + 2 * alpha) * base)) / math.pi
         for t in [0.3, 1.0, 3.0]:
@@ -198,7 +198,7 @@ class TestAngularMse:
     def test_bounded_support_ratio_bounded(self):
         # MSE/(1-cos g) stays bounded as g -> 0 for bounded-support measures
         l_count = 40
-        values = angular_spectrum(l_count, 0.0, 0.0, ATOM1, P11).values
+        values = angular_spectrum(l_count, 0.0, 0.0, ATOM1, P11)
         ls = np.arange(l_count)
         limit = float(np.sum((2 * ls + 1) * ls * (ls + 1) * values)) / (2 * math.pi)
         ratios = []
@@ -336,6 +336,13 @@ class TestIntegratedAbsCovariance:
         # bad input raises even where there is nothing to integrate
         with pytest.raises(ValueError, match="times|angular"):
             integrated_abs_covariance(t, 1.0, SpectralMeasure(), P11, gamma=gamma)
+
+    @pytest.mark.parametrize("h_max, h_step", [(5e-324, None), (1e-310, None),
+                                               (1.0, 1e-320)])
+    def test_subnormal_lag_step_rejected(self, h_max, h_step):
+        # 5e-324 / 1e4 is 0.0, and subnormal lags cannot be evenly spaced
+        with pytest.raises(ValueError, match="h_max.*h_step.*smallest normal"):
+            integrated_abs_covariance(0.0, h_max, ATOM1, P11, h_step=h_step)
 
     def test_lag_budget_checked_before_allocating(self, monkeypatch):
         def no_lags(*args, **kwargs):

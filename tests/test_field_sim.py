@@ -45,6 +45,19 @@ class TestSimulateCoefficients:
                     rhs = (-1) ** m * np.conj(cs.coeffs[ti, l, half + m])
                     assert lhs == rhs
 
+    def test_hermitian_symmetry_keeps_signs_of_zeros(self):
+        # The weights of an atom at mu = 1 underflow from degree 156 on, so
+        # those a_lm are zeros; their mirrors still take the signs of
+        # (-1)^m conj(a_lm), as do the zeros where |m| > l.
+        cs = simulate_coefficients(200, (0.0,), ATOM1, P11, seed=3)
+        a = cs.coeffs[0]
+        assert a[155].any() and not a[156:].any()
+        half = cs.degree_count - 1
+        signs = (-1.0) ** np.arange(1, half + 1)
+        upper, lower = a[:, half + 1:], a[:, half - 1::-1]
+        assert np.array_equal(np.signbit(lower.real), np.signbit(signs * upper.real))
+        assert np.array_equal(np.signbit(lower.imag), np.signbit(-signs * upper.imag))
+
     def test_single_atom_time_factorisation(self):
         cs = simulate_coefficients(5, (0.0, 0.7), ATOM1, P11, seed=9)
         factor = transfer(1.0, 0.7, P11)
@@ -55,7 +68,7 @@ class TestSimulateCoefficients:
     def test_second_moment_matches_spectrum(self):
         estimate, std_error, _ = ensemble_spectrum(4, (0.0,), ATOMS3, P11,
                                                    master_seed=123, n_runs=1500)
-        spec = angular_spectrum(4, 0.0, 0.0, ATOMS3, P11).values
+        spec = angular_spectrum(4, 0.0, 0.0, ATOMS3, P11)
         for l in [0, 3]:
             assert abs(estimate[0, l] - spec[l]) <= 5 * std_error[0, l]
 
@@ -137,7 +150,7 @@ class TestBlockedDraw:
     def test_matches_per_run_loop(self, degrees):
         # Sums in atom order round unlike BLAS products, by a few ulps.
         atoms = tuple((0.4 + 0.9 * i, 0.1 + 0.05 * i) for i in range(7))
-        _, _, weights = _prepare(10, (0.0, 0.2, 0.9), SpectralMeasure(atoms=atoms),
+        _, weights = _prepare(10, (0.0, 0.2, 0.9), SpectralMeasure(atoms=atoms),
                                  P11, n_quad=64)
         blocked = [c.copy() for c in _draw(weights, self.SEEDS, degrees)]
         for got, want in zip(blocked, _draw_per_run(weights, self.SEEDS, degrees),
@@ -150,7 +163,7 @@ class TestBlockedDraw:
         # 3 atoms at 2 times take 24 values a row, and a seed below L = 8 has
         # 36 rows: 144 rows a block hold 4 whole seeds, 10 rows cut a seed,
         # and its streams, into 4 pieces.
-        _, _, weights = _prepare(8, (0.0, 0.3), ATOMS3, P11, n_quad=64)
+        _, weights = _prepare(8, (0.0, 0.3), ATOMS3, P11, n_quad=64)
         singles = [next(_draw(weights, (seed,), range(8))).copy()
                    for seed in self.SEEDS]
         chunks = []
@@ -292,7 +305,7 @@ class TestSynthesize:
         ens = simulate_ensemble(4, (0.3,), ATOMS3, P11, master_seed=71,
                                 n_runs=n_runs)
         values = np.array([synthesize(cs, 0, 3, 4).values[1, 2] for cs in ens])
-        spec = angular_spectrum(4, 0.3, 0.3, ATOMS3, P11).values
+        spec = angular_spectrum(4, 0.3, 0.3, ATOMS3, P11)
         ls = np.arange(4)
         theory = float(np.sum((2 * ls + 1) * spec)) / (4 * math.pi)
         sq = values ** 2
@@ -388,8 +401,15 @@ class TestTruncationError:
 
         atomic = atomize(measure, n_quad)
         ls = np.arange(l_inner, l_outer)
-        band = angular_spectrum(l_outer, time, time, atomic, P11).values[l_inner:]
-        exact = math.sqrt(float(np.sum((2 * ls + 1) * band))) / (2.0 * math.sqrt(math.pi))
+
+        def norm(band):
+            return math.sqrt(float(np.sum((2 * ls + 1) * band))) / (2.0 * math.sqrt(math.pi))
+        # The band's C_l are the squared draw weights summed over atoms, which
+        # is C_l of the atomised measure up to rounding.
+        _, weights = _prepare(l_outer, (time,), measure, P11, n_quad)
+        assert te.exact == norm(np.sum(weights[0, l_inner:] ** 2, axis=-1))
+        band = angular_spectrum(l_outer, time, time, atomic, P11)[l_inner:]
+        assert te.exact == pytest.approx(norm(band), rel=1e-14)
         y = sph_harm_all(l_outer, theta, phi)
         sq = np.empty(n_runs)
         for run in range(n_runs):
@@ -397,7 +417,6 @@ class TestTruncationError:
                                        seed=derive_run_seed(master_seed, run))
             delta = np.sum(cs.coeffs[0, l_inner:] * y[l_inner:]).real
             sq[run] = delta * delta
-        assert te.exact == exact
         assert te.estimate == math.sqrt(float(sq.mean()))
         assert te.std_error_sq == float(sq.std(ddof=1) / math.sqrt(n_runs))
         assert te.n_runs == n_runs
@@ -448,9 +467,13 @@ class TestEnsembleSpectrum:
         assert estimate.shape == std_error.shape == (len(times), degree_count)
         assert np.array_equal(estimate, power.mean(axis=0))
         assert np.array_equal(std_error, power.std(axis=0, ddof=1) / math.sqrt(41))
+        # theory is the squared draw weights summed over atoms, which is C_l
+        # of the atomised measure up to rounding.
+        _, weights = _prepare(degree_count, times, self.MIXED, P11, n_quad=8)
+        assert np.array_equal(theory, np.sum(weights ** 2, axis=-1))
         expected = angular_spectrum(degree_count, times, times,
-                                    atomize(self.MIXED, 8), P11).values
-        assert np.array_equal(theory, expected)
+                                    atomize(self.MIXED, 8), P11)
+        assert np.allclose(theory, expected, rtol=1e-14, atol=0.0)
 
     def test_single_atom_ratio_is_exact(self):
         # same draws cancel: C_hat(t)/C_hat(0) = transfer factor squared
