@@ -72,6 +72,11 @@ def _count(value) -> int:
 def _reals(value) -> list[float]:
     if isinstance(value, str):
         value = [part for part in value.split(",") if part.strip() != ""]
+        if value:
+            try:  # one pass; on a bad part, the _real loop below names it
+                return list(map(float, value))
+            except ValueError:
+                pass
     if not isinstance(value, list) or not value:
         raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
     return [_real(v) for v in value]
@@ -279,7 +284,6 @@ def _run_memory(settings: dict) -> tuple[dict, dict | None]:
         "classification": report.classification.value,
         "origin_exponent": report.origin_exponent,
     }
-    print(f"classification: {report.classification.value}")
     return {"memory.csv": (["h", "integrated_abs_cov"], [h, cumulative])}, result
 
 
@@ -340,6 +344,8 @@ def _execute(subcommand: str, settings: dict, out: str) -> int:
             os.replace(os.path.join(work, name), os.path.join(out, name))
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    if subcommand == "memory":  # printed only once the outputs are in place
+        print(f"classification: {result['classification']}")
     return 0
 
 

@@ -10,7 +10,12 @@ velocity (T(0) = 1, T'(0) = 0) that clock is the transfer factor h of
 `kernel.transfer_pair(k_n, t, DiffusionParams(c=1, D=1))`: modes below the
 cut-off k = 1/2 decay without oscillating, modes above it are damped standing
 waves, and the kernel is continuous through k = 1/2, so any half-length works.
-The profile at a block of times is one product, a_0 + (clocks * c) @ cos(k x).
+A run builds the basis cos(k x) once and takes its clocks from one
+`transfer_pair` call per chunk of times. The profile at a block of 16 times is
+one product, a_0 + (clocks * c) @ cos(k x): a row of a matrix product can
+change in its last bits with the number of rows stacked beside it, so a fixed
+block keeps every profile bitwise the same however the times are split, and
+peak memory stays a few blocks whatever the number of times.
 
 The standing-wave experiment is the one exception: its single mode starts
 with T'(0) = -1/2, so its clock is h - g/2 = e^(-t/2) cos(omega t) from the
@@ -34,9 +39,14 @@ from .measure import DiffusionParams
 
 _EVEN_TOL = 1e-9
 _UNIT = DiffusionParams(c=1.0, D=1.0)
-# Times per profile product, so peak memory does not grow with the number of
-# times; 16 keeps the arrays of a block small at a few ms of loop overhead.
+# Times per profile product. Fixed, because a GEMM row's last bits depend on
+# the rows stacked with it, so profiles stay bitwise whatever the times; 16
+# keeps a block's arrays small, so peak memory does not grow with the times.
 _TIME_BLOCK = 16
+# Clock values per transfer_pair call: a chunk takes as many whole blocks as
+# fit, so the kernel's fixed cost is paid a few times per run while its
+# temporaries, several arrays of this size, stay small.
+_CLOCK_VALUES = 2 ** 13
 # Element budget of run_experiment: the cosine basis holds
 # n_modes * (n_intervals + 1) values, 8 bytes each (1e7 is 80 MB).
 MAX_BASIS_ELEMENTS = 10_000_000
@@ -86,16 +96,33 @@ class ModeDecomposition:
                              f"got half_length {self.half_length}")
 
 
-def _profile_blocks(md: ModeDecomposition, x: np.ndarray, times: np.ndarray):
-    """Yield (slice of times, profiles of shape (block, x.size)) in time order."""
+def _cosine_basis(md: ModeDecomposition, x: np.ndarray) -> np.ndarray:
     basis = np.outer(md.wave_numbers, x)
     np.cos(basis, out=basis)  # in place: the basis is the largest array
+    return basis
+
+
+def _profile_blocks(md: ModeDecomposition, basis: np.ndarray, times: np.ndarray):
+    """Yield (slice of times, profiles of shape (block, x.size)) in time order."""
     k = md.wave_numbers[None, :]
-    for start in range(0, times.size, _TIME_BLOCK):
-        block = slice(start, start + _TIME_BLOCK)
-        h, g = transfer_pair(k, times[block, None], _UNIT)
-        clock = h - 0.5 * g if md.standing_wave else h
-        yield block, md.a0 + (clock * md.amplitudes) @ basis
+    step = _TIME_BLOCK * max(1, _CLOCK_VALUES // (_TIME_BLOCK * k.size))
+    for first in range(0, times.size, step):
+        h, g = transfer_pair(k, times[first:first + step, None], _UNIT)
+        clocks = h - 0.5 * g if md.standing_wave else h
+        for start in range(0, clocks.shape[0], _TIME_BLOCK):
+            block = clocks[start:start + _TIME_BLOCK]
+            yield (slice(first + start, first + start + block.shape[0]),
+                   md.a0 + (block * md.amplitudes) @ basis)
+
+
+def _entropies(md: ModeDecomposition, x: np.ndarray, basis: np.ndarray,
+               times: np.ndarray) -> np.ndarray:
+    entropy = np.empty(times.shape)
+    for block, q in _profile_blocks(md, basis, times):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.trapezoid(-q * np.log(q), x, axis=1)
+        entropy[block] = np.where(np.min(q, axis=1) > 0.0, s, math.nan)
+    return entropy
 
 
 def decompose_initial(u0, half_length: float, n_modes: int) -> ModeDecomposition:
@@ -135,7 +162,8 @@ def evaluate(md: ModeDecomposition, x, t: float):
     x_arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(x_arr) <= md.half_length * (1 + 1e-12)):
         raise ValueError("x outside [-L, L]")
-    _, q = next(_profile_blocks(md, x_arr.ravel(), _check_times([t], "time")))
+    basis = _cosine_basis(md, x_arr.ravel())
+    _, q = next(_profile_blocks(md, basis, _check_times([t], "time")))
     return float(q[0, 0]) if x_arr.ndim == 0 else q[0].reshape(x_arr.shape)
 
 
@@ -157,11 +185,7 @@ def entropy_trace(md: ModeDecomposition, times, n_intervals: int = 400) -> Entro
     _check_intervals(n_intervals)
     t_arr = _check_times(times, "times")
     x = np.linspace(-md.half_length, md.half_length, n_intervals + 1)
-    entropy = np.empty(t_arr.shape)
-    for block, q in _profile_blocks(md, x, t_arr):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.trapezoid(-q * np.log(q), x, axis=1)
-        entropy[block] = np.where(np.min(q, axis=1) > 0.0, s, math.nan)
+    entropy = _entropies(md, x, _cosine_basis(md, x), t_arr)
     return EntropyTrace(times=t_arr, entropy=entropy, n_intervals=n_intervals)
 
 
@@ -231,10 +255,17 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
             c = 2.0 * np.sin(k * width / 2.0) / (L * k * width)
     md = ModeDecomposition(half_length=L, a0=1.0 / (2.0 * L), wave_numbers=k,
                            amplitudes=c, standing_wave=name == "standing_wave")
-    trace = entropy_trace(md, trace_times, n_intervals)
+    _check_intervals(n_intervals)
+    # One grid and basis for both passes. The snapshots stay a pass of their
+    # own: stacked into the trace's blocks, their rows would change in the
+    # last bits.
     x = np.linspace(-L, L, n_intervals + 1)
+    basis = _cosine_basis(md, x)
+    trace = EntropyTrace(times=trace_times,
+                         entropy=_entropies(md, x, basis, trace_times),
+                         n_intervals=n_intervals)
     q = np.empty((snapshot_times.size, x.size))
-    for block, profiles in _profile_blocks(md, x, snapshot_times):
+    for block, profiles in _profile_blocks(md, basis, snapshot_times):
         q[block] = profiles
     snapshots = tuple((float(t), x, q[i]) for i, t in enumerate(snapshot_times))
     return ExperimentResult(name=name, decomposition=md, trace=trace,

@@ -795,6 +795,22 @@ class TestMemoryCommand:
                      "--out", out]) == 0
         assert "LongRange" in capsys.readouterr().out
 
+    def test_failed_run_prints_no_classification(self, tmp_path, capsys):
+        # Two atoms of mass 1e308 overflow the diagnostic: the run exits 3,
+        # writes nothing and, its outputs never in place, prints nothing.
+        config = tmp_path / "heavy.json"
+        config.write_text(json.dumps({
+            "params": {"c": 1.0, "D": 1.0},
+            "measure": {"atoms": [{"mu": 1.0, "mass": 1e308},
+                                  {"mu": 2.0, "mass": 1e308}], "segments": []},
+        }))
+        assert main(["memory", "--config", str(config), "--hmax", "10",
+                     "--out", str(tmp_path / "run")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("accuracy error:")
+        assert os.listdir(tmp_path) == ["heavy.json"]
+
     def test_trace_monotone_nondecreasing(self, atom_config, tmp_path):
         out = str(tmp_path / "run")
         assert main(["memory", "--config", atom_config, "--hmax", "20",
@@ -991,6 +1007,22 @@ def test_usage_error_is_one_line(argv, words, atom_config, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:") and captured.out == ""
     assert all(word in lines[0] for word in words)
     assert os.listdir(tmp_path) == ["atom.json"]
+
+
+def test_comma_list_skips_blank_parts(tmp_path):
+    out = tmp_path / "run"
+    assert main(["kernel", "--c", "1", "--D", "1", "--mu", "0, 1.5,,2", "--t", "1",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["settings"]["mu"] == [0.0, 1.5, 2.0]
+
+
+def test_comma_list_names_the_bad_part(tmp_path, capsys):
+    assert main(["kernel", "--c", "1", "--D", "1", "--mu", "1,abc", "--t", "1",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        "error: hyperdiff kernel: argument --mu: expected float, got 'abc'\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_help_and_version_exit_0(capsys):

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hyperdiff import entropy1d
 from hyperdiff.entropy1d import (ModeDecomposition, decompose_initial,
                                  entropy_trace, evaluate, mass, run_experiment)
-from hyperdiff.kernel import transfer
+from hyperdiff.kernel import transfer, transfer_pair
 from hyperdiff.measure import DiffusionParams
 
 L3PI = 3.0 * math.pi
@@ -326,3 +328,75 @@ class TestClock:
         assert np.allclose(transfer(0.5, t, P11), at, rtol=0.0, atol=1e-14)
         for k in (0.5 - 1e-7, 0.5 + 1e-7):
             assert np.allclose(transfer(k, t, P11), at, rtol=0.0, atol=1e-6)
+
+
+def reference_profiles(md, x, times):
+    """Profiles and entropies by one transfer_pair call and one product per
+    16 times, each block on its own: the algorithm the chunked clocks and
+    the shared basis must reproduce bit for bit."""
+    basis = np.cos(np.outer(md.wave_numbers, x))
+    k = md.wave_numbers[None, :]
+    q = np.empty((times.size, x.size))
+    entropy = np.empty(times.size)
+    for start in range(0, times.size, 16):
+        h, g = transfer_pair(k, times[start:start + 16, None], P11)
+        clock = h - 0.5 * g if md.standing_wave else h
+        block = md.a0 + (clock * md.amplitudes) @ basis
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.trapezoid(-block * np.log(block), x, axis=1)
+        q[start:start + 16] = block
+        entropy[start:start + 16] = np.where(np.min(block, axis=1) > 0.0, s, math.nan)
+    return q, entropy
+
+
+class TestSinglePass:
+    TRACE = np.linspace(0.0, 20.0, 100)
+    SNAPSHOTS = [0.3, 2.0, 7.5]
+
+    @pytest.mark.parametrize("name", ["standing_wave", "point_source", "rectangle"])
+    def test_bitwise_equal_to_block_loop(self, name):
+        result = run_experiment(name, half_length=5.0, n_modes=200,
+                                trace_times=self.TRACE, snapshot_times=self.SNAPSHOTS)
+        md = result.decomposition
+        x = np.linspace(-5.0, 5.0, 401)
+        _, entropy = reference_profiles(md, x, self.TRACE)
+        q, _ = reference_profiles(md, x, np.array(self.SNAPSHOTS))
+        assert result.trace.entropy.tobytes() == entropy.tobytes()
+        assert entropy_trace(md, self.TRACE).entropy.tobytes() == entropy.tobytes()
+        for i, (t, xs, qs) in enumerate(result.snapshots):
+            assert t == self.SNAPSHOTS[i]
+            assert xs.tobytes() == x.tobytes() and qs.tobytes() == q[i].tobytes()
+
+    @pytest.mark.parametrize("name, modes", [("rectangle", 200), ("point_source", 600),
+                                             ("standing_wave", None)])
+    def test_one_call_per_chunk_and_one_basis(self, name, modes, monkeypatch):
+        calls, bases = [], []
+        real_pair, real_basis = entropy1d.transfer_pair, entropy1d._cosine_basis
+        monkeypatch.setattr(entropy1d, "transfer_pair",
+                            lambda k, t, p: calls.append(t.size) or real_pair(k, t, p))
+        monkeypatch.setattr(entropy1d, "_cosine_basis",
+                            lambda md, x: bases.append(x.size) or real_basis(md, x))
+        run_experiment(name, half_length=5.0, n_modes=modes,
+                       trace_times=self.TRACE, snapshot_times=self.SNAPSHOTS)
+        # Each call takes whole 16-time blocks up to the clock budget, at
+        # least one block, and the last call of a pass takes what is left.
+        n_modes = modes or 1
+        block = entropy1d._TIME_BLOCK
+        step = block * max(1, entropy1d._CLOCK_VALUES // (block * n_modes))
+        assert calls == [min(step, n - i) for n in (self.TRACE.size, len(self.SNAPSHOTS))
+                         for i in range(0, n, step)]
+        assert bases == [401]
+
+    def test_peak_memory_is_basis_plus_a_few_blocks(self):
+        # All 5,000 times' clocks at once would be 7.6 MB per array.
+        k = np.arange(1, 201) * math.pi / L3PI
+        md = ModeDecomposition(half_length=L3PI, a0=1.0 / (2.0 * L3PI),
+                               wave_numbers=k, amplitudes=np.full(200, 1.0 / L3PI))
+        times = np.linspace(0.0, 25.0, 5000)
+        tracemalloc.start()
+        try:
+            entropy_trace(md, times, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200 * 401 * 8 + 2 ** 20
