@@ -69,9 +69,11 @@ _WEIGHTS = np.array([_WK + _WK[-2::-1],
 # one, so the kernels' fixed cost per call is spread over many nodes while a
 # call's memory and its reduction stay bounded.
 _VALUES_PER_CALL = 2 ** 20
-# Multiply-adds per GEMM of the factored rule. OpenBLAS runs a GEMM of at
-# most 2^18 of them on one thread; a larger one split over 2 threads gave
-# other last bits than on 1, so every product stays below this size.
+# Multiply-adds per BLAS call of serial_matmul. OpenBLAS threads a GEMM or GEMV
+# above 2^18, and its last bits then change with the threads: (16 x 200) @ (200
+# x 401) and (1 x 1000) @ (1000 x 500) did from 1 to 2. Plain @ stays where the
+# bits were the same at every size probed: _dense_sums' (rows, 21) @ (21, 2) and
+# |v| @ w at 1k-100k rows, and integrate_measure's f(mus) @ masses.
 _SERIAL_GEMM = 2 ** 18
 _MAX_BISECT = 128
 _ATOL = 1e-15
@@ -95,11 +97,26 @@ def _dense_sums(values, ints: np.ndarray, stats: np.ndarray) -> None:
                           axis=0, initial=0.0)
 
 
+def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (..., M, K) @ b ([...,] K, N) in float64 BLAS calls of at most _SERIAL_GEMM
+    multiply-adds each, split by b's columns, and by a's rows if M x K is over it."""
+    m, k, n = *a.shape[-2:], b.shape[-1]
+    if m * k * n <= _SERIAL_GEMM:
+        return a @ b
+    cols = max(1, _SERIAL_GEMM // (m * k))
+    rows = max(1, _SERIAL_GEMM // (k * cols))
+    a, out = np.ascontiguousarray(a), np.empty(a.shape[:-1] + (n,))
+    for j in range(0, n, cols):
+        for i in range(0, m, rows):
+            np.matmul(a[..., i:i + rows, :], b[..., j:j + cols],
+                      out=out[..., i:i + rows, j:j + cols])
+    return out
+
+
 def _factored_sums(factors, ints: np.ndarray, stats: np.ndarray) -> None:
     """_dense_sums for factors (rows, cols): each panel's sums are products of
-    its rows, (J, 21K), with its weighted cols, (21K, B), each split along J
-    to stay within _SERIAL_GEMM multiply-adds. The rounding bound takes
-    |rows| @ |cols| in place of |v|, and the spread, never formed, stays 0."""
+    its rows, (J, 21K), with its weighted cols, (21K, B), by serial_matmul. The
+    rounding bound takes |rows| @ |cols| for |v|; the spread, never formed, is 0."""
     rows, cols = factors
     panels, n_rows, n_cols = ints.shape[0], rows.shape[1], cols.shape[2]
     inner = 21 * rows.shape[-1]
@@ -110,16 +127,9 @@ def _factored_sums(factors, ints: np.ndarray, stats: np.ndarray) -> None:
     kronrod, difference = (
         (w[:, None, None] * cols).reshape(panels, inner, n_cols)
         for w in (_WEIGHTS[0], _WEIGHTS[0] - _WEIGHTS[1]))
-    kronrod_abs = np.abs(kronrod)
-    ints = ints.reshape(panels, n_rows, n_cols)
-    block = max(1, _SERIAL_GEMM // max(inner * n_cols, 1))
-    for j in range(0, n_rows, block):
-        r = rows[:, j:j + block]
-        ints[:, j:j + block] = r @ kronrod
-        np.maximum(stats[0], np.max(np.abs(r @ difference), axis=(1, 2),
-                                    initial=0.0), out=stats[0])
-        np.maximum(stats[1], np.max(np.abs(r) @ kronrod_abs, axis=(1, 2),
-                                    initial=0.0), out=stats[1])
+    ints[...] = serial_matmul(rows, kronrod).reshape(panels, -1)
+    stats[0] = np.max(np.abs(serial_matmul(rows, difference)), (1, 2), initial=0.0)
+    stats[1] = np.max(serial_matmul(np.abs(rows), np.abs(kronrod)), (1, 2), initial=0.0)
 
 
 def _gk21(f, lo: np.ndarray, hi: np.ndarray, reduce, width: int):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import integrate_measure
+from ._quad import integrate_measure, serial_matmul
 from .kernel import transfer, transfer_pair
 from .measure import DiffusionParams, SpectralMeasure
 from .special import legendre_all
@@ -107,8 +107,8 @@ def covariance_legendre(gamma, t: float, t_prime: float,
     g = _validate_query(gamma, t, t_prime)
     spec = angular_spectrum(l_count, t, t_prime, measure, params, rtol=1e-12)
     ls = np.arange(l_count)
-    pl = legendre_all(l_count - 1, np.cos(g))
-    value = ((2 * ls + 1) * spec) @ pl / (4.0 * math.pi)
+    pl = legendre_all(l_count - 1, np.cos(g)).reshape(l_count, -1)
+    value = serial_matmul((2 * ls + 1) * spec[None], pl).reshape(g.shape) / (4 * math.pi)
     if np.ndim(g) == 0:
         value = float(value)
     roots = np.sqrt(tail_sum_lommel(l_count, measure, params, [t, t_prime]))
@@ -135,7 +135,6 @@ def angular_mse(gamma: float, t: float, measure: SpectralMeasure,
 class MemoryClass(enum.Enum):
     SHORT_RANGE = "ShortRange"
     LONG_RANGE = "LongRange"
-    INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)

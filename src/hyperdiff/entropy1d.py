@@ -12,10 +12,10 @@ cut-off k = 1/2 decay without oscillating, modes above it are damped standing
 waves, and the kernel is continuous through k = 1/2, so any half-length works.
 A run builds the basis cos(k x) once and takes its clocks from one
 `transfer_pair` call per chunk of times. The profile at a block of 16 times is
-one product, a_0 + (clocks * c) @ cos(k x): a row of a matrix product can
-change in its last bits with the number of rows stacked beside it, so a fixed
-block keeps every profile bitwise the same however the times are split, and
-peak memory stays a few blocks whatever the number of times.
+one serial_matmul product, a_0 + (clocks * c) @ cos(k x), whose bits do not
+depend on the BLAS thread count; a row of it can change in its last bits with
+the rows stacked beside it, so the fixed block keeps every profile bitwise the
+same however the times are split, and peak memory stays a few blocks.
 
 The standing-wave experiment is the one exception: its single mode starts
 with T'(0) = -1/2, so its clock is h - g/2 = e^(-t/2) cos(omega t) from the
@@ -34,14 +34,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quad import serial_matmul
 from .kernel import transfer_pair
 from .measure import DiffusionParams
 
 _EVEN_TOL = 1e-9
 _UNIT = DiffusionParams(c=1.0, D=1.0)
-# Times per profile product. Fixed, because a GEMM row's last bits depend on
-# the rows stacked with it, so profiles stay bitwise whatever the times; 16
-# keeps a block's arrays small, so peak memory does not grow with the times.
+# Times per profile product: a GEMM row's last bits depend on the rows stacked
+# with it, so a fixed block (and serial_matmul) keeps profiles bitwise whatever
+# the times and BLAS threads; 16 keeps peak memory from growing with the times.
 _TIME_BLOCK = 16
 # Clock values per transfer_pair call: a chunk takes as many whole blocks as
 # fit, so the kernel's fixed cost is paid a few times per run while its
@@ -112,7 +113,7 @@ def _profile_blocks(md: ModeDecomposition, basis: np.ndarray, times: np.ndarray)
         for start in range(0, clocks.shape[0], _TIME_BLOCK):
             block = clocks[start:start + _TIME_BLOCK]
             yield (slice(first + start, first + start + block.shape[0]),
-                   md.a0 + (block * md.amplitudes) @ basis)
+                   md.a0 + serial_matmul(block * md.amplitudes, basis))
 
 
 def _entropies(md: ModeDecomposition, x: np.ndarray, basis: np.ndarray,

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
+from ._quad import serial_matmul
 from .kernel import transfer
 from .measure import DiffusionParams, SpectralMeasure
 from .special import bessel_half_all, norm_plm_blocks, sph_harm_all
@@ -344,9 +345,10 @@ def synthesize(cs: CoefficientSet, time_index: int, n_theta: int,
 
     The coefficients must be Hermitian, a_{l,-m} = (-1)^m conj(a_lm) for
     m >= 0 (so Im a_l0 = 0), to 1e-12 of the largest |a_lm|; otherwise
-    ValueError. The field is then Re[P_0 + 2 sum_{m>0} P_m e^{i m phi}],
-    with the theta profile P_m of each order m >= 0 summed one degree at a
-    time over norm_plm_blocks.
+    ValueError. The field is then Re[P_0 + 2 sum_{m>0} P_m e^{i m phi}], the
+    theta profile P_m of each order m >= 0 summed one degree at a time over
+    norm_plm_blocks, and the orders by serial_matmul, so the field's bits do
+    not depend on the BLAS thread count.
     """
     if n_theta < 2 or n_phi < 4:
         raise ValueError(f"grid must be at least 2x4, got {n_theta}x{n_phi}")
@@ -360,17 +362,15 @@ def synthesize(cs: CoefficientSet, time_index: int, n_theta: int,
     if not asymmetry <= _HERMITIAN_TOL * np.max(np.abs(a)):  # NaN fails it too
         raise ValueError(f"coefficients are not Hermitian: a_(l,-m) departs from "
                          f"(-1)^m conj(a_lm) by {asymmetry:.3e}")
-    theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-
+    grid = FieldGrid(n_theta, n_phi, np.empty((n_theta, n_phi)), cs.times[time_index])
     profiles = np.zeros((L, n_theta), dtype=complex)
-    for l, block in norm_plm_blocks(L, theta):
+    for l, block in norm_plm_blocks(L, grid.thetas()):
         profiles[:l + 1] += a[l, half:half + l + 1, None] * block
     profiles[1:] *= 2.0
-    m_phi = np.outer(np.arange(L), phi)
-    values = profiles.real.T @ np.cos(m_phi) - profiles.imag.T @ np.sin(m_phi)
-    return FieldGrid(n_theta=n_theta, n_phi=n_phi, values=values,
-                     time=cs.times[time_index])
+    m_phi = np.outer(np.arange(L), grid.phis())
+    np.subtract(serial_matmul(profiles.real.T, np.cos(m_phi)),
+                serial_matmul(profiles.imag.T, np.sin(m_phi)), out=grid.values)
+    return grid
 
 
 def ensemble_spectrum(degree_count: int, times, measure: SpectralMeasure,

@@ -1158,23 +1158,37 @@ class TestThreadEnv:
             outs.append(read_outputs(out))
         assert len(outs[0]) == 5 and outs[0] == outs[1]
 
-    def test_memory_bitwise_under_blas_threads(self, tmp_path, run_cli_child):
-        # 30082 lags: the time-lag quadrature takes (173 x 42) @ (42 x 174)
-        # products per panel, a size whose unsplit product changed the last
-        # bits of R between 1 and 2 BLAS threads. The cumulative trapezoid
-        # absorbed those changes here; test_covariance compares R itself.
-        config = tmp_path / "segment.json"
-        config.write_text(json.dumps({
+    # Each job takes products beyond serial_matmul's budget: (100 x 150) @
+    # (150 x 300) in synthesize, (16 x 200) @ (200 x 401) per 16 entropy1d
+    # times, (1 x 1000) @ (1000 x 500) over the Legendre series, and 30082
+    # memory lags make (173 x 42) @ (42 x 174) panel products. Unsplit, the
+    # first three changed the last bits of their outputs between 1 and 2
+    # BLAS threads. The memory job's cumulative trapezoid absorbed such
+    # changes; test_covariance compares the time-lag covariance itself.
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--config", "{configs}/inverse_decay.json", "--lmax", "150",
+         "--grid", "100x300", "--times", "0.1", "--seed", "3", "--format", "bin"],
+        ["entropy1d", "--experiment", "rectangle",
+         "--snapshot-times", ",".join(str(0.5 * i) for i in range(1, 21))],
+        ["covariance", "--config", "{configs}/inverse_decay.json", "--route", "legendre",
+         "--lmax", "1000", "--t", "0.1",
+         "--gammas", ",".join(str(3.14159 * i / 499) for i in range(500))],
+        ["memory", "--config", "{segment}", "--t", "0.2", "--hmax", "6300"],
+    ], ids=["simulate", "entropy1d", "covariance", "memory"])
+    def test_outputs_bitwise_under_blas_threads(self, args, tmp_path, run_cli_child):
+        segment = tmp_path / "segment.json"
+        segment.write_text(json.dumps({
             "params": {"c": 1.0, "D": 1.0},
             "measure": {"atoms": [], "segments": [
                 {"lo": 0.0, "hi": 3.0, "amplitude": 1.0, "exponent": 0.9}]},
         }))
-        args = ["memory", "--config", str(config), "--t", "0.2", "--hmax", "6300"]
+        args = [a.format(configs=ROOT / "configs", segment=segment) for a in args]
         outs = []
         for threads in (1, 2):
             out = str(tmp_path / f"blas{threads}")
             proc = run_cli_child(args + ["--out", out], threads)
             assert proc.returncode == 0, proc.stderr
             outs.append(read_outputs(out))
-        assert outs[0]["memory.csv"].count(b"\n") == 1 + 30082
-        assert outs[0] == outs[1]
+        assert outs[0] and outs[0] == outs[1]
+        if args[0] == "memory":
+            assert outs[0]["memory.csv"].count(b"\n") == 1 + 30082

@@ -129,6 +129,10 @@ class TestLegendreRoute:
             assert isinstance(single.value, float)
             assert value == pytest.approx(single.value, rel=1e-13, abs=1e-15)
             assert batch.remainder == single.remainder
+        # A 2-D array of angles keeps its shape.
+        grid = covariance_legendre(gammas[:4].reshape(2, 2), 0.3, 0.9, MIXED, P11, 48)
+        flat = covariance_legendre(gammas[:4], 0.3, 0.9, MIXED, P11, 48)
+        assert np.array_equal(grid.value, flat.value.reshape(2, 2))
 
     def test_needs_terms(self):
         with pytest.raises(ValueError):

@@ -465,6 +465,19 @@ class TestQuadWrapper:
                 assert set(calls) == {21}
 
 
+class TestSerialMatmul:
+    # (M, K, N): split along b's columns; one row, as GEMVs; a single column
+    # over the budget, so along a's rows as well; within the budget, whole.
+    @pytest.mark.parametrize("m, k, n", [(16, 200, 401), (1, 1000, 500),
+                                         (700, 400, 3), (4, 5, 6)])
+    def test_matches_matmul(self, m, k, n):
+        rng = np.random.default_rng(m)
+        a, b = rng.standard_normal((2, k, m)).swapaxes(1, 2), rng.standard_normal((k, n))
+        got = _quad.serial_matmul(a, b)
+        assert got.shape == (2, m, n)
+        np.testing.assert_allclose(got, a @ b, rtol=0.0, atol=1e-13 * k)
+
+
 class TestIntegrateMeasure:
     MIXED = SpectralMeasure(atoms=((1.8, 0.7), (2.2, 0.4)),
                             segments=(PowerLawSegment(0.0, 1.5, 1.3, 0.5),
