@@ -9,9 +9,9 @@ __version__ = "0.1.0"
 
 from .exceptions import AccuracyError, ConfigError
 from .measure import (DiffusionParams, PowerLawSegment, SpectralMeasure,
-                      load_config, load_measure, serialize_config)
-from .kernel import transfer, transfer_diffusive, transfer_wave, wave_bound
-from .spectrum import (FiniteVarianceReport, TailSum, angular_spectrum, c_l,
+                      load_config, serialize_config)
+from .kernel import transfer, transfer_branches, wave_bound
+from .spectrum import (FiniteVarianceReport, TailSum, angular_spectrum,
                        finite_variance_check, tail_bound_gamma,
                        tail_sum_direct, tail_sum_lommel)
 from .covariance import (LegendreCovariance, MemoryClass, MemoryReport,
@@ -20,8 +20,7 @@ from .covariance import (LegendreCovariance, MemoryClass, MemoryReport,
                          memory_classify)
 from .field_sim import (CoefficientSet, FieldGrid, TruncationError, atomize,
                         derive_run_seed, ensemble_spectrum,
-                        simulate_coefficients, simulate_ensemble, synthesize,
-                        truncation_error_mc)
+                        simulate_coefficients, synthesize, truncation_error_mc)
 from .entropy1d import (EntropyTrace, ExperimentResult, ModeDecomposition,
                         decompose_initial, entropy_trace, evaluate,
                         run_experiment)
@@ -29,18 +28,16 @@ from .entropy1d import (EntropyTrace, ExperimentResult, ModeDecomposition,
 __all__ = [
     "AccuracyError", "ConfigError",
     "DiffusionParams", "PowerLawSegment", "SpectralMeasure",
-    "load_config", "load_measure", "serialize_config",
-    "transfer", "transfer_diffusive", "transfer_wave", "wave_bound",
-    "FiniteVarianceReport", "TailSum", "angular_spectrum", "c_l",
-    "finite_variance_check",
+    "load_config", "serialize_config",
+    "transfer", "transfer_branches", "wave_bound",
+    "FiniteVarianceReport", "TailSum", "angular_spectrum", "finite_variance_check",
     "tail_bound_gamma", "tail_sum_direct", "tail_sum_lommel",
     "LegendreCovariance", "MemoryClass", "MemoryReport",
     "angular_mse", "covariance_legendre", "covariance_spectral",
     "covariance_time_lags", "integrated_abs_covariance", "memory_classify",
     "CoefficientSet", "FieldGrid", "TruncationError",
     "atomize", "derive_run_seed", "ensemble_spectrum",
-    "simulate_coefficients", "simulate_ensemble", "synthesize",
-    "truncation_error_mc",
+    "simulate_coefficients", "synthesize", "truncation_error_mc",
     "EntropyTrace", "ExperimentResult", "ModeDecomposition",
     "decompose_initial", "entropy_trace", "evaluate", "run_experiment",
 ]

@@ -33,7 +33,7 @@ from . import __version__
 from .exceptions import AccuracyError, ConfigError
 from .measure import (DiffusionParams, SpectralMeasure, load_config,
                       measure_from_dict, params_from_dict)
-from .kernel import transfer
+from .kernel import transfer_branches
 from .spectrum import angular_spectrum
 from .covariance import (MAX_LAGS, covariance_legendre, covariance_spectral,
                          integrated_abs_covariance, memory_classify)
@@ -181,11 +181,9 @@ def _write_manifest(directory: str, subcommand: str, settings: dict,
 def _run_kernel(settings: dict) -> tuple[dict, dict | None]:
     params = params_from_dict(settings["params"])
     mu, t = np.meshgrid(settings["mu"], settings["t"], indexing="ij")
-    h = transfer(mu, t, params)
-    below = mu <= params.cutoff
+    h, h1, h2 = transfer_branches(mu, t, params)
     return {"kernel.csv": (["mu", "t", "h1", "h2", "h"],
-                           [mu.ravel(), t.ravel(), np.where(below, h, 0.0).ravel(),
-                            np.where(below, 0.0, h).ravel(), h.ravel()])}, None
+                           [mu.ravel(), t.ravel(), h1.ravel(), h2.ravel(), h.ravel()])}, None
 
 
 def _run_spectrum(settings: dict) -> tuple[dict, dict | None]:

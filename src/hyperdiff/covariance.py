@@ -208,35 +208,31 @@ def covariance_time_lags(gamma: float, t: float, lags: np.ndarray,
 
 
 def integrated_abs_covariance(t: float, h_max: float, measure: SpectralMeasure,
-                              params: DiffusionParams, gamma: float = 0.0,
-                              h_step: float | None = None
+                              params: DiffusionParams, gamma: float = 0.0
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative trapezoid of |R(cos gamma, t+h, t)| over h in [0, h_max].
 
-    The default step resolves the fastest covariance oscillation,
-    h_step <= 2 pi / (10 c mu_max), and never exceeds h_max / 1e4. Returns
-    (h_grid, cumulative integral); the curve plateaus for short-range
-    measures and keeps growing through h_max for long-range ones. A subnormal
-    lag step, or more than MAX_LAGS lags, raises ValueError before allocating.
+    The lag step h_step = min(h_max / 1e4, 2 pi / (10 c mu_max)) resolves
+    the fastest covariance oscillation. Returns (h_grid, cumulative
+    integral); the curve plateaus for short-range measures and keeps growing
+    through h_max for long-range ones. A subnormal lag step, or more than
+    MAX_LAGS lags, raises ValueError before allocating.
     """
     if not 0.0 < h_max < math.inf:
         raise ValueError(f"h_max must be positive and finite, got {h_max}")
-    if h_step is not None and not h_step > 0.0:
-        raise ValueError(f"h_step must be positive, got {h_step}")
     _validate_query(gamma, t, t)
     if measure.is_empty:
         grid = np.linspace(0.0, h_max, 2)
         return grid, np.zeros(2)
-    if h_step is None:
-        mu_max = measure.support_upper_bound()
-        osc = 2.0 * math.pi / (10.0 * params.c * mu_max) if mu_max > 0 else h_max
-        h_step = min(h_max / 1.0e4, osc)
+    mu_max = measure.support_upper_bound()
+    osc = 2.0 * math.pi / (10.0 * params.c * mu_max) if mu_max > 0 else h_max
+    h_step = min(h_max / 1.0e4, osc)
     if h_step < np.finfo(float).smallest_normal:
         raise ValueError(f"h_max = {h_max!r} at h_step = {h_step!r}: the lag step is "
-                         "below the smallest normal float; raise h_max or h_step")
+                         "below the smallest normal float")
     if not h_max / h_step <= MAX_LAGS - 1:
         raise ValueError(f"h_max = {h_max!r} at h_step = {h_step!r} needs more than "
-                         f"{MAX_LAGS} lags; lower h_max or raise h_step")
+                         f"{MAX_LAGS} lags; lower h_max")
     n = max(2, int(math.ceil(h_max / h_step)) + 1)
     grid = np.linspace(0.0, h_max, n)
     values = np.abs(covariance_time_lags(gamma, t, grid, measure, params))

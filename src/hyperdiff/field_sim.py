@@ -7,10 +7,12 @@ standard normals with weights pi*sqrt(2) * J_{l+1/2}(mu_i)/sqrt(mu_i)
 each public simulation call prepares them once, (times x degrees x atoms),
 from the atomised measure, and one private draw routine turns them into
 coefficients for a sequence of seeds and a range of degrees.
-simulate_coefficients keeps the draw of one seed and simulate_ensemble those
-of many; ensemble_spectrum and truncation_error_mc instead reduce each run to
-one statistic as it is drawn (sum_m |a_lm|^2, or a degree band's squared
-value at a point) and report the mean over runs with its standard error.
+simulate_coefficients keeps the draw of one seed. Member r of an ensemble
+under a master seed is the single run with seed derive_run_seed(master, r);
+ensemble_spectrum and truncation_error_mc draw many members at once and
+reduce each to one statistic as it is drawn (sum_m |a_lm|^2, or a degree
+band's squared value at a point), reporting the mean over runs with its
+standard error.
 
 One normal block is drawn per degree from a counter-based Philox stream
 keyed by (seed, degree) (Salmon et al., SC'11), so identical inputs give
@@ -303,21 +305,6 @@ def simulate_coefficients(degree_count: int, times, measure: SpectralMeasure,
     coeffs = next(_draw(weights, (seed,), range(degree_count)))
     return CoefficientSet(degree_count=degree_count, times=times,
                           coeffs=coeffs, seed=seed)
-
-
-def simulate_ensemble(degree_count: int, times, measure: SpectralMeasure,
-                      params: DiffusionParams, master_seed: int, n_runs: int,
-                      n_quad: int = 64) -> list[CoefficientSet]:
-    """Independent realisations indexed by run: member r is the single run
-    with seed derive_run_seed(master_seed, r)."""
-    if n_runs < 1:
-        raise ValueError(f"need at least one run, got {n_runs}")
-    seeds = _run_seeds(master_seed, n_runs)
-    times, weights = _prepare(degree_count, times, measure, params, n_quad)
-    draws = _draw(weights, seeds, range(degree_count))
-    return [CoefficientSet(degree_count=degree_count, times=times,
-                           coeffs=coeffs.copy(), seed=seed)
-            for seed, coeffs in zip(seeds, draws)]
 
 
 @dataclass(frozen=True)

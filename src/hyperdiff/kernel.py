@@ -18,8 +18,10 @@ r = cutoff/sqrt|cutoff^2 - mu^2| it is evaluated in three regimes:
   * u < -1/4: exp(-a) (cos w + r sin w), w = sqrt(-u); 0 where exp(-a) underflows.
 
 Below the cut-off, modes decay without travelling (diffusive regime); above
-it they are damped travelling waves. The zero mode is conserved exactly:
-the transfer factor at mu = 0 is 1 for every t.
+it they are damped travelling waves. transfer_branches returns the factor
+with its two branches, each zero on the other side of the cut-off, from one
+evaluation. The zero mode is conserved exactly: the transfer factor at
+mu = 0 is 1 for every t.
 
 Each mode solves h'' + 2 alpha h' + c^2 mu^2 h = 0 with alpha = c^2/(2D),
 h(0) = 1, h'(0) = 0. Its companion g, the solution with g(0) = 0 and
@@ -137,24 +139,18 @@ def transfer_pair(mu, t, params: DiffusionParams):
     return (float(h), float(g)) if h.ndim == 0 else (h, g)
 
 
-def transfer_diffusive(mu, t, params: DiffusionParams):
-    """Sub-cut-off branch: the transfer factor for mu <= c/(2D), zero above.
+def transfer_branches(mu, t, params: DiffusionParams):
+    """(h, h_diffusive, h_wave) at wave number mu and time t; broadcasts like
+    transfer, and h is bitwise transfer's value.
 
-    Always lies in [0, 1].
+    h_diffusive is h for mu <= c/(2D) and 0 above, and lies in [0, 1];
+    h_wave is h above the cut-off and 0 below, bounded in magnitude by
+    wave_bound(t). Their sum is not h where h is -0.0.
     """
-    value = transfer(mu, t, params)
-    out = np.where(np.asarray(mu) <= params.cutoff, value, 0.0)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def transfer_wave(mu, t, params: DiffusionParams):
-    """Above-cut-off branch: the transfer factor for mu > c/(2D), zero below.
-
-    Bounded in magnitude by exp(-c^2 t/(2D)) * (1 + c^2 t/(2D)).
-    """
-    value = transfer(mu, t, params)
-    out = np.where(np.asarray(mu) > params.cutoff, value, 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    h, _ = _evaluate(mu, t, params)
+    below = np.asarray(mu) <= params.cutoff
+    branches = (h, np.where(below, h, 0.0), np.where(below, 0.0, h))
+    return tuple(map(float, branches)) if h.ndim == 0 else branches
 
 
 @np.errstate(over="ignore")

@@ -238,11 +238,6 @@ def load_config(config_text: str) -> tuple[DiffusionParams, SpectralMeasure]:
     return params_from_dict(doc["params"]), measure_from_dict(doc["measure"])
 
 
-def load_measure(config_text: str) -> SpectralMeasure:
-    """Parse a JSON config and return the validated spectral measure."""
-    return load_config(config_text)[1]
-
-
 def serialize_config(params: DiffusionParams, measure: SpectralMeasure) -> str:
     """Serialise to config text; load_config(serialize_config(p, m)) == (p, m)."""
     doc = {"params": {"c": params.c, "D": params.D}, "measure": measure.to_dict()}

@@ -29,6 +29,7 @@ and summation order is fixed, so results do not depend on scheduling.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -85,14 +86,6 @@ def angular_spectrum(l_count: int, t, t_prime, measure: SpectralMeasure,
     if l_count < 1:
         raise ValueError(f"need at least one degree, got {l_count}")
     return _cl_block(0, l_count, t, t_prime, measure, params, rtol)
-
-
-def c_l(l: int, t: float, t_prime: float, measure: SpectralMeasure,
-        params: DiffusionParams) -> float:
-    """Single angular power spectrum coefficient C_l(t, t')."""
-    if l < 0:
-        raise ValueError(f"degree must be >= 0, got {l}")
-    return float(_cl_block(l, l + 1, t, t_prime, measure, params)[0])
 
 
 def _weighted_tail(l_start: int, measure: SpectralMeasure,
@@ -186,6 +179,10 @@ def tail_bound_gamma(l_start: int, measure: SpectralMeasure,
     dominates the Poisson-integral product bounds term by term, hence
     dominates tail_sum_direct(L, ..., t=0).
     """
+    try:
+        l_start = operator.index(l_start)
+    except TypeError:
+        raise ValueError(f"degree must be an integer, got {l_start!r}") from None
     if l_start < 2:
         raise ValueError(f"the Gamma-function bound needs degree >= 2, got {l_start}")
     if measure.is_empty:

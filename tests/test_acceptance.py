@@ -18,8 +18,7 @@ from hyperdiff.covariance import (MemoryClass, angular_mse, covariance_legendre,
 from hyperdiff.entropy1d import (decompose_initial, entropy_trace, evaluate,
                                  mass, run_experiment)
 from hyperdiff.field_sim import ensemble_spectrum, truncation_error_mc
-from hyperdiff.kernel import transfer, transfer_diffusive, transfer_wave, \
-    wave_bound
+from hyperdiff.kernel import transfer, transfer_branches, wave_bound
 from hyperdiff.measure import DiffusionParams, PowerLawSegment, SpectralMeasure
 from hyperdiff.special import bessel_half_all
 from hyperdiff.spectrum import (angular_spectrum, finite_variance_check,
@@ -53,8 +52,7 @@ def test_criterion_01_kernel_bounds():
                             D=float(rng.uniform(0.2, 3.0)))
         mu = rng.uniform(0.0, 4.0 * p.cutoff, 500)
         t = rng.uniform(0.0, 20.0, 500)
-        h1 = transfer_diffusive(mu, t, p)
-        h2 = transfer_wave(mu, t, p)
+        _, h1, h2 = transfer_branches(mu, t, p)
         ok &= bool(np.all(h1 >= -1e-12) and np.all(h1 <= 1.0 + 1e-12))
         ok &= bool(np.all(np.abs(h2) <= wave_bound(t, p) + 1e-12))
     elapsed = time.perf_counter() - started

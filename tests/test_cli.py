@@ -22,7 +22,7 @@ from hyperdiff.covariance import (MAX_LAGS, covariance_legendre, covariance_spec
 from hyperdiff.field_sim import grid_from_binary, simulate_coefficients, synthesize
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, SpectralMeasure
-from hyperdiff.spectrum import angular_spectrum, c_l
+from hyperdiff.spectrum import angular_spectrum
 
 ROOT = Path(__file__).parent.parent
 
@@ -81,19 +81,21 @@ class TestKernelCommand:
     def test_csv_bytes_match_library(self, tmp_path):
         # Wave numbers on both sides of the cut-off c/(2D) = 0.5 and on it: a
         # row takes h1 = h up to the cut-off and h2 = h above it, the other 0.0.
-        mus, times = [0.0, 0.25, 0.5, 0.75, 2.0], [0.0, 0.7, 3.0]
+        # At mu = 0.612674, t = 1480, h is -0.0, which h1 + h2 would turn to 0.0.
+        mus, times = [0.0, 0.25, 0.5, 0.75, 2.0, 0.612674], [0.0, 0.7, 3.0, 1480.0]
         params = DiffusionParams(1.0, 1.0)
         assert params.cutoff == 0.5
         out = tmp_path / "run"
-        assert main(["kernel", "--c", "1", "--D", "1", "--mu", "0,0.25,0.5,0.75,2",
-                     "--t", "0,0.7,3", "--out", str(out)]) == 0
+        assert main(["kernel", "--c", "1", "--D", "1", "--mu", "0,0.25,0.5,0.75,2,0.612674",
+                     "--t", "0,0.7,3,1480", "--out", str(out)]) == 0
         rows = []
         for mu in mus:
             for t in times:
                 h = transfer(mu, t, params)
                 rows.append([mu, t, h if mu <= 0.5 else 0.0, 0.0 if mu <= 0.5 else h, h])
-        assert (out / "kernel.csv").read_bytes() == csv_bytes(["mu", "t", "h1", "h2", "h"],
-                                                              rows)
+        written = (out / "kernel.csv").read_bytes()
+        assert written == csv_bytes(["mu", "t", "h1", "h2", "h"], rows)
+        assert b"\r\n0.612674,1480.0,0.0,-0.0,-0.0\r\n" in written
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -151,7 +153,8 @@ class TestSpectrumCommand:
         p = DiffusionParams(1.0, 1.0)
         for row in rows:
             t, tp, l, value = float(row[0]), float(row[1]), int(row[2]), float(row[3])
-            assert value == pytest.approx(c_l(l, t, tp, m, p), rel=1e-12)
+            assert value == pytest.approx(angular_spectrum(l + 1, t, tp, m, p)[l],
+                                          rel=1e-12)
 
     def test_single_degree(self, atom_config, tmp_path):
         out = str(tmp_path / "run")

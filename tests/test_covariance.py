@@ -256,7 +256,7 @@ class TestIntegratedAbsCovariance:
 
     def test_long_range_keeps_growing(self):
         m = SpectralMeasure(segments=(PowerLawSegment(0.0, 1.0, 1.0, 0.5),))
-        h, cum = integrated_abs_covariance(0.0, 200.0, m, P11, h_step=0.2)
+        h, cum = integrated_abs_covariance(0.0, 200.0, m, P11)
         n = len(h)
         late = (cum[-1] - cum[3 * n // 4]) / (h[-1] - h[3 * n // 4])
         # a short-range plateau would have decayed by orders of magnitude here
@@ -331,8 +331,6 @@ class TestIntegratedAbsCovariance:
     def test_validation(self):
         with pytest.raises(ValueError):
             integrated_abs_covariance(0.0, -1.0, ATOM1, P11)
-        with pytest.raises(ValueError, match="h_step"):
-            integrated_abs_covariance(0.0, 1.0, ATOM1, P11, h_step=0.0)
 
     @pytest.mark.parametrize("t, gamma", [(math.nan, 0.0), (-1.0, 0.0),
                                           (0.0, 9.0), (0.0, math.nan)])
@@ -341,22 +339,26 @@ class TestIntegratedAbsCovariance:
         with pytest.raises(ValueError, match="times|angular"):
             integrated_abs_covariance(t, 1.0, SpectralMeasure(), P11, gamma=gamma)
 
-    @pytest.mark.parametrize("h_max, h_step", [(5e-324, None), (1e-310, None),
-                                               (1.0, 1e-320)])
-    def test_subnormal_lag_step_rejected(self, h_max, h_step):
-        # 5e-324 / 1e4 is 0.0, and subnormal lags cannot be evenly spaced
+    @pytest.mark.parametrize("h_max, mu", [(5e-324, 1.0), (1e-310, 1.0), (1.0, 1e308)])
+    def test_subnormal_lag_step_rejected(self, h_max, mu):
+        # 5e-324 / 1e4 is 0.0, 2 pi / (10 c mu) is 0.0 at mu = 1e308, and
+        # subnormal lags cannot be evenly spaced
+        m = SpectralMeasure(atoms=((mu, 1.0),))
         with pytest.raises(ValueError, match="h_max.*h_step.*smallest normal"):
-            integrated_abs_covariance(0.0, h_max, ATOM1, P11, h_step=h_step)
+            integrated_abs_covariance(0.0, h_max, m, P11)
 
     def test_lag_budget_checked_before_allocating(self, monkeypatch):
         def no_lags(*args, **kwargs):
             raise AssertionError("evaluated the lags")
         monkeypatch.setattr("hyperdiff.covariance.covariance_time_lags", no_lags)
-        for h_max, h_step in ((1e12, None), (1.0, 1.0 / MAX_LAGS), (1.0, 1e-320)):
+        # The step 2 pi / (10 c mu) of one atom at mu = 2 pi k / 10 is 1 / k.
+        def atom_at(k):
+            return SpectralMeasure(atoms=((2.0 * math.pi * k / 10.0, 1.0),))
+        for h_max, m in ((1e12, ATOM1), (1.0, atom_at(MAX_LAGS)),
+                         (1.0, SpectralMeasure(atoms=((1e308, 1.0),)))):
             with pytest.raises(ValueError, match="h_max") as info:
-                integrated_abs_covariance(0.0, h_max, ATOM1, P11, h_step=h_step)
+                integrated_abs_covariance(0.0, h_max, m, P11)
             assert "h_step" in str(info.value)
         monkeypatch.undo()
-        h, _ = integrated_abs_covariance(0.0, 1.0, ATOM1, P11,
-                                         h_step=1.0 / (MAX_LAGS - 1))
+        h, _ = integrated_abs_covariance(0.0, 1.0, atom_at(MAX_LAGS - 1), P11)
         assert h.size == MAX_LAGS

@@ -9,11 +9,11 @@ from numpy.random import Generator, Philox
 
 from hyperdiff import field_sim
 from hyperdiff.exceptions import AccuracyError
-from hyperdiff.field_sim import (CoefficientSet, _draw, _prepare, atomize,
-                                 derive_run_seed, ensemble_spectrum,
+from hyperdiff.field_sim import (CoefficientSet, _draw, _prepare, _run_seeds,
+                                 atomize, derive_run_seed, ensemble_spectrum,
                                  grid_from_binary, grid_to_binary,
-                                 simulate_coefficients, simulate_ensemble,
-                                 synthesize, truncation_error_mc)
+                                 simulate_coefficients, synthesize,
+                                 truncation_error_mc)
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import DiffusionParams, PowerLawSegment, SpectralMeasure
 from hyperdiff.special import sph_harm_all
@@ -201,28 +201,31 @@ class TestBlockedDraw:
 
 class TestEnsemble:
     def test_members_match_single_runs(self):
-        ens = simulate_ensemble(5, (0.0, 0.3), ATOMS3, P11, master_seed=8,
-                                n_runs=12)
-        assert len(ens) == 12
-        for r, member in enumerate(ens):
-            single = simulate_coefficients(5, (0.0, 0.3), ATOMS3, P11,
-                                           seed=derive_run_seed(8, r))
-            assert member.seed == single.seed
-            assert np.array_equal(member.coeffs, single.coeffs)
+        # Members drawn together, as ensemble_spectrum draws them, equal the
+        # single runs with seeds derive_run_seed(8, r).
+        seeds = _run_seeds(8, 12)
+        assert list(seeds) == [derive_run_seed(8, r) for r in range(12)]
+        _, weights = _prepare(5, (0.0, 0.3), ATOMS3, P11, 64)
+        members = [coeffs.copy() for coeffs in _draw(weights, seeds, range(5))]
+        assert len(members) == 12
+        for seed, coeffs in zip(seeds, members):
+            single = simulate_coefficients(5, (0.0, 0.3), ATOMS3, P11, seed=seed)
+            assert single.seed == seed
+            assert np.array_equal(coeffs, single.coeffs)
 
     def test_concurrent_calls_match_serial(self):
         # Threads with different master seeds, switching as often as the
         # interpreter allows: a generator shared between calls mixes streams.
         args = (6, (0.0, 0.4), ATOMS3, P11)
         seeds = (31, 32, 33, 34)
-        serial = [simulate_ensemble(*args, master_seed=s, n_runs=100)
+        serial = [ensemble_spectrum(*args, master_seed=s, n_runs=100)
                   for s in seeds]
         results = [None] * len(seeds)
         start = threading.Barrier(len(seeds))
 
         def run(i):
             start.wait()
-            results[i] = simulate_ensemble(*args, master_seed=seeds[i],
+            results[i] = ensemble_spectrum(*args, master_seed=seeds[i],
                                            n_runs=100)
 
         interval = sys.getswitchinterval()
@@ -238,28 +241,27 @@ class TestEnsemble:
         finally:
             sys.setswitchinterval(interval)
         for result, expected in zip(results, serial):
-            assert len(result) == len(expected)
-            assert all(np.array_equal(a.coeffs, b.coeffs)
-                       for a, b in zip(result, expected))
+            assert all(np.array_equal(a, b) for a, b in zip(result, expected))
 
     @pytest.mark.parametrize("master_seed", [-1, 2 ** 64, 1.5])
     def test_master_seed_range(self, master_seed):
         with pytest.raises(ValueError, match="master_seed"):
-            simulate_ensemble(3, (0.0,), ATOM1, P11, master_seed=master_seed,
+            ensemble_spectrum(3, (0.0,), ATOM1, P11, master_seed=master_seed,
                               n_runs=2)
         with pytest.raises(ValueError, match="master_seed"):
             derive_run_seed(master_seed, 0)
 
     def test_numpy_integer_master_seed(self):
         # (master << 64) in int64 arithmetic would wrap to 0 for every master
-        a = simulate_ensemble(3, (0.0,), ATOMS3, P11, master_seed=np.int64(5), n_runs=2)
-        b = simulate_ensemble(3, (0.0,), ATOMS3, P11, master_seed=5, n_runs=2)
-        assert a[1].seed == derive_run_seed(5, 1) == (5 << 64) | 1
-        assert np.array_equal(a[1].coeffs, b[1].coeffs)
+        a = ensemble_spectrum(3, (0.0,), ATOMS3, P11, master_seed=np.int64(5), n_runs=2)
+        b = ensemble_spectrum(3, (0.0,), ATOMS3, P11, master_seed=5, n_runs=2)
+        assert derive_run_seed(np.int64(5), 1) == derive_run_seed(5, 1) == (5 << 64) | 1
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_runs_are_distinct(self):
-        ens = simulate_ensemble(4, (0.0,), ATOMS3, P11, master_seed=8, n_runs=3)
-        assert not np.array_equal(ens[0].coeffs, ens[1].coeffs)
+        a, b = (simulate_coefficients(4, (0.0,), ATOMS3, P11, seed=derive_run_seed(8, r))
+                for r in range(2))
+        assert not np.array_equal(a.coeffs, b.coeffs)
 
     def test_derive_run_seed_distinct(self):
         seeds = {derive_run_seed(5, r) for r in range(100)}
@@ -302,9 +304,11 @@ class TestSynthesize:
 
     def test_point_variance_across_ensemble(self):
         n_runs = 2000
-        ens = simulate_ensemble(4, (0.3,), ATOMS3, P11, master_seed=71,
-                                n_runs=n_runs)
-        values = np.array([synthesize(cs, 0, 3, 4).values[1, 2] for cs in ens])
+        seeds = _run_seeds(71, n_runs)
+        times, weights = _prepare(4, (0.3,), ATOMS3, P11, 64)
+        members = zip(seeds, _draw(weights, seeds, range(4)))
+        values = np.array([synthesize(CoefficientSet(4, times, coeffs, seed), 0, 3, 4).values[1, 2]
+                           for seed, coeffs in members])
         spec = angular_spectrum(4, 0.3, 0.3, ATOMS3, P11)
         ls = np.arange(4)
         theory = float(np.sum((2 * ls + 1) * spec)) / (4 * math.pi)
@@ -317,8 +321,9 @@ class TestSynthesize:
         gamma = math.pi / 3
         pairs = [((0.8, 0.5), None), ((1.4, 2.0), None), ((2.2, 4.0), None)]
         n_runs = 2000
-        ens = simulate_ensemble(4, (0.0,), ATOMS3, P11, master_seed=29,
-                                n_runs=n_runs)
+        _, weights = _prepare(4, (0.0,), ATOMS3, P11, 64)
+        members = [coeffs[0].copy()
+                   for coeffs in _draw(weights, _run_seeds(29, n_runs), range(4))]
         from hyperdiff.covariance import covariance_spectral
         theory = covariance_spectral(gamma, 0.0, 0.0, ATOMS3, P11)
         for (theta1, phi1), _ in pairs:
@@ -326,8 +331,8 @@ class TestSynthesize:
             theta2 = theta1 + gamma if theta1 + gamma < math.pi else theta1 - gamma
             y1 = sph_harm_all(4, theta1, phi1)
             y2 = sph_harm_all(4, theta2, phi1)
-            v1 = np.array([(cs.coeffs[0] * y1).sum().real for cs in ens])
-            v2 = np.array([(cs.coeffs[0] * y2).sum().real for cs in ens])
+            v1 = np.array([(coeffs * y1).sum().real for coeffs in members])
+            v2 = np.array([(coeffs * y2).sum().real for coeffs in members])
             prod = v1 * v2
             se = prod.std(ddof=1) / math.sqrt(n_runs)
             assert abs(prod.mean() - theory) <= 5 * se
@@ -460,9 +465,11 @@ class TestEnsembleSpectrum:
         args = (degree_count, times, self.MIXED, P11)
         estimate, std_error, theory = ensemble_spectrum(
             *args, master_seed=9, n_runs=41, n_quad=8)
-        # Reference: the members held whole, reduced to sum_m |a_lm|^2 / (2l+1).
-        ens = simulate_ensemble(*args, master_seed=9, n_runs=41, n_quad=8)
-        power = np.array([np.sum(np.abs(cs.coeffs) ** 2, axis=-1) for cs in ens])
+        # Reference: the single runs of the members, reduced to
+        # sum_m |a_lm|^2 / (2l+1).
+        power = np.array([np.sum(np.abs(simulate_coefficients(
+            *args, seed=derive_run_seed(9, r), n_quad=8).coeffs) ** 2, axis=-1)
+            for r in range(41)])
         power /= 2 * np.arange(degree_count) + 1
         assert estimate.shape == std_error.shape == (len(times), degree_count)
         assert np.array_equal(estimate, power.mean(axis=0))

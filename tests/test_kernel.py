@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperdiff.kernel import (transfer, transfer_diffusive, transfer_pair,
-                              transfer_wave, wave_bound)
+from hyperdiff.kernel import (transfer, transfer_branches, transfer_pair,
+                              wave_bound)
 from hyperdiff.measure import DiffusionParams
 
 P11 = DiffusionParams(c=1.0, D=1.0)
@@ -32,7 +32,7 @@ class TestTransferValues:
     def test_zero_mode_exact_one(self):
         for t in [0.0, 0.5, 5.0, 50.0, 2000.0]:
             assert transfer(0.0, t, P11) == 1.0
-            assert transfer_diffusive(0.0, t, P11) == 1.0
+            assert transfer_branches(0.0, t, P11)[1] == 1.0
 
     def test_initial_time_is_identity(self):
         for mu in [0.0, 0.3, 0.5, 1.0, 7.5]:
@@ -46,12 +46,12 @@ class TestTransferValues:
 
     def test_wave_value_spec_example(self):
         expected = reference_transfer(1.0, 1.0, P11)
-        assert transfer_wave(1.0, 1.0, P11) == pytest.approx(expected, rel=1e-13)
-        assert transfer_wave(1.0, 1.0, P11) == pytest.approx(0.6597, abs=5e-5)
+        assert transfer_branches(1.0, 1.0, P11)[2] == pytest.approx(expected, rel=1e-13)
+        assert transfer_branches(1.0, 1.0, P11)[2] == pytest.approx(0.6597, abs=5e-5)
 
     def test_wave_initial_time(self):
-        assert transfer_wave(2.0, 0.0, P11) == 1.0
-        assert transfer_wave(0.2, 0.0, P11) == 0.0
+        assert transfer_branches(2.0, 0.0, P11)[2] == 1.0
+        assert transfer_branches(0.2, 0.0, P11)[2] == 0.0
 
     def test_agrees_with_reference_formula(self):
         rng = np.random.default_rng(7)
@@ -68,9 +68,10 @@ class TestTransferValues:
 
     def test_branches_partition(self):
         mus = np.linspace(0.0, 2.0, 101)
-        h1 = transfer_diffusive(mus, 1.3, P11)
-        h2 = transfer_wave(mus, 1.3, P11)
-        assert np.array_equal(h1 + h2, transfer(mus, 1.3, P11))
+        h, h1, h2 = transfer_branches(mus, 1.3, P11)
+        expected = transfer(mus, 1.3, P11)
+        assert np.array_equal(h1 + h2, expected)
+        assert np.array_equal(h, expected)
         assert np.all((h1 == 0.0) | (h2 == 0.0))
 
     def test_overflow_regime_stable(self):
@@ -95,7 +96,7 @@ class TestBounds:
         for ci, Di, ti in zip(c, D, t):
             p = DiffusionParams(c=float(ci), D=float(Di))
             mus = np.linspace(0.0, p.cutoff, 17)
-            values = transfer_diffusive(mus, float(ti), p)
+            values = transfer_branches(mus, float(ti), p)[1]
             assert np.all(values >= -1e-12)
             assert np.all(values <= 1.0 + 1e-12)
 
@@ -106,14 +107,14 @@ class TestBounds:
                                 D=float(rng.uniform(0.2, 3.0)))
             mu = float(rng.uniform(p.cutoff * 1.0001, p.cutoff * 50))
             t = float(rng.uniform(0.0, 20.0))
-            assert abs(transfer_wave(mu, t, p)) <= wave_bound(t, p) + 1e-12
+            assert abs(transfer_branches(mu, t, p)[2]) <= wave_bound(t, p) + 1e-12
 
     def test_wave_envelope_where_damping_underflows(self):
         # c^2 t/(2D) = 2e308 overflows; the envelope's limit is 0, as
-        # transfer_wave gives, not 0 * inf (warnings are errors here)
+        # the wave branch gives, not 0 * inf (warnings are errors here)
         p = DiffusionParams(c=2.0, D=1.0)
         assert wave_bound(1e308, p) == 0.0
-        assert transfer_wave(3.0, 1e308, p) == 0.0
+        assert transfer_branches(3.0, 1e308, p)[2] == 0.0
         np.testing.assert_array_equal(
             wave_bound(np.array([0.0, 1e3, 1e308]), p), [1.0, 0.0, 0.0])
 
@@ -126,7 +127,7 @@ class TestBounds:
             mu = float(rng.uniform(delta, 0.5))
             t = float(rng.uniform(0.0, 30.0))
             bound = const * math.exp(-1.0 * delta ** 2 * t)
-            assert transfer_diffusive(mu, t, P11) <= bound * (1 + 1e-12)
+            assert transfer_branches(mu, t, P11)[1] <= bound * (1 + 1e-12)
 
 
 class TestContinuityAndODE:
@@ -178,9 +179,7 @@ class TestValidation:
                 with pytest.raises(ValueError):
                     transfer(mu, np.array([0.0, t]), P11)
                 with pytest.raises(ValueError):
-                    transfer_diffusive(mu, t, P11)
-                with pytest.raises(ValueError):
-                    transfer_wave(mu, t, P11)
+                    transfer_branches(mu, t, P11)
         for bad in (-5.0, math.nan, math.inf, np.array([1.0, -0.1])):
             with pytest.raises(ValueError):
                 wave_bound(bad, P11)

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from hyperdiff.exceptions import ConfigError
 from hyperdiff.measure import (DiffusionParams, PowerLawSegment, SpectralMeasure,
-                               load_config, load_measure, power_law_integral,
+                               load_config, power_law_integral,
                                serialize_config)
 
 
@@ -37,18 +37,18 @@ class TestDiffusionParams:
 
 class TestLoadMeasure:
     def test_single_atom(self):
-        m = load_measure(make_config(atoms=[(1.0, 1.0)]))
+        m = load_config(make_config(atoms=[(1.0, 1.0)]))[1]
         assert m.total_mass() == 1.0
 
     def test_inverse_decay_atoms(self):
         # ten atoms with sigma_i = 100/i
         atoms = [(4.0 * i + 1.0, (100.0 / i) ** 2) for i in range(1, 11)]
-        m = load_measure(make_config(atoms=atoms))
+        m = load_config(make_config(atoms=atoms))[1]
         assert m.total_mass() == pytest.approx(sum((100.0 / i) ** 2 for i in range(1, 11)),
                                                rel=1e-14)
 
     def test_segment_mass_against_quadrature(self):
-        m = load_measure(make_config(segments=[(0.0, 1.0, 1.0, 0.5)]))
+        m = load_config(make_config(segments=[(0.0, 1.0, 1.0, 0.5)]))[1]
         oracle, _ = quad(lambda mu: mu ** 0.5, 0.0, 1.0)
         assert m.total_mass() == pytest.approx(oracle, rel=1e-10)
         assert m.total_mass() == pytest.approx(1.0 / 1.5, rel=1e-14)
@@ -59,22 +59,22 @@ class TestLoadMeasure:
 
     def test_malformed_json(self):
         with pytest.raises(ConfigError):
-            load_measure("{not json")
+            load_config("{not json")
 
     def test_missing_keys(self):
         with pytest.raises(ConfigError):
-            load_measure(json.dumps({"params": {"c": 1, "D": 1}}))
+            load_config(json.dumps({"params": {"c": 1, "D": 1}}))
         with pytest.raises(ConfigError):
-            load_measure(json.dumps({"measure": {"atoms": []}}))
+            load_config(json.dumps({"measure": {"atoms": []}}))
         with pytest.raises(ConfigError):
-            load_measure(json.dumps({"params": {"c": 1},
-                                     "measure": {"atoms": []}}))
+            load_config(json.dumps({"params": {"c": 1},
+                                    "measure": {"atoms": []}}))
 
     def test_non_numeric_field(self):
         bad = json.dumps({"params": {"c": 1, "D": 1},
                           "measure": {"atoms": [{"mu": "one", "mass": 1}]}})
         with pytest.raises(ConfigError):
-            load_measure(bad)
+            load_config(bad)
 
     @pytest.mark.parametrize("atoms,segments", [
         ([(1.0, -1.0)], []),                       # negative mass
@@ -90,7 +90,7 @@ class TestLoadMeasure:
     ])
     def test_invariant_violations(self, atoms, segments):
         with pytest.raises((ConfigError, ValueError)):
-            load_measure(make_config(atoms=atoms, segments=segments))
+            load_config(make_config(atoms=atoms, segments=segments))
 
 
 class TestTotalMass:

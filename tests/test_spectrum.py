@@ -18,7 +18,7 @@ from hyperdiff.covariance import (covariance_legendre, covariance_spectral,
 from hyperdiff.kernel import transfer
 from hyperdiff.measure import (DiffusionParams, PowerLawSegment, SpectralMeasure,
                                load_config)
-from hyperdiff.spectrum import (angular_spectrum, c_l, finite_variance_check,
+from hyperdiff.spectrum import (angular_spectrum, finite_variance_check,
                                 tail_bound_gamma, tail_sum_direct,
                                 tail_sum_lommel)
 
@@ -49,9 +49,10 @@ class TestCl:
     def test_single_atom_closed_form(self):
         # C_0(0,0) = 2 pi^2 J_{1/2}(1)^2 = 4 pi sin^2(1) = 8.89791...
         expected = 4.0 * math.pi * math.sin(1.0) ** 2
-        assert c_l(0, 0.0, 0.0, ATOM1, P11) == pytest.approx(expected, rel=1e-12)
+        c0 = angular_spectrum(1, 0.0, 0.0, ATOM1, P11)[0]
+        assert c0 == pytest.approx(expected, rel=1e-12)
         oracle = 2 * math.pi ** 2 * sp.jv(0.5, 1.0) ** 2
-        assert c_l(0, 0.0, 0.0, ATOM1, P11) == pytest.approx(oracle, rel=1e-10)
+        assert c0 == pytest.approx(oracle, rel=1e-10)
 
     def test_initial_time_kernel_drops_out(self):
         m = SpectralMeasure(atoms=((0.7, 0.2), (3.0, 1.4), (12.0, 0.5)))
@@ -59,12 +60,14 @@ class TestCl:
             oracle = 2 * math.pi ** 2 * sum(
                 sp.jv(l + 0.5, mu) ** 2 / mu * mass for mu, mass in m.atoms
             )
-            assert c_l(l, 0.0, 0.0, m, P11) == pytest.approx(oracle, rel=1e-10)
+            assert angular_spectrum(l + 1, 0.0, 0.0, m, P11)[l] == pytest.approx(oracle,
+                                                                               rel=1e-10)
 
     def test_single_atom_product_structure(self):
-        expected = c_l(0, 0.0, 0.0, ATOM1, P11) * transfer(1.0, 1.0, P11) ** 2
-        assert c_l(0, 1.0, 1.0, ATOM1, P11) == pytest.approx(expected, rel=1e-12)
-        assert c_l(0, 1.0, 1.0, ATOM1, P11) == pytest.approx(3.8723, abs=5e-4)
+        expected = angular_spectrum(1, 0.0, 0.0, ATOM1, P11)[0] * transfer(1.0, 1.0, P11) ** 2
+        c0 = angular_spectrum(1, 1.0, 1.0, ATOM1, P11)[0]
+        assert c0 == pytest.approx(expected, rel=1e-12)
+        assert c0 == pytest.approx(3.8723, abs=5e-4)
 
     def test_segment_against_scipy_quad(self):
         m = SpectralMeasure(segments=(PowerLawSegment(0.0, 1.0, 1.0, 0.5),))
@@ -73,7 +76,7 @@ class TestCl:
                 lambda mu: sp.jv(l + 0.5, mu) ** 2 / mu
                 * transfer(mu, t, P11) * transfer(mu, tp, P11) * mu ** 0.5,
                 0.0, 1.0, points=[0.5], epsabs=1e-13, epsrel=1e-12)
-            assert c_l(l, t, tp, m, P11) == pytest.approx(
+            assert angular_spectrum(l + 1, t, tp, m, P11)[l] == pytest.approx(
                 2 * math.pi ** 2 * oracle, rel=1e-8)
 
     def test_values_nonnegative_equal_times(self):
@@ -103,11 +106,9 @@ class TestCl:
             assert np.max(np.abs(row - single)) <= 1e-9 * np.max(single)
 
     def test_empty_measure(self):
-        assert c_l(3, 0.5, 0.5, EMPTY, P11) == 0.0
+        assert angular_spectrum(4, 0.5, 0.5, EMPTY, P11)[3] == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            c_l(-1, 0.0, 0.0, ATOM1, P11)
         with pytest.raises(ValueError):
             angular_spectrum(0, 0.0, 0.0, ATOM1, P11)
         for t in (-1.0, math.nan, math.inf, [0.0, -1.0]):
@@ -238,6 +239,10 @@ class TestGammaBound:
     def test_requires_degree_two(self):
         with pytest.raises(ValueError):
             tail_bound_gamma(1, ATOM1, P11)
+        # a non-integer degree used to give a number (4.93 at 2.5)
+        for l_start in (2.5, np.float64(3.0)):
+            with pytest.raises(ValueError, match="degree"):
+                tail_bound_gamma(l_start, ATOM1, P11)
 
 
 class TestSupportGapDecay:
@@ -565,7 +570,8 @@ class TestOriginSegments:
         t, tp = 0.2, 0.5
         for l in (0, 3):
             expected = self.oracle(self.spectrum_integrand(t, l), a)
-            assert c_l(l, t, t, m, self.P) == pytest.approx(expected, rel=1e-8)
+            assert angular_spectrum(l + 1, t, t, m, self.P)[l] == pytest.approx(expected,
+                                                                              rel=1e-8)
         gammas = np.array([0.3, 2.0])
         got = covariance_spectral(gammas, t, tp, m, self.P)
         for gamma, value in zip(gammas, got):
@@ -581,7 +587,8 @@ class TestOriginSegments:
         # -0.99 the spectrum used to overflow at subnormal nodes.
         m = SpectralMeasure(segments=(PowerLawSegment(0.0, 3.0, 1.0, a),))
         expected = self.oracle(self.spectrum_integrand(0.2, 0), a)
-        assert c_l(0, 0.2, 0.2, m, self.P) == pytest.approx(expected, rel=1e-8)
+        assert angular_spectrum(1, 0.2, 0.2, m, self.P)[0] == pytest.approx(expected,
+                                                                          rel=1e-8)
         if a == -0.99:
             assert expected == pytest.approx(1258.6862203559247, rel=1e-12)
         expected = self.oracle(self.covariance_integrand(0.5, 0.2, 0.2), a)
