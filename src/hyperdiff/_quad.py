@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .exceptions import AccuracyError
-from .measure import SpectralMeasure
+from .measure import PowerLawSegment, SpectralMeasure
 
 # QUADPACK's dqk21: the Kronrod nodes in (0, 1), the Kronrod weights (the last
 # one for node 0) and the Gauss weights of the odd-numbered nodes.
@@ -76,6 +76,8 @@ _VALUES_PER_CALL = 2 ** 20
 # |v| @ w at 1k-100k rows, and integrate_measure's f(mus) @ masses.
 _SERIAL_GEMM = 2 ** 18
 _MAX_BISECT = 128
+# Panels after which integrate_vector stops bisecting and raises AccuracyError.
+_MAX_PANELS = 2000
 _ATOL = 1e-15
 _TINY = np.finfo(float).tiny
 
@@ -157,7 +159,7 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray, reduce, width: int):
 
 
 def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
-                     breakpoints=(), limit: int = 2000):
+                     breakpoints=()):
     """Integrate a vector-valued integrand over [lo, hi].
 
     f takes a 1D array of nodes and either puts the node axis last, or
@@ -183,7 +185,7 @@ def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
 
     error = float(errs.sum())
     converged = error < tolerance() / 8
-    while not converged and a.size < limit:
+    while not converged and a.size < _MAX_PANELS:
         # Bisect the worst panels until their error covers error - tol/8.
         order = np.lexsort((b, a, -errs))
         covered = np.cumsum(errs[order]) <= error - tolerance() / 8
@@ -208,6 +210,48 @@ def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
             estimate=total.reshape(shape), error=err,
         )
     return total.reshape(shape)
+
+
+def _origin_singular(seg: PowerLawSegment) -> bool:
+    """Whether seg is A mu^a on [0, hi] with non-integer a, whose density is
+    not smooth at 0: integrate_measure grades its panels toward 0, and
+    _segment_atoms takes Gauss-Jacobi atoms for it."""
+    return seg.lo == 0.0 and seg.exponent != math.floor(seg.exponent)
+
+
+def _gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for the weight (1 + y)^beta
+    on [-1, 1], Jacobi alpha = 0 and non-integer beta > -1: the eigenvalues of
+    the Jacobi matrix of the monic Jacobi recurrence, and mu_0 = 2^(beta+1) /
+    (beta+1) times the squared first components of their unit eigenvectors
+    (Golub & Welsch, Math. Comp. 23(106), 1969)."""
+    s = 2.0 * np.arange(n) + beta
+    diag = beta * beta / (s * (s + 2.0))
+    k, s = np.arange(1, n), s[1:]
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (beta + 1.0) / (beta + 1.0) * vectors[0] ** 2
+
+
+def _segment_atoms(segments, n: int):
+    """Yield, segment by segment, the locations and masses of the n atoms of
+    the Gauss rule for its density: Gauss-Jacobi in mu = hi (1 + y)/2 where
+    _origin_singular, since Gauss-Legendre then converges only as about
+    n^-2(1+a), and Gauss-Legendre elsewhere, whose weights keep more relative
+    digits at the ends. The Gauss-Legendre rule is built once, when needed."""
+    legendre = None
+    for seg in segments:
+        if _origin_singular(seg):
+            y, w = _gauss_jacobi(n, seg.exponent)
+            half = 0.5 * seg.hi
+            yield half * (1.0 + y), seg.amplitude * half ** (seg.exponent + 1.0) * w
+            continue
+        if legendre is None:
+            legendre = np.polynomial.legendre.leggauss(n)
+        y, w = legendre
+        half = 0.5 * (seg.hi - seg.lo)
+        mus = 0.5 * (seg.hi + seg.lo) + half * y
+        yield mus, half * w * seg.amplitude * mus ** seg.exponent
 
 
 def _halvings(exponent: float, rtol: float) -> int:
@@ -259,7 +303,7 @@ def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
             total = values @ masses
     for seg in measure.segments:
         a = seg.exponent
-        k = _halvings(a, rtol) if seg.lo == 0.0 and a != math.floor(a) else 0
+        k = _halvings(a, rtol) if _origin_singular(seg) else 0
         h = math.ldexp(seg.hi, -k) if k else 0.0  # the panel [0, h] at the origin
 
         def integrand(x, seg=seg, a=a, h=h):

@@ -30,6 +30,7 @@ signed profile is undefined.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,14 @@ def _check_half_length(half_length) -> float:
     if not 0.0 < L < math.inf:
         raise ValueError(f"half_length must be finite and > 0, got {L}")
     return L
+
+
+def _mode_count(n_modes) -> int:
+    """n_modes as a Python int; ValueError naming it unless it is an integer."""
+    try:
+        return operator.index(n_modes)
+    except TypeError:
+        raise ValueError(f"n_modes must be an integer, got {n_modes!r}") from None
 
 
 def _check_intervals(n_intervals: int) -> None:
@@ -135,8 +144,9 @@ def decompose_initial(u0, half_length: float, n_modes: int) -> ModeDecomposition
     the transfer-factor clock.
     """
     L = _check_half_length(half_length)
+    n_modes = _mode_count(n_modes)
     if n_modes < 1:
-        raise ValueError(f"need at least one mode, got {n_modes}")
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     samples = np.asarray(u0, dtype=float)
     if samples.ndim != 1 or samples.size < 3:
         raise ValueError("u0 must be a 1D array of at least 3 samples")
@@ -233,7 +243,8 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
     if name == "rectangle" and not 0.0 < width < 2.0 * L:
         raise ValueError(f"width must be finite and lie in (0, 2L) = (0, {2.0 * L}), "
                          f"got {width}")
-    if n_modes is not None and n_modes < 0:
+    n_modes = _mode_count(0 if n_modes is None else n_modes)
+    if n_modes < 0:
         raise ValueError(f"n_modes must be >= 0 (0 picks the default), got {n_modes}")
     modes = 1 if name == "standing_wave" else n_modes or _DEFAULT_TERMS[name]
     if modes * (n_intervals + 1) > MAX_BASIS_ELEMENTS:

@@ -37,12 +37,13 @@ C_l, and for m > 0 real and imaginary parts are independent with variance
 C_l/2 each. This is the real-harmonic draw expressed in the complex basis
 and preserves the defining second-moment structure E a a* = C_l(t, t').
 
-Measures with continuous segments are atomised for simulation (Gauss-Legendre
-nodes as atoms). The theory that ensemble_spectrum and truncation_error_mc
-report beside their estimates is sum_i w_il(t)^2 over those weights: the
-square of a weight is its atom's term of the C_l(t, t) integral, so this is
-C_l(t, t) of the atomised measure, the variance the draws have, and the
-discretisation cancels from the comparison.
+Measures with continuous segments are atomised for simulation (the nodes of
+a Gauss rule for each segment's density as atoms, see atomize). The theory
+that ensemble_spectrum and truncation_error_mc report beside their estimates
+is sum_i w_il(t)^2 over those weights: the square of a weight is its atom's
+term of the C_l(t, t) integral, so this is C_l(t, t) of the atomised
+measure, the variance the draws have, and the discretisation cancels from
+the comparison.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from ._quad import serial_matmul
+from ._quad import _segment_atoms, serial_matmul
 from .kernel import transfer
 from .measure import DiffusionParams, SpectralMeasure
 from .special import bessel_half_all, norm_plm_blocks, sph_harm_all
@@ -68,21 +69,21 @@ _WORD = (1 << 64) - 1
 # rows, few enough that a draw's working memory does not grow with the
 # degree count.
 _VALUES_PER_BLOCK = 2 ** 16
+# (theta, phi) where truncation_error_mc samples the band field: by isotropy
+# the band's second moment is the same at every point.
+_MC_POINT = (1.1, 2.3)
 
 
 def atomize(measure: SpectralMeasure, n_quad: int = 64) -> SpectralMeasure:
-    """Replace each power-law segment by n_quad Gauss-Legendre atoms."""
+    """Replace each power-law segment by the n_quad atoms of a Gauss rule for
+    its density: Gauss-Jacobi for a non-integer exponent on [0, hi],
+    Gauss-Legendre otherwise."""
     if n_quad < 1:
         raise ValueError(f"n_quad must be >= 1, got {n_quad}")
     if not measure.segments:
         return measure
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
     atoms = list(measure.atoms)
-    for seg in measure.segments:
-        mid = 0.5 * (seg.hi + seg.lo)
-        half = 0.5 * (seg.hi - seg.lo)
-        mus = mid + half * nodes
-        masses = half * weights * seg.amplitude * mus ** seg.exponent
+    for mus, masses in _segment_atoms(measure.segments, n_quad):
         atoms.extend(zip(mus.tolist(), masses.tolist()))
     atoms.sort(key=lambda pair: pair[0])
     return SpectralMeasure(atoms=tuple(atoms))
@@ -141,22 +142,6 @@ class CoefficientSet:
     times: tuple[float, ...]
     coeffs: np.ndarray
     seed: int
-
-    def order_index(self, m: int) -> int:
-        if abs(m) >= self.degree_count:
-            raise ValueError(f"order {m} out of range for L={self.degree_count}")
-        return self.degree_count - 1 + m
-
-    def time_index(self, time: float) -> int:
-        for idx, t in enumerate(self.times):
-            if t == time:
-                return idx
-        raise ValueError(f"time {time} not among simulated times {self.times}")
-
-    def coefficient(self, l: int, m: int, time_index: int) -> complex:
-        l = _check_index("degree l", l, self.degree_count)
-        time_index = _check_index("time index", time_index, len(self.times))
-        return complex(self.coeffs[time_index, l, self.order_index(m)])
 
 
 def _prepare(degree_count: int, times, measure: SpectralMeasure,
@@ -395,17 +380,16 @@ class TruncationError:
 
 def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
                         params: DiffusionParams, time: float, n_runs: int = 500,
-                        master_seed: int = 0, theta: float = 1.1,
-                        phi: float = 2.3, n_quad: int = 64) -> TruncationError:
+                        master_seed: int = 0, n_quad: int = 64) -> TruncationError:
     """Monte Carlo estimate of the L2 norm of the degree band [l_inner, l_outer).
 
     By isotropy the pointwise second moment of the band field equals the
-    squared norm (1/4pi) sum_band (2l+1) C_l(t,t), so sampling the band at a
-    single location estimates the truncation error; the closed-form value
+    squared norm (1/4pi) sum_band (2l+1) C_l(t,t), so sampling the band at
+    one point, _MC_POINT, estimates the truncation error; the closed-form value
     (1/(2 sqrt(pi))) sqrt(sum_band (2l+1) C_l(t,t)) is returned alongside.
     std_error_sq is the standard error of the mean-square estimate (the
-    quantity inside the square root). Needs n_runs >= 2, a finite time >= 0,
-    theta in [0, pi], a finite phi and a master seed in [0, 2**64).
+    quantity inside the square root). Needs n_runs >= 2, a finite time >= 0
+    and a master seed in [0, 2**64).
     """
     if not 0 <= l_inner <= l_outer:
         raise ValueError(f"need 0 <= l_inner <= l_outer, got {l_inner}, {l_outer}")
@@ -413,10 +397,6 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
         raise ValueError(f"need at least 2 runs, got {n_runs}")
     if not 0.0 <= time < math.inf:
         raise ValueError(f"time must be finite and >= 0, got {time}")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi}")
     seeds = _run_seeds(master_seed, n_runs)
     if l_inner == l_outer:
         return TruncationError(estimate=0.0, std_error_sq=0.0, exact=0.0,
@@ -426,7 +406,7 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
     ls = np.arange(l_inner, l_outer)
     exact = math.sqrt(float(np.sum((2 * ls + 1) * band))) / (2.0 * math.sqrt(math.pi))
 
-    y_band = sph_harm_all(l_outer, theta, phi)[l_inner:]
+    y_band = sph_harm_all(l_outer, *_MC_POINT)[l_inner:]
 
     sq = np.empty(n_runs)
     for run, coeffs in enumerate(_draw(weights, seeds, range(l_inner, l_outer))):

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._quad import integrate_measure
 from .kernel import transfer
-from .measure import DiffusionParams, SpectralMeasure, power_law_integral
+from .measure import DiffusionParams, SpectralMeasure
 from .special import _bessel_half_neg, bessel_half_all
 
 _TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -90,7 +90,7 @@ def angular_spectrum(l_count: int, t, t_prime, measure: SpectralMeasure,
 
 def _weighted_tail(l_start: int, measure: SpectralMeasure,
                    params: DiffusionParams, t: float, power: float,
-                   degree_cap: int, block: int) -> TailSum:
+                   block: int) -> TailSum:
     """Sum of (2l+1)^power C_l(t, t) for l >= l_start, by blocks of degrees
     that double from `block`, so the cost is linear in the stopping degree."""
     if measure.is_empty:
@@ -99,8 +99,8 @@ def _weighted_tail(l_start: int, measure: SpectralMeasure,
     total = 0.0
     below = 0
     l = l_start
-    while l < degree_cap:
-        hi = min(l + block, degree_cap)
+    while l < DEFAULT_DEGREE_CAP:
+        hi = min(l + block, DEFAULT_DEGREE_CAP)
         cls = _cl_block(l, hi, t, t, measure, params)
         for off in range(hi - l):
             deg = l + off
@@ -114,24 +114,23 @@ def _weighted_tail(l_start: int, measure: SpectralMeasure,
                 below = 0
         l = hi
         block *= 2
-    return TailSum(value=total, stopped_at=degree_cap - 1, converged=False)
+    return TailSum(value=total, stopped_at=DEFAULT_DEGREE_CAP - 1, converged=False)
 
 
 def tail_sum_direct(l_start: int, measure: SpectralMeasure,
                     params: DiffusionParams, t: float,
-                    degree_cap: int = DEFAULT_DEGREE_CAP,
                     block: int = 64) -> TailSum:
     """Brute-force sum of (2l+1) C_l(t, t) for l >= l_start.
 
-    Issues a warning and returns converged=False when the degree cap is
-    reached first.
+    Issues a warning and returns converged=False when the degree cap,
+    DEFAULT_DEGREE_CAP, is reached first.
     """
     if l_start < 0:
         raise ValueError(f"degree must be >= 0, got {l_start}")
-    tail = _weighted_tail(l_start, measure, params, t, 1, degree_cap, block)
+    tail = _weighted_tail(l_start, measure, params, t, 1, block)
     if not tail.converged:
         warnings.warn(
-            f"tail sum from degree {l_start} hit the cap {degree_cap} before "
+            f"tail sum from degree {l_start} hit the cap {DEFAULT_DEGREE_CAP} before "
             f"converging; returning the partial value",
             stacklevel=2,
         )
@@ -169,6 +168,18 @@ def tail_sum_lommel(l_start: int, measure: SpectralMeasure,
     return float(total) if np.ndim(t) == 0 else total
 
 
+def _log_power_integral(p: float, lo: float, hi: float) -> float:
+    """log of the integral of mu^(p-1) over [lo, hi], -inf if hi <= lo, from
+    its larger endpoint term in log space, so that neither term overflows."""
+    if hi <= lo:
+        return -math.inf
+    ratio = math.log(hi / lo) if lo > 0.0 else math.inf
+    if p == 0.0:
+        return math.log(ratio)
+    edge = hi if p > 0.0 else lo
+    return p * math.log(edge) + math.log(-math.expm1(-abs(p) * ratio)) - math.log(abs(p))
+
+
 def tail_bound_gamma(l_start: int, measure: SpectralMeasure,
                      params: DiffusionParams) -> float:
     """Certified upper bound on the time-zero tail for bounded-support measures.
@@ -200,20 +211,16 @@ def tail_bound_gamma(l_start: int, measure: SpectralMeasure,
     for mu, mass in measure.atoms:
         exponent = log_pref + max(low_exp * math.log(mu), high_exp * math.log(mu))
         total += math.exp(exponent) * mass
-    pref = math.exp(log_pref)
     for seg in measure.segments:
-        total += pref * power_law_integral(
-            seg.amplitude, seg.exponent + low_exp, seg.lo, min(seg.hi, 1.0)
-        )
-        total += pref * power_law_integral(
-            seg.amplitude, seg.exponent + high_exp, max(seg.lo, 1.0), seg.hi
-        )
+        for power, lo, hi in ((low_exp, seg.lo, min(seg.hi, 1.0)),
+                              (high_exp, max(seg.lo, 1.0), seg.hi)):
+            integral = _log_power_integral(seg.exponent + power + 1.0, lo, hi)
+            total += math.exp(log_pref + math.log(seg.amplitude) + integral)
     return total
 
 
 def finite_variance_check(measure: SpectralMeasure, params: DiffusionParams,
-                          alpha: float,
-                          degree_cap: int = DEFAULT_DEGREE_CAP) -> FiniteVarianceReport:
+                          alpha: float) -> FiniteVarianceReport:
     """Weighted sum sum_l (2l+1)^(1+2*alpha) C_l(0,0) plus the exp-moment test.
 
     The exponential moment integral of exp(mu^2/4) over G is finite in exact
@@ -233,7 +240,7 @@ def finite_variance_check(measure: SpectralMeasure, params: DiffusionParams,
         logs.append(math.log(seg.amplitude) + math.log(scaled) + top)
     with np.errstate(over="ignore"):
         exp_moment = float(np.exp(np.logaddexp.reduce(logs, initial=-np.inf)))
-    tail = _weighted_tail(0, measure, params, 0.0, 1.0 + 2.0 * alpha, degree_cap, 64)
+    tail = _weighted_tail(0, measure, params, 0.0, 1.0 + 2.0 * alpha, 64)
     return FiniteVarianceReport(alpha=alpha, weighted_sum=tail.value,
                                 stopped_at=tail.stopped_at, converged=tail.converged,
                                 exp_moment=exp_moment,

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 import hyperdiff
-from hyperdiff import covariance, field_sim, kernel, measure, spectrum
+from hyperdiff import _quad, covariance, field_sim, kernel, measure, spectrum
 
 
 def test_every_exported_name_resolves_once():
@@ -30,3 +30,22 @@ def test_duplicate_names_are_gone(module, name):
 def test_lag_step_is_derived():
     assert "h_step" not in inspect.signature(
         covariance.integrated_abs_covariance).parameters
+
+
+# Options that no caller outside the tests set: each is a module constant now,
+# or, for the sampling point, fixed by isotropy.
+@pytest.mark.parametrize("function, keyword", [
+    (_quad.integrate_vector, "limit"),
+    (spectrum.tail_sum_direct, "degree_cap"),
+    (spectrum.finite_variance_check, "degree_cap"),
+    (field_sim.truncation_error_mc, "theta"),
+    (field_sim.truncation_error_mc, "phi"),
+])
+def test_test_only_keywords_are_gone(function, keyword):
+    assert keyword not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize("name", ["order_index", "time_index", "coefficient"])
+def test_coefficient_accessors_are_gone(name):
+    # coeffs[t, l, L - 1 + m] is the documented layout
+    assert not hasattr(field_sim.CoefficientSet, name)

@@ -1168,16 +1168,20 @@ class TestThreadEnv:
     # first three changed the last bits of their outputs between 1 and 2
     # BLAS threads. The memory job's cumulative trapezoid absorbed such
     # changes; test_covariance compares the time-lag covariance itself.
+    # long_range.json's origin segment takes its atoms from LAPACK's eigh,
+    # which serial_matmul does not reach.
     @pytest.mark.parametrize("args", [
         ["simulate", "--config", "{configs}/inverse_decay.json", "--lmax", "150",
          "--grid", "100x300", "--times", "0.1", "--seed", "3", "--format", "bin"],
+        ["simulate", "--config", "{configs}/long_range.json", "--lmax", "32",
+         "--grid", "32x64", "--times", "0.05", "--n-quad", "64"],
         ["entropy1d", "--experiment", "rectangle",
          "--snapshot-times", ",".join(str(0.5 * i) for i in range(1, 21))],
         ["covariance", "--config", "{configs}/inverse_decay.json", "--route", "legendre",
          "--lmax", "1000", "--t", "0.1",
          "--gammas", ",".join(str(3.14159 * i / 499) for i in range(500))],
         ["memory", "--config", "{segment}", "--t", "0.2", "--hmax", "6300"],
-    ], ids=["simulate", "entropy1d", "covariance", "memory"])
+    ], ids=["simulate", "simulate_origin_segment", "entropy1d", "covariance", "memory"])
     def test_outputs_bitwise_under_blas_threads(self, args, tmp_path, run_cli_child):
         segment = tmp_path / "segment.json"
         segment.write_text(json.dumps({

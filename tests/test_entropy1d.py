@@ -73,6 +73,12 @@ class TestDecompose:
         with pytest.raises(ValueError, match="u0"):
             decompose_initial(samples, L3PI, 4)
 
+    @pytest.mark.parametrize("n_modes", [0, 2.5])
+    def test_bad_mode_count_rejected(self, n_modes):
+        # 2.5 ran 3 modes
+        with pytest.raises(ValueError, match="n_modes"):
+            decompose_initial(np.ones(41), L3PI, n_modes)
+
     def test_undersampled_rejected(self):
         with pytest.raises(ValueError):
             decompose_initial(np.full(41, 1.0), L3PI, 30)
@@ -271,6 +277,7 @@ class TestExperiments:
         ({"width": 6.0 * math.pi}, "width"),
         ({"n_modes": -1}, "n_modes"),
         ({"n_modes": 10 ** 8}, "n_intervals"),
+        ({"n_modes": 2.5}, "n_modes"),  # ran 3 modes
     ])
     def test_bad_input_names_parameter(self, kwargs, name):
         with pytest.raises(ValueError, match=name):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad, quad_vec
 
 from hyperdiff.exceptions import AccuracyError
-from hyperdiff import _quad
+from hyperdiff import _quad, spectrum
 from hyperdiff._quad import integrate_measure, integrate_vector
 from hyperdiff.covariance import (covariance_legendre, covariance_spectral,
                                   integrated_abs_covariance)
@@ -183,9 +183,10 @@ class TestTailSums:
         with pytest.raises(ValueError):
             tail_sum_lommel(0, ATOM1, P11)
 
-    def test_cap_warning(self):
+    def test_cap_warning(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "DEFAULT_DEGREE_CAP", 3)
         with pytest.warns(UserWarning):
-            result = tail_sum_direct(0, ATOM1, P11, 0.0, degree_cap=3)
+            result = tail_sum_direct(0, ATOM1, P11, 0.0)
         assert not result.converged
         assert result.value > 0.0
 
@@ -232,6 +233,17 @@ class TestGammaBound:
         bound = tail_bound_gamma(3, m, P11)
         direct = tail_sum_direct(3, m, P11, 0.0).value
         assert 0.0 < direct <= bound
+
+    @pytest.mark.parametrize("l_start", [120, 200])
+    def test_segment_far_above_one(self, l_start):
+        # 50.0 ** 245 raised OverflowError, and at L = 200 the prefactor alone
+        # underflows to 0.
+        m = SpectralMeasure(segments=(PowerLawSegment(1.0, 50.0, 1.0, 0.0),))
+        with mp.workdps(40):
+            pref = 2 * mp.pi ** 2 / (mp.mpf(2) ** (2 * l_start - 3)
+                                     * mp.gamma(l_start - mp.mpf(1) / 2) ** 2)
+            oracle = pref * (mp.mpf(50) ** (2 * l_start + 5) - 1) / (2 * l_start + 5)
+        assert tail_bound_gamma(l_start, m, P11) == pytest.approx(float(oracle), rel=1e-12)
 
     def test_zero_measure(self):
         assert tail_bound_gamma(2, EMPTY, P11) == 0.0
@@ -282,20 +294,22 @@ class TestFiniteVariance:
         assert report.exp_moment == math.inf
         assert report.exp_moment_finite is False
 
-    def test_overflowing_segment_moment_reported(self):
+    def test_overflowing_segment_moment_reported(self, monkeypatch):
         # exp(mu^2 / 4) overflows from mu ~ 53.3 on; no warning, no AccuracyError
+        monkeypatch.setattr(spectrum, "DEFAULT_DEGREE_CAP", 4)
         seg = SpectralMeasure(segments=(PowerLawSegment(50.0, 60.0, 1.0, 0.0),))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = finite_variance_check(seg, P11, 0.5, degree_cap=4)
+            report = finite_variance_check(seg, P11, 0.5)
         assert report.exp_moment == math.inf
         assert report.exp_moment_finite is False
 
-    def test_tiny_amplitude_moment_beyond_overflow_point(self):
+    def test_tiny_amplitude_moment_beyond_overflow_point(self, monkeypatch):
         # the atom and the segment contribute about 4e41 each
+        monkeypatch.setattr(spectrum, "DEFAULT_DEGREE_CAP", 4)
         m = SpectralMeasure(atoms=((56.5, 1e-305),),
                             segments=(PowerLawSegment(50.0, 56.0, 1e-300, 1.5),))
-        report = finite_variance_check(m, P11, 0.5, degree_cap=4)
+        report = finite_variance_check(m, P11, 0.5)
         with mp.workdps(40):
             oracle = (mp.mpf(1e-305) * mp.exp(mp.mpf(56.5) ** 2 / 4) + mp.mpf(1e-300)
                       * mp.quad(lambda x: x ** 1.5 * mp.exp(x * x / 4), [50, 53, 56]))
@@ -323,8 +337,9 @@ class TestFiniteVariance:
         with pytest.raises(ValueError):
             finite_variance_check(ATOM1, P11, 1.5)
 
-    def test_cap_reached_is_inconclusive(self):
-        report = finite_variance_check(ATOM1, P11, 1.0, degree_cap=3)
+    def test_cap_reached_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "DEFAULT_DEGREE_CAP", 3)
+        report = finite_variance_check(ATOM1, P11, 1.0)
         assert not report.converged
 
 
@@ -347,10 +362,11 @@ def rank2_integrand(rng, kink):
 
 
 class TestQuadWrapper:
-    def test_nonconvergence_carries_estimate(self):
+    def test_nonconvergence_carries_estimate(self, monkeypatch):
+        monkeypatch.setattr(_quad, "_MAX_PANELS", 2)
         with pytest.raises(AccuracyError) as err:
             integrate_vector(lambda x: np.cos(1e4 * x)[None, :],
-                             0.0, 1.0, rtol=1e-13, limit=2)
+                             0.0, 1.0, rtol=1e-13)
         assert err.value.estimate is not None
 
     @staticmethod
@@ -409,10 +425,11 @@ class TestQuadWrapper:
         assert counts == {"calls": 1, "panels": 2}
         assert got[0] == pytest.approx(0.25, rel=1e-15)
 
-    def test_initial_panels_at_the_limit_still_converge(self):
-        # Two breakpoint panels reach limit = 2 before any bisection.
+    def test_initial_panels_at_the_limit_still_converge(self, monkeypatch):
+        # Two breakpoint panels reach the limit of 2 before any bisection.
+        monkeypatch.setattr(_quad, "_MAX_PANELS", 2)
         got = integrate_vector(lambda x: x[None, :] ** 3, 0.0, 1.0,
-                               breakpoints=(0.5,), limit=2)
+                               breakpoints=(0.5,))
         assert got[0] == pytest.approx(0.25, rel=1e-15)
 
     @settings(max_examples=40, deadline=None)
