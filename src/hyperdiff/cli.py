@@ -399,7 +399,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                         f"x L x (2L - 1), may be at most {_MAX_ENSEMBLE_COEFFICIENTS}")
     m.add_argument("--format", choices=["csv", "bin"], default="csv")
     m.add_argument("--n-quad", type=_count, default=64,
-                   help="Gauss-Legendre nodes per segment when atomising")
+                   help="Gauss nodes per segment when atomising: Gauss-Jacobi "
+                        "for a non-integer exponent on [0, hi], else Gauss-Legendre")
     m.add_argument("--out", required=True)
 
     y = sub.add_parser("memory", help="dependence classification and diagnostic")

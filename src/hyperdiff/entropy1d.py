@@ -30,14 +30,13 @@ signed profile is undefined.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._quad import serial_matmul
 from .kernel import transfer_pair
-from .measure import DiffusionParams
+from .measure import DiffusionParams, _index
 
 _EVEN_TOL = 1e-9
 _UNIT = DiffusionParams(c=1.0, D=1.0)
@@ -61,17 +60,11 @@ def _check_half_length(half_length) -> float:
     return L
 
 
-def _mode_count(n_modes) -> int:
-    """n_modes as a Python int; ValueError naming it unless it is an integer."""
-    try:
-        return operator.index(n_modes)
-    except TypeError:
-        raise ValueError(f"n_modes must be an integer, got {n_modes!r}") from None
-
-
-def _check_intervals(n_intervals: int) -> None:
+def _check_intervals(n_intervals) -> int:
+    n_intervals = _index("n_intervals", n_intervals)
     if n_intervals < 2:
         raise ValueError(f"need at least 2 intervals, got {n_intervals}")
+    return n_intervals
 
 
 def _check_times(times, name: str) -> np.ndarray:
@@ -144,7 +137,7 @@ def decompose_initial(u0, half_length: float, n_modes: int) -> ModeDecomposition
     the transfer-factor clock.
     """
     L = _check_half_length(half_length)
-    n_modes = _mode_count(n_modes)
+    n_modes = _index("n_modes", n_modes)
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     samples = np.asarray(u0, dtype=float)
@@ -193,7 +186,7 @@ class EntropyTrace:
 
 def entropy_trace(md: ModeDecomposition, times, n_intervals: int = 400) -> EntropyTrace:
     """Total Shannon entropy by composite trapezoid on n_intervals panels."""
-    _check_intervals(n_intervals)
+    n_intervals = _check_intervals(n_intervals)
     t_arr = _check_times(times, "times")
     x = np.linspace(-md.half_length, md.half_length, n_intervals + 1)
     entropy = _entropies(md, x, _cosine_basis(md, x), t_arr)
@@ -202,7 +195,7 @@ def entropy_trace(md: ModeDecomposition, times, n_intervals: int = 400) -> Entro
 
 def mass(md: ModeDecomposition, t: float, n_intervals: int = 400) -> float:
     """Trapezoid integral of the profile over [-L, L] at time t."""
-    _check_intervals(n_intervals)
+    n_intervals = _check_intervals(n_intervals)
     x = np.linspace(-md.half_length, md.half_length, n_intervals + 1)
     return float(np.trapezoid(evaluate(md, x, t), x))
 
@@ -227,8 +220,8 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
 
     All inputs are checked before anything is computed: half_length finite
     and > 0, trace and snapshot times finite and >= 0, n_modes >= 0 (0 or
-    None picks the default), and (rectangle only) width finite within
-    (0, 2L), and n_modes * (n_intervals + 1) at most MAX_BASIS_ELEMENTS;
+    None picks the default), n_intervals >= 2, (rectangle only) width finite
+    within (0, 2L), and n_modes * (n_intervals + 1) at most MAX_BASIS_ELEMENTS;
     each failure raises ValueError naming the parameter. Emits the
     entropy trace where computable plus (t, x, q) profile snapshots at the
     requested times.
@@ -243,10 +236,11 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
     if name == "rectangle" and not 0.0 < width < 2.0 * L:
         raise ValueError(f"width must be finite and lie in (0, 2L) = (0, {2.0 * L}), "
                          f"got {width}")
-    n_modes = _mode_count(0 if n_modes is None else n_modes)
+    n_modes = _index("n_modes", 0 if n_modes is None else n_modes)
     if n_modes < 0:
         raise ValueError(f"n_modes must be >= 0 (0 picks the default), got {n_modes}")
     modes = 1 if name == "standing_wave" else n_modes or _DEFAULT_TERMS[name]
+    n_intervals = _check_intervals(n_intervals)
     if modes * (n_intervals + 1) > MAX_BASIS_ELEMENTS:
         raise ValueError(f"n_modes = {modes} with n_intervals = {n_intervals} needs "
                          f"more than {MAX_BASIS_ELEMENTS} basis elements; lower "
@@ -267,7 +261,6 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
             c = 2.0 * np.sin(k * width / 2.0) / (L * k * width)
     md = ModeDecomposition(half_length=L, a0=1.0 / (2.0 * L), wave_numbers=k,
                            amplitudes=c, standing_wave=name == "standing_wave")
-    _check_intervals(n_intervals)
     # One grid and basis for both passes. The snapshots stay a pass of their
     # own: stacked into the trace's blocks, their rows would change in the
     # last bits.

@@ -49,7 +49,6 @@ the comparison.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass
 
@@ -58,7 +57,7 @@ from numpy.random import Generator, Philox
 
 from ._quad import _segment_atoms, serial_matmul
 from .kernel import transfer
-from .measure import DiffusionParams, SpectralMeasure
+from .measure import DiffusionParams, SpectralMeasure, _index
 from .special import bessel_half_all, norm_plm_blocks, sph_harm_all
 
 _GRID_MAGIC = b"HYPDGRID"
@@ -78,6 +77,7 @@ def atomize(measure: SpectralMeasure, n_quad: int = 64) -> SpectralMeasure:
     """Replace each power-law segment by the n_quad atoms of a Gauss rule for
     its density: Gauss-Jacobi for a non-integer exponent on [0, hi],
     Gauss-Legendre otherwise."""
+    n_quad = _index("n_quad", n_quad)
     if n_quad < 1:
         raise ValueError(f"n_quad must be >= 1, got {n_quad}")
     if not measure.segments:
@@ -87,14 +87,6 @@ def atomize(measure: SpectralMeasure, n_quad: int = 64) -> SpectralMeasure:
         atoms.extend(zip(mus.tolist(), masses.tolist()))
     atoms.sort(key=lambda pair: pair[0])
     return SpectralMeasure(atoms=tuple(atoms))
-
-
-def _index(name: str, value) -> int:
-    """value as a Python int; ValueError unless it is an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_int(name: str, value, bits: int) -> int:
@@ -356,6 +348,7 @@ def ensemble_spectrum(degree_count: int, times, measure: SpectralMeasure,
     over runs with its standard error. theory, the squared draw weights
     summed over atoms, is C_l(t, t) of the atomised measure the draws use.
     """
+    n_runs = _index("n_runs", n_runs)
     if n_runs < 2:
         raise ValueError(f"need an ensemble of at least 2 runs, got {n_runs}")
     seeds = _run_seeds(master_seed, n_runs)
@@ -393,6 +386,7 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
     """
     if not 0 <= l_inner <= l_outer:
         raise ValueError(f"need 0 <= l_inner <= l_outer, got {l_inner}, {l_outer}")
+    n_runs = _index("n_runs", n_runs)
     if n_runs < 2:
         raise ValueError(f"need at least 2 runs, got {n_runs}")
     if not 0.0 <= time < math.inf:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .exceptions import ConfigError
@@ -72,20 +73,6 @@ class PowerLawSegment:
                 f"segment touching the origin needs exponent > -1 for finite mass, "
                 f"got {self.exponent}"
             )
-
-    def mass(self) -> float:
-        """Exact integral of the density over [lo, hi]."""
-        return power_law_integral(self.amplitude, self.exponent, self.lo, self.hi)
-
-
-def power_law_integral(amplitude: float, exponent: float, lo: float,
-                       hi: float) -> float:
-    """Integral of amplitude * mu**exponent over [lo, hi], 0 if hi <= lo."""
-    if hi <= lo:
-        return 0.0
-    if exponent == -1.0:
-        return amplitude * math.log(hi / lo)
-    return amplitude * (hi ** (exponent + 1) - lo ** (exponent + 1)) / (exponent + 1)
 
 
 @dataclass(frozen=True)
@@ -138,8 +125,12 @@ class SpectralMeasure:
         return not self.atoms and not self.segments
 
     def total_mass(self) -> float:
-        """Total mass of the measure, i.e. the initial field variance."""
-        return sum(mass for _, mass in self.atoms) + sum(s.mass() for s in self.segments)
+        """Total mass of the measure, i.e. the initial field variance; inf
+        where it overflows a double."""
+        try:
+            return math.exp(_log_power_moment(self, 0.0))
+        except OverflowError:
+            return math.inf
 
     def support_lower_bound(self) -> float:
         """Largest delta such that the measure has no mass in [0, delta).
@@ -167,6 +158,37 @@ class SpectralMeasure:
                 for s in self.segments
             ],
         }
+
+
+def _log_power_moment(measure: SpectralMeasure, power: float, lo: float = 0.0,
+                      hi: float = math.inf) -> float:
+    """log of the integral of mu^power over G on [lo, hi), -inf where G has no
+    mass there. A segment's term comes from its larger endpoint, and the terms
+    are summed in log space, so that nothing overflows before the caller's exp."""
+    logs = [math.log(mass) + power * math.log(mu)
+            for mu, mass in measure.atoms if lo <= mu < hi]
+    for seg in measure.segments:
+        a, b = max(seg.lo, lo), min(seg.hi, hi)
+        if b <= a:
+            continue
+        p = seg.exponent + power + 1.0  # the integrand is mu^(p-1)
+        ratio = math.log(b / a) if a > 0.0 else math.inf
+        term = math.log(ratio) if p == 0.0 else (
+            p * math.log(b if p > 0.0 else a) - math.log(abs(p))
+            + math.log(-math.expm1(-abs(p) * ratio)))
+        logs.append(math.log(seg.amplitude) + term)
+    if not logs:
+        return -math.inf
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
+
+
+def _index(name: str, value) -> int:
+    """value as a Python int; ValueError unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _require_number(obj: dict, key: str, where: str) -> float:

@@ -13,8 +13,8 @@ over degrees admit a closed form through the Lommel identity (Watson 5.11)
         = mu^2 (J_{L-1/2} J'_{L+1/2} - J_{L+1/2} J'_{L-1/2})(mu),
 
 which holds at every time, since the transfer factor does not depend on l.
-The direct sum over degrees is its oracle; a Gamma-function upper bound
-covers bounded-support measures.
+The direct sum over degrees is its oracle; a Gamma-function bound caps
+the tail at time zero.
 
 Direct tail accumulation, by blocks of degrees that double in size, stops
 once the degree has passed the upper end of the measure's support and three
@@ -29,7 +29,6 @@ and summation order is fixed, so results do not depend on scheduling.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, replace
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from ._quad import integrate_measure
 from .kernel import transfer
-from .measure import DiffusionParams, SpectralMeasure
+from .measure import DiffusionParams, SpectralMeasure, _index, _log_power_moment
 from .special import _bessel_half_neg, bessel_half_all
 
 _TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -168,55 +167,29 @@ def tail_sum_lommel(l_start: int, measure: SpectralMeasure,
     return float(total) if np.ndim(t) == 0 else total
 
 
-def _log_power_integral(p: float, lo: float, hi: float) -> float:
-    """log of the integral of mu^(p-1) over [lo, hi], -inf if hi <= lo, from
-    its larger endpoint term in log space, so that neither term overflows."""
-    if hi <= lo:
-        return -math.inf
-    ratio = math.log(hi / lo) if lo > 0.0 else math.inf
-    if p == 0.0:
-        return math.log(ratio)
-    edge = hi if p > 0.0 else lo
-    return p * math.log(edge) + math.log(-math.expm1(-abs(p) * ratio)) - math.log(abs(p))
-
-
 def tail_bound_gamma(l_start: int, measure: SpectralMeasure,
                      params: DiffusionParams) -> float:
-    """Certified upper bound on the time-zero tail for bounded-support measures.
+    """Certified upper bound on the time-zero tail.
 
     Evaluates (2 pi^2 / (2^(2L-3) Gamma(L-1/2)^2)) * integral of
-    max(mu^(2L-2), mu^(2L+4)) over G(d mu) for L >= 2. The absolute constant
-    in front is the spectrum prefactor 2 pi^2; with it the expression
-    dominates the Poisson-integral product bounds term by term, hence
-    dominates tail_sum_direct(L, ..., t=0).
+    max(mu^(2L-2), mu^(2L+4)) over G(d mu) for L >= 2; inf where that
+    overflows a double. The absolute constant in front is the spectrum
+    prefactor 2 pi^2; with it the expression dominates the Poisson-integral
+    product bounds term by term, hence dominates tail_sum_direct(L, ..., t=0).
     """
-    try:
-        l_start = operator.index(l_start)
-    except TypeError:
-        raise ValueError(f"degree must be an integer, got {l_start!r}") from None
+    l_start = _index("degree", l_start)
     if l_start < 2:
         raise ValueError(f"the Gamma-function bound needs degree >= 2, got {l_start}")
-    if measure.is_empty:
-        return 0.0
-    if not math.isfinite(measure.support_upper_bound()):
-        raise ValueError("the Gamma-function bound requires bounded support")
     log_pref = (
         math.log(_TWO_PI_SQ)
         - (2 * l_start - 3) * math.log(2.0)
         - 2.0 * math.lgamma(l_start - 0.5)
     )
-    low_exp = 2 * l_start - 2
-    high_exp = 2 * l_start + 4
-    total = 0.0
-    for mu, mass in measure.atoms:
-        exponent = log_pref + max(low_exp * math.log(mu), high_exp * math.log(mu))
-        total += math.exp(exponent) * mass
-    for seg in measure.segments:
-        for power, lo, hi in ((low_exp, seg.lo, min(seg.hi, 1.0)),
-                              (high_exp, max(seg.lo, 1.0), seg.hi)):
-            integral = _log_power_integral(seg.exponent + power + 1.0, lo, hi)
-            total += math.exp(log_pref + math.log(seg.amplitude) + integral)
-    return total
+    # the larger power is the lower one below mu = 1 and the higher one from 1 on
+    log_moment = np.logaddexp(_log_power_moment(measure, 2 * l_start - 2, hi=1.0),
+                              _log_power_moment(measure, 2 * l_start + 4, lo=1.0))
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_pref + log_moment))
 
 
 def finite_variance_check(measure: SpectralMeasure, params: DiffusionParams,

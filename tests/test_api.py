@@ -5,7 +5,8 @@ import inspect
 import pytest
 
 import hyperdiff
-from hyperdiff import _quad, covariance, field_sim, kernel, measure, spectrum
+from hyperdiff import (_quad, covariance, entropy1d, field_sim, kernel, measure,
+                       spectrum)
 
 
 def test_every_exported_name_resolves_once():
@@ -49,3 +50,13 @@ def test_test_only_keywords_are_gone(function, keyword):
 def test_coefficient_accessors_are_gone(name):
     # coeffs[t, l, L - 1 + m] is the documented layout
     assert not hasattr(field_sim.CoefficientSet, name)
+
+
+# Power moments of the measure have one closed form, measure._log_power_moment,
+# and integer counts one rule, measure._index.
+@pytest.mark.parametrize("owner, name", [
+    (measure, "power_law_integral"), (measure.PowerLawSegment, "mass"),
+    (spectrum, "_log_power_integral"), (entropy1d, "_mode_count"),
+])
+def test_second_copies_are_gone(owner, name):
+    assert not hasattr(owner, name)

@@ -223,6 +223,15 @@ class TestEntropyTrace:
             with pytest.raises(ValueError, match="intervals"):
                 mass(md, 1.0, n_intervals)
 
+    @pytest.mark.parametrize("n_intervals", [2.5, np.float64(400.0)])
+    def test_non_integer_intervals_rejected(self, n_intervals):
+        # both raised TypeError from np.linspace
+        md = run_experiment("standing_wave", trace_times=[0.0]).decomposition
+        with pytest.raises(ValueError, match="n_intervals"):
+            entropy_trace(md, [0.0], n_intervals=n_intervals)
+        with pytest.raises(ValueError, match="n_intervals"):
+            mass(md, 1.0, n_intervals)
+
 
 class TestExperiments:
     def test_unknown_name(self):
@@ -278,6 +287,9 @@ class TestExperiments:
         ({"n_modes": -1}, "n_modes"),
         ({"n_modes": 10 ** 8}, "n_intervals"),
         ({"n_modes": 2.5}, "n_modes"),  # ran 3 modes
+        # both raised TypeError from np.linspace
+        ({"n_intervals": 2.5}, "n_intervals"),
+        ({"n_intervals": np.float64(400.0)}, "n_intervals"),
     ])
     def test_bad_input_names_parameter(self, kwargs, name):
         with pytest.raises(ValueError, match=name):

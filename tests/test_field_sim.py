@@ -386,6 +386,7 @@ class TestTruncationError:
         ({"n_runs": 1}, "runs"), ({"n_runs": 0}, "runs"), ({"n_runs": -3}, "runs"),
         ({"master_seed": -1}, "master_seed"), ({"master_seed": 2 ** 64}, "master_seed"),
         ({"time": math.nan}, "time"), ({"time": -1.0}, "time"),
+        ({"n_runs": 2.5}, "n_runs"),  # named the run index
     ])
     def test_bad_input_rejected(self, kwargs, name):
         args = {"time": 0.3, **kwargs}
@@ -480,10 +481,30 @@ class TestEnsembleSpectrum:
             ensemble_spectrum(3, (0.0,), ATOM1, P11, master_seed=0,
                               n_runs=n_runs)
 
+    def test_non_integer_run_count_rejected(self):
+        # named the run index
+        with pytest.raises(ValueError, match="n_runs"):
+            ensemble_spectrum(3, (0.0,), ATOM1, P11, master_seed=0, n_runs=2.5)
+
 
 class TestAtomize:
     def test_atoms_only_untouched(self):
         assert atomize(ATOMS3) is ATOMS3
+
+    @pytest.mark.parametrize("lo, exponent", [(0.0, 0.5), (0.5, 0.5), (0.0, 1.0)])
+    def test_non_integer_node_count_rejected(self, lo, exponent):
+        # at the origin 2.5 gave 3 Gauss-Jacobi atoms; elsewhere leggauss
+        # raised TypeError
+        m = SpectralMeasure(segments=(PowerLawSegment(lo, 2.0, 1.0, exponent),))
+        for n_quad in (2.5, np.float64(8.0)):
+            with pytest.raises(ValueError, match="n_quad"):
+                atomize(m, n_quad)
+        with pytest.raises(ValueError, match="n_quad"):
+            simulate_coefficients(3, (0.0,), m, P11, seed=1, n_quad=2.5)
+        with pytest.raises(ValueError, match="n_quad"):
+            ensemble_spectrum(3, (0.0,), m, P11, master_seed=0, n_runs=4, n_quad=2.5)
+        with pytest.raises(ValueError, match="n_quad"):
+            truncation_error_mc(2, 6, m, P11, 0.3, n_runs=4, n_quad=2.5)
 
     def test_mass_preserved_smooth_density(self):
         m = SpectralMeasure(segments=(PowerLawSegment(1.0, 3.0, 0.7, 2.0),))

@@ -245,6 +245,20 @@ class TestGammaBound:
             oracle = pref * (mp.mpf(50) ** (2 * l_start + 5) - 1) / (2 * l_start + 5)
         assert tail_bound_gamma(l_start, m, P11) == pytest.approx(float(oracle), rel=1e-12)
 
+    def test_heavy_atom_far_above_one(self):
+        # exp(exponent) * mass raised OverflowError; the bound is finite
+        l_start, mu, mass = 100, 1e4, 1e-200
+        m = SpectralMeasure(atoms=((mu, mass),))
+        with mp.workdps(40):
+            pref = 2 * mp.pi ** 2 / (mp.mpf(2) ** (2 * l_start - 3)
+                                     * mp.gamma(l_start - mp.mpf(1) / 2) ** 2)
+            oracle = pref * mp.mpf(mass) * mp.mpf(mu) ** (2 * l_start + 4)
+        assert tail_bound_gamma(l_start, m, P11) == pytest.approx(float(oracle), rel=1e-12)
+
+    def test_overflow_is_inf(self):
+        m = SpectralMeasure(segments=(PowerLawSegment(0.0, 50.0, 1.0, 300.0),))
+        assert tail_bound_gamma(2, m, P11) == math.inf
+
     def test_zero_measure(self):
         assert tail_bound_gamma(2, EMPTY, P11) == 0.0
 
