@@ -7,12 +7,13 @@ standard normals with weights pi*sqrt(2) * J_{l+1/2}(mu_i)/sqrt(mu_i)
 each public simulation call prepares them once, (times x degrees x atoms),
 from the atomised measure, and one private draw routine turns them into
 coefficients for a sequence of seeds and a range of degrees.
-simulate_coefficients keeps the draw of one seed. Member r of an ensemble
-under a master seed is the single run with seed derive_run_seed(master, r);
+The draw routine yields blocks of consecutive seeds; simulate_coefficients
+keeps the one seed of the first. Member r of an ensemble under a master
+seed is the single run with seed derive_run_seed(master, r);
 ensemble_spectrum and truncation_error_mc draw many members at once and
-reduce each to one statistic as it is drawn (sum_m |a_lm|^2, or a degree
-band's squared value at a point), reporting the mean over runs with its
-standard error.
+reduce each block to one statistic per member as it is drawn (sum_m
+|a_lm|^2, or a degree band's squared value at a point), reporting the mean
+over runs with its standard error.
 
 One normal block is drawn per degree from a counter-based Philox stream
 keyed by (seed, degree) (Salmon et al., SC'11), so identical inputs give
@@ -20,9 +21,11 @@ bitwise-identical coefficients regardless of evaluation order, and all
 requested times reuse the same draws -- time enters only through the
 deterministic transfer factor, making the temporal dependence structure
 exact by construction. The draw routine resets one Philox bit generator to
-each stream instead of building a generator per stream; that generator
-belongs to the call, so concurrent calls do not interfere. Seeds of single
-runs lie in [0, 2**128), master seeds of ensembles in [0, 2**64).
+each stream instead of building a generator per stream, by setting its
+state from a dict of plain Python lists (counter, key, an empty buffer)
+that it keeps for the call; the generator and the dict belong to the call,
+so concurrent calls do not interfere. Seeds of single runs lie in
+[0, 2**128), master seeds of ensembles in [0, 2**64).
 
 The streams of many seeds and degrees fill one buffer of bounded size
 (_VALUES_PER_BLOCK), and each full buffer is contracted with the weights in
@@ -173,27 +176,39 @@ def _fill(normals: np.ndarray, seeds, degrees: range):
     Stream (seed, l) has key seed and counter l << 192: the degree occupies
     the top 64 bits of the 256-bit counter and blocks are consumed from the
     bottom, so streams never collide. It gives l + 1 rows, as one
-    standard_normal((l + 1, atoms, 2)) would; a stream cut by a full buffer
-    continues where it stopped once the caller resumes. One bit generator is
-    reset to each stream rather than built anew, and is never shared.
+    standard_normal((l + 1, atoms, 2)) would: in one call when they fit
+    before normals is full, else in pieces, a stream cut by a full buffer
+    continuing where it stopped once the caller resumes. One bit generator
+    is reset to each stream rather than built anew, by setting its state to
+    a dict of plain lists with an empty buffer (buffer_pos 4), which the
+    setter reads item by item faster than numpy arrays. The dict and the
+    generator belong to the call and are never shared.
     """
     bitgen = Philox(key=0)
     gen = Generator(bitgen)
-    state = bitgen.state
-    key, counter = state["state"]["key"], state["state"]["counter"]
+    key, counter = [0, 0], [0, 0, 0, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter, "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    size = len(normals)
     filled = 0
     for seed in seeds:
         key[0], key[1] = seed & _WORD, seed >> 64
         for l in degrees:
             counter[3] = l
             bitgen.state = state
+            if filled + l + 1 < size:
+                gen.standard_normal(out=normals[filled:filled + l + 1])
+                filled += l + 1
+                continue
             row = 0
             while row <= l:
-                take = min(l + 1 - row, len(normals) - filled)
+                take = min(l + 1 - row, size - filled)
                 gen.standard_normal(out=normals[filled:filled + take])
                 row += take
                 filled += take
-                if filled == len(normals):
+                if filled == size:
                     yield filled
                     filled = 0
     if filled:
@@ -201,12 +216,13 @@ def _fill(normals: np.ndarray, seeds, degrees: range):
 
 
 def _draw(weights: np.ndarray, seeds, degrees: range):
-    """Yield the coefficients of each seed of the sequence seeds in turn.
+    """Yield the coefficients of the sequence seeds one block of seeds at a
+    time, in order.
 
-    Each has shape (times, len(degrees), 2*degrees.stop - 1): degree l in row
-    l - degrees.start, order m in column degrees.stop - 1 + m, zero where
-    |m| > l. It is a view of a buffer that holds a chunk of seeds and is
-    overwritten by the next chunk.
+    A block has shape (k, times, len(degrees), 2*degrees.stop - 1) for its
+    k seeds: degree l in row l - degrees.start, order m in column
+    degrees.stop - 1 + m, zero where |m| > l. It is a view of a buffer that
+    is overwritten by the next block.
 
     A seed's rows are its (l, m), m = 0..l, degree by degree; row (l, m)
     holds the normals (x, y) of every atom from stream (seed, l) (see
@@ -270,7 +286,7 @@ def _draw(weights: np.ndarray, seeds, degrees: range):
         head = out[:len(chunk)]
         np.multiply(head.real[..., :half:-1], signs, out=head.real[..., :half])
         np.multiply(head.imag[..., :half:-1], -signs, out=head.imag[..., :half])
-        yield from head
+        yield head
 
 
 def simulate_coefficients(degree_count: int, times, measure: SpectralMeasure,
@@ -279,7 +295,7 @@ def simulate_coefficients(degree_count: int, times, measure: SpectralMeasure,
     """Draw one realisation of the coefficients a_lm(t) for l < degree_count."""
     seed = _check_int("seed", seed, 128)
     times, weights = _prepare(degree_count, times, measure, params, n_quad)
-    coeffs = next(_draw(weights, (seed,), range(degree_count)))
+    coeffs = next(_draw(weights, (seed,), range(degree_count)))[0]
     return CoefficientSet(degree_count=degree_count, times=times,
                           coeffs=coeffs, seed=seed)
 
@@ -354,8 +370,10 @@ def ensemble_spectrum(degree_count: int, times, measure: SpectralMeasure,
     seeds = _run_seeds(master_seed, n_runs)
     times, weights = _prepare(degree_count, times, measure, params, n_quad)
     power = np.empty((n_runs, len(times), degree_count))
-    for run, coeffs in enumerate(_draw(weights, seeds, range(degree_count))):
-        power[run] = np.sum(np.abs(coeffs) ** 2, axis=-1)
+    run = 0
+    for block in _draw(weights, seeds, range(degree_count)):
+        power[run:run + len(block)] = np.sum(np.abs(block) ** 2, axis=-1)
+        run += len(block)
     power /= 2 * np.arange(degree_count) + 1
     estimate, std_error = _moments(power)
     return estimate, std_error, np.sum(weights ** 2, axis=-1)
@@ -393,6 +411,9 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
         raise ValueError(f"time must be finite and >= 0, got {time}")
     seeds = _run_seeds(master_seed, n_runs)
     if l_inner == l_outer:
+        # The empty band takes the measure and n_quad that any band takes;
+        # _prepare(l_outer, ...) would reject the band (0, 0).
+        _prepare(1, (time,), measure, params, n_quad)
         return TruncationError(estimate=0.0, std_error_sq=0.0, exact=0.0,
                                n_runs=n_runs)
     _, weights = _prepare(l_outer, (time,), measure, params, n_quad)
@@ -403,9 +424,14 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
     y_band = sph_harm_all(l_outer, *_MC_POINT)[l_inner:]
 
     sq = np.empty(n_runs)
-    for run, coeffs in enumerate(_draw(weights, seeds, range(l_inner, l_outer))):
-        delta = np.sum(coeffs[0] * y_band).real
-        sq[run] = delta * delta
+    run = 0
+    for block in _draw(weights, seeds, range(l_inner, l_outer)):
+        # One contiguous pairwise sum per run, the sum np.sum takes over that
+        # run's own product: a run's value does not depend on its block.
+        k = len(block)
+        delta = np.sum((block[:, 0] * y_band).reshape(k, -1), axis=-1).real
+        sq[run:run + k] = delta * delta
+        run += k
     mean_sq, std_error_sq = _moments(sq)
     return TruncationError(estimate=math.sqrt(float(mean_sq)),
                            std_error_sq=float(std_error_sq),

@@ -115,12 +115,34 @@ class TestStreams:
         # read the normals of stream (seed, l) straight off the output.
         seeds = [0, 2 ** 64 - 1, 2 ** 64, 2 ** 128 - 1]
         weights = np.ones((1, l + 1, 1))
-        for seed, coeffs in zip(seeds, _draw(weights, seeds, range(l, l + 1))):
+        members = (coeffs for block in _draw(weights, seeds, range(l, l + 1))
+                   for coeffs in block)
+        for seed, coeffs in zip(seeds, members):
             z = Generator(Philox(key=seed, counter=l << 192)).standard_normal(
                 (l + 1, 1, 2))
             expected = (z[:, 0, 0] + 1j * z[:, 0, 1]) / math.sqrt(2.0)
             expected[0] = z[0, 0, 0]
             assert np.array_equal(coeffs[0, 0, l:], expected)
+
+    @pytest.mark.parametrize("rows", [8, 9, 10])
+    def test_stream_at_buffer_end(self, rows, monkeypatch):
+        # One atom at one time takes 5 values a row, so the buffer holds
+        # rows rows. Degrees 3..5 give streams of 4, 5 and 6 rows; the first
+        # buffer of each seed ends one row before the end of stream (seed, 4),
+        # exactly at it, or one row after it, cutting stream (seed, 5).
+        monkeypatch.setattr(field_sim, "_VALUES_PER_BLOCK", 5 * rows)
+        seeds = [5, 2 ** 64 + 3, 2 ** 128 - 1]
+        degrees = range(3, 6)
+        weights = np.ones((1, degrees.stop, 1))
+        members = (coeffs for block in _draw(weights, seeds, degrees)
+                   for coeffs in block)
+        for seed, coeffs in zip(seeds, members, strict=True):
+            for l in degrees:
+                z = Generator(Philox(key=seed, counter=l << 192)).standard_normal(
+                    (l + 1, 1, 2))
+                expected = (z[:, 0, 0] + 1j * z[:, 0, 1]) / math.sqrt(2.0)
+                expected[0] = z[0, 0, 0]
+                assert np.array_equal(coeffs[0, l - degrees.start, 5:6 + l], expected)
 
 
 def _draw_per_run(weights, seeds, degrees):
@@ -155,7 +177,8 @@ class TestBlockedDraw:
         atoms = tuple((0.4 + 0.9 * i, 0.1 + 0.05 * i) for i in range(7))
         _, weights = _prepare(10, (0.0, 0.2, 0.9), SpectralMeasure(atoms=atoms),
                                  P11, n_quad=64)
-        blocked = [c.copy() for c in _draw(weights, self.SEEDS, degrees)]
+        blocked = [c.copy() for block in _draw(weights, self.SEEDS, degrees)
+                   for c in block]
         for got, want in zip(blocked, _draw_per_run(weights, self.SEEDS, degrees),
                              strict=True):
             for got_t, want_t in zip(got, want):
@@ -167,7 +190,7 @@ class TestBlockedDraw:
         # 36 rows: 144 rows a block hold 4 whole seeds, 10 rows cut a seed,
         # and its streams, into 4 pieces.
         _, weights = _prepare(8, (0.0, 0.3), ATOMS3, P11, n_quad=64)
-        singles = [next(_draw(weights, (seed,), range(8))).copy()
+        singles = [next(_draw(weights, (seed,), range(8)))[0].copy()
                    for seed in self.SEEDS]
         chunks = []
         fill = field_sim._fill
@@ -180,8 +203,10 @@ class TestBlockedDraw:
 
         monkeypatch.setattr(field_sim, "_VALUES_PER_BLOCK", values)
         monkeypatch.setattr(field_sim, "_fill", counted)
-        full = [c.copy() for c in _draw(weights, self.SEEDS, range(8))]
-        band = [c.copy() for c in _draw(weights, self.SEEDS, range(3, 8))]
+        full = [c.copy() for block in _draw(weights, self.SEEDS, range(8))
+                for c in block]
+        band = [c.copy() for block in _draw(weights, self.SEEDS, range(3, 8))
+                for c in block]
         if values == 24 * 144:
             assert len(chunks) >= 6 and all(c[0] > 1 for c in chunks)
         else:
@@ -209,7 +234,8 @@ class TestEnsemble:
         seeds = _run_seeds(8, 12)
         assert list(seeds) == [derive_run_seed(8, r) for r in range(12)]
         _, weights = _prepare(5, (0.0, 0.3), ATOMS3, P11, 64)
-        members = [coeffs.copy() for coeffs in _draw(weights, seeds, range(5))]
+        members = [coeffs.copy() for block in _draw(weights, seeds, range(5))
+                   for coeffs in block]
         assert len(members) == 12
         for seed, coeffs in zip(seeds, members):
             single = simulate_coefficients(5, (0.0, 0.3), ATOMS3, P11, seed=seed)
@@ -309,7 +335,8 @@ class TestSynthesize:
         n_runs = 2000
         seeds = _run_seeds(71, n_runs)
         times, weights = _prepare(4, (0.3,), ATOMS3, P11, 64)
-        members = zip(seeds, _draw(weights, seeds, range(4)))
+        members = zip(seeds, (coeffs for block in _draw(weights, seeds, range(4))
+                              for coeffs in block))
         values = np.array([synthesize(CoefficientSet(4, times, coeffs, seed), 0, 3, 4).values[1, 2]
                            for seed, coeffs in members])
         spec = angular_spectrum(4, 0.3, 0.3, ATOMS3, P11)
@@ -326,7 +353,8 @@ class TestSynthesize:
         n_runs = 2000
         _, weights = _prepare(4, (0.0,), ATOMS3, P11, 64)
         members = [coeffs[0].copy()
-                   for coeffs in _draw(weights, _run_seeds(29, n_runs), range(4))]
+                   for block in _draw(weights, _run_seeds(29, n_runs), range(4))
+                   for coeffs in block]
         from hyperdiff.covariance import covariance_spectral
         theory = covariance_spectral(gamma, 0.0, 0.0, ATOMS3, P11)
         for (theta1, phi1), _ in pairs:
@@ -387,23 +415,37 @@ class TestTruncationError:
         ({"master_seed": -1}, "master_seed"), ({"master_seed": 2 ** 64}, "master_seed"),
         ({"time": math.nan}, "time"), ({"time": -1.0}, "time"),
         ({"n_runs": 2.5}, "n_runs"),  # named the run index
+        # the empty band (4, 4) returned zeros for these three
+        ({"n_quad": 2.5}, "n_quad"), ({"n_quad": 0}, "n_quad"),
+        ({"measure": SpectralMeasure()}, "zero measure"),
     ])
     def test_bad_input_rejected(self, kwargs, name):
-        args = {"time": 0.3, **kwargs}
+        args = {"measure": ATOMS3, "params": P11, "time": 0.3, **kwargs}
         for band in ((2, 6), (4, 4)):
             with pytest.raises(ValueError, match=name):
-                truncation_error_mc(*band, ATOMS3, P11, **args)
+                truncation_error_mc(*band, **args)
+
+    def test_empty_band_at_origin_is_zero(self):
+        # The empty band (0, 0) is valid input, though no degree count 0 is.
+        te = truncation_error_mc(0, 0, ATOMS3, P11, 0.3, n_runs=3)
+        assert te == field_sim.TruncationError(0.0, 0.0, 0.0, 3)
 
     @pytest.mark.parametrize("l_inner, l_outer, time", [
         (3, 12, 0.0), (0, 5, 0.8), (6, 7, 2.5),
     ])
-    def test_matches_per_run_oracle(self, l_inner, l_outer, time):
+    def test_matches_per_run_oracle(self, l_inner, l_outer, time, monkeypatch):
         measure = SpectralMeasure(atoms=((2.5, 0.2),),
                                   segments=(PowerLawSegment(0.5, 2.0, 1.0, 0.5),))
         n_runs, master_seed, n_quad = 40, 2 ** 64 - 1, 12
-        te = truncation_error_mc(l_inner, l_outer, measure, P11, time,
-                                 n_runs=n_runs, master_seed=master_seed,
-                                 n_quad=n_quad)
+        # 13 atoms at one time take 65 values a row: the default block holds
+        # many runs, and 5 rows a block cut every run of each band.
+        results = []
+        for values in (field_sim._VALUES_PER_BLOCK, 65 * 5):
+            monkeypatch.setattr(field_sim, "_VALUES_PER_BLOCK", values)
+            results.append(truncation_error_mc(l_inner, l_outer, measure, P11, time,
+                                               n_runs=n_runs, master_seed=master_seed,
+                                               n_quad=n_quad))
+        monkeypatch.undo()
 
         atomic = atomize(measure, n_quad)
         ls = np.arange(l_inner, l_outer)
@@ -413,9 +455,10 @@ class TestTruncationError:
         # The band's C_l are the squared draw weights summed over atoms, which
         # is C_l of the atomised measure up to rounding.
         _, weights = _prepare(l_outer, (time,), measure, P11, n_quad)
-        assert te.exact == norm(np.sum(weights[0, l_inner:] ** 2, axis=-1))
         band = angular_spectrum(l_outer, time, time, atomic, P11)[l_inner:]
-        assert te.exact == pytest.approx(norm(band), rel=1e-14)
+        for te in results:
+            assert te.exact == norm(np.sum(weights[0, l_inner:] ** 2, axis=-1))
+            assert te.exact == pytest.approx(norm(band), rel=1e-14)
         y = sph_harm_all(l_outer, *field_sim._MC_POINT)
         sq = np.empty(n_runs)
         for run in range(n_runs):
@@ -423,9 +466,10 @@ class TestTruncationError:
                                        seed=derive_run_seed(master_seed, run))
             delta = np.sum(cs.coeffs[0, l_inner:] * y[l_inner:]).real
             sq[run] = delta * delta
-        assert te.estimate == math.sqrt(float(sq.mean()))
-        assert te.std_error_sq == float(sq.std(ddof=1) / math.sqrt(n_runs))
-        assert te.n_runs == n_runs
+        for te in results:
+            assert te.estimate == math.sqrt(float(sq.mean()))
+            assert te.std_error_sq == float(sq.std(ddof=1) / math.sqrt(n_runs))
+            assert te.n_runs == n_runs
 
 
 class TestCoefficientSet:
@@ -446,26 +490,35 @@ class TestEnsembleSpectrum:
         (1, (0.0,)),  # one cell: numpy sums the runs pairwise
         (7, (0.0, 0.4, 1.2)),  # many cells: numpy adds the runs in order
     ])
-    def test_equals_members_bitwise(self, degree_count, times):
+    def test_equals_members_bitwise(self, degree_count, times, monkeypatch):
         args = (degree_count, times, self.MIXED, P11)
-        estimate, std_error, theory = ensemble_spectrum(
-            *args, master_seed=9, n_runs=41, n_quad=8)
+        # 9 atoms take 45 values a row at one time and 99 at three: the
+        # default block holds many runs, and 495 values hold 11 runs of one
+        # row (the last block 8) or cut each run of 28 rows into pieces of at
+        # most 5.
+        results = []
+        for values in (field_sim._VALUES_PER_BLOCK, 495):
+            monkeypatch.setattr(field_sim, "_VALUES_PER_BLOCK", values)
+            results.append(ensemble_spectrum(*args, master_seed=9, n_runs=41,
+                                             n_quad=8))
+        monkeypatch.undo()
         # Reference: the single runs of the members, reduced to
         # sum_m |a_lm|^2 / (2l+1).
         power = np.array([np.sum(np.abs(simulate_coefficients(
             *args, seed=derive_run_seed(9, r), n_quad=8).coeffs) ** 2, axis=-1)
             for r in range(41)])
         power /= 2 * np.arange(degree_count) + 1
-        assert estimate.shape == std_error.shape == (len(times), degree_count)
-        assert np.array_equal(estimate, power.mean(axis=0))
-        assert np.array_equal(std_error, power.std(axis=0, ddof=1) / math.sqrt(41))
-        # theory is the squared draw weights summed over atoms, which is C_l
-        # of the atomised measure up to rounding.
         _, weights = _prepare(degree_count, times, self.MIXED, P11, n_quad=8)
-        assert np.array_equal(theory, np.sum(weights ** 2, axis=-1))
         expected = angular_spectrum(degree_count, times, times,
                                     atomize(self.MIXED, 8), P11)
-        assert np.allclose(theory, expected, rtol=1e-14, atol=0.0)
+        for estimate, std_error, theory in results:
+            assert estimate.shape == std_error.shape == (len(times), degree_count)
+            assert np.array_equal(estimate, power.mean(axis=0))
+            assert np.array_equal(std_error, power.std(axis=0, ddof=1) / math.sqrt(41))
+            # theory is the squared draw weights summed over atoms, which is
+            # C_l of the atomised measure up to rounding.
+            assert np.array_equal(theory, np.sum(weights ** 2, axis=-1))
+            assert np.allclose(theory, expected, rtol=1e-14, atol=0.0)
 
     def test_single_atom_ratio_is_exact(self):
         # same draws cancel: C_hat(t)/C_hat(0) = transfer factor squared
