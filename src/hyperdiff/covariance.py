@@ -34,7 +34,7 @@ import numpy as np
 
 from ._quad import integrate_measure, serial_matmul
 from .kernel import transfer, transfer_pair
-from .measure import DiffusionParams, SpectralMeasure
+from .measure import DiffusionParams, SpectralMeasure, _index, _nonnegative
 from .special import legendre_all
 from .spectrum import angular_spectrum, tail_sum_lommel
 
@@ -53,12 +53,10 @@ def _sinc(x):
 
 
 def _validate_query(gamma, t: float, t_prime: float) -> np.ndarray:
-    # Each test is written so that NaN fails it.
     g = np.asarray(gamma, dtype=float)
-    if not np.all((g >= 0.0) & (g <= math.pi)):
+    if not np.all((g >= 0.0) & (g <= math.pi)):  # written so that NaN fails it
         raise ValueError("angular distance must lie in [0, pi]")
-    if not (0.0 <= t < math.inf and 0.0 <= t_prime < math.inf):
-        raise ValueError("times must be finite and >= 0")
+    _nonnegative("times", (t, t_prime))
     return g
 
 
@@ -102,8 +100,7 @@ def covariance_legendre(gamma, t: float, t_prime: float,
     l_count^2, hence the tighter spectrum tolerance 1e-12 here. gamma may
     be a scalar or an array of angular distances.
     """
-    if l_count < 1:
-        raise ValueError(f"need at least one series term, got {l_count}")
+    l_count = _index("l_count", l_count, 1)
     g = _validate_query(gamma, t, t_prime)
     spec = angular_spectrum(l_count, t, t_prime, measure, params, rtol=1e-12)
     ls = np.arange(l_count)
@@ -123,8 +120,7 @@ def angular_mse(gamma: float, t: float, measure: SpectralMeasure,
     Evaluates (1/2pi) sum_{l<l_count} (2l+1) C_l(t,t) (1 - P_l(cos gamma)),
     which equals 2 (R(1,t,t) - R(cos gamma,t,t)) up to series truncation.
     """
-    if l_count < 1:
-        raise ValueError(f"need at least one series term, got {l_count}")
+    l_count = _index("l_count", l_count, 1)
     _validate_query(float(gamma), t, t)
     spec = angular_spectrum(l_count, t, t, measure, params)
     ls = np.arange(l_count)
@@ -178,10 +174,8 @@ def covariance_time_lags(gamma: float, t: float, lags: np.ndarray,
     Raises ValueError for lags that are not evenly spaced within a few ulps.
     """
     g = float(_validate_query(float(gamma), t, t))
-    lags_arr = np.asarray(lags, dtype=float)
+    lags_arr = _nonnegative("lags", lags)
     flat = lags_arr.ravel()
-    if not np.all((flat >= 0) & (flat < math.inf)):
-        raise ValueError("lags must be finite and >= 0")
     n = flat.size
     if n == 0:
         return np.zeros(lags_arr.shape)

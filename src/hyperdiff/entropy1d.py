@@ -36,7 +36,7 @@ import numpy as np
 
 from ._quad import serial_matmul
 from .kernel import transfer_pair
-from .measure import DiffusionParams, _index
+from .measure import DiffusionParams, _index, _nonnegative
 
 _EVEN_TOL = 1e-9
 _UNIT = DiffusionParams(c=1.0, D=1.0)
@@ -60,20 +60,11 @@ def _check_half_length(half_length) -> float:
     return L
 
 
-def _check_intervals(n_intervals) -> int:
-    n_intervals = _index("n_intervals", n_intervals)
-    if n_intervals < 2:
-        raise ValueError(f"need at least 2 intervals, got {n_intervals}")
-    return n_intervals
-
-
 def _check_times(times, name: str) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1:
         raise ValueError(f"{name} must be a 1D list of times")
-    if not np.all((t >= 0.0) & (t < np.inf)):
-        raise ValueError(f"{name} must be finite and >= 0")
-    return t
+    return _nonnegative(name, t)
 
 
 @dataclass(frozen=True)
@@ -137,9 +128,7 @@ def decompose_initial(u0, half_length: float, n_modes: int) -> ModeDecomposition
     the transfer-factor clock.
     """
     L = _check_half_length(half_length)
-    n_modes = _index("n_modes", n_modes)
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    n_modes = _index("n_modes", n_modes, 1)
     samples = np.asarray(u0, dtype=float)
     if samples.ndim != 1 or samples.size < 3:
         raise ValueError("u0 must be a 1D array of at least 3 samples")
@@ -186,7 +175,7 @@ class EntropyTrace:
 
 def entropy_trace(md: ModeDecomposition, times, n_intervals: int = 400) -> EntropyTrace:
     """Total Shannon entropy by composite trapezoid on n_intervals panels."""
-    n_intervals = _check_intervals(n_intervals)
+    n_intervals = _index("n_intervals", n_intervals, 2)
     t_arr = _check_times(times, "times")
     x = np.linspace(-md.half_length, md.half_length, n_intervals + 1)
     entropy = _entropies(md, x, _cosine_basis(md, x), t_arr)
@@ -195,7 +184,7 @@ def entropy_trace(md: ModeDecomposition, times, n_intervals: int = 400) -> Entro
 
 def mass(md: ModeDecomposition, t: float, n_intervals: int = 400) -> float:
     """Trapezoid integral of the profile over [-L, L] at time t."""
-    n_intervals = _check_intervals(n_intervals)
+    n_intervals = _index("n_intervals", n_intervals, 2)
     x = np.linspace(-md.half_length, md.half_length, n_intervals + 1)
     return float(np.trapezoid(evaluate(md, x, t), x))
 
@@ -236,11 +225,9 @@ def run_experiment(name: str, *, half_length: float = 3.0 * math.pi,
     if name == "rectangle" and not 0.0 < width < 2.0 * L:
         raise ValueError(f"width must be finite and lie in (0, 2L) = (0, {2.0 * L}), "
                          f"got {width}")
-    n_modes = _index("n_modes", 0 if n_modes is None else n_modes)
-    if n_modes < 0:
-        raise ValueError(f"n_modes must be >= 0 (0 picks the default), got {n_modes}")
+    n_modes = _index("n_modes", 0 if n_modes is None else n_modes, 0)
     modes = 1 if name == "standing_wave" else n_modes or _DEFAULT_TERMS[name]
-    n_intervals = _check_intervals(n_intervals)
+    n_intervals = _index("n_intervals", n_intervals, 2)
     if modes * (n_intervals + 1) > MAX_BASIS_ELEMENTS:
         raise ValueError(f"n_modes = {modes} with n_intervals = {n_intervals} needs "
                          f"more than {MAX_BASIS_ELEMENTS} basis elements; lower "

@@ -80,9 +80,7 @@ def atomize(measure: SpectralMeasure, n_quad: int = 64) -> SpectralMeasure:
     """Replace each power-law segment by the n_quad atoms of a Gauss rule for
     its density: Gauss-Jacobi for a non-integer exponent on [0, hi],
     Gauss-Legendre otherwise."""
-    n_quad = _index("n_quad", n_quad)
-    if n_quad < 1:
-        raise ValueError(f"n_quad must be >= 1, got {n_quad}")
+    n_quad = _index("n_quad", n_quad, 1)
     if not measure.segments:
         return measure
     atoms = list(measure.atoms)
@@ -92,27 +90,11 @@ def atomize(measure: SpectralMeasure, n_quad: int = 64) -> SpectralMeasure:
     return SpectralMeasure(atoms=tuple(atoms))
 
 
-def _check_int(name: str, value, bits: int) -> int:
-    """value as a Python int; ValueError unless it is an integer in [0, 2**bits)."""
-    value = _index(name, value)
-    if not 0 <= value < 1 << bits:
-        raise ValueError(f"{name} must lie in [0, 2**{bits}), got {value}")
-    return value
-
-
-def _check_index(name: str, value, count: int) -> int:
-    """value as a Python int; ValueError unless it is an index in [0, count)."""
-    value = _index(name, value)
-    if not 0 <= value < count:
-        raise ValueError(f"{name} must lie in [0, {count}), got {value}")
-    return value
-
-
 def derive_run_seed(master_seed: int, run_index: int) -> int:
     """Distinct Philox key for ensemble member run_index under a master seed;
     both lie in [0, 2**64)."""
-    master_seed = _check_int("master_seed", master_seed, 64)
-    run_index = _check_int("run index", run_index, 64)
+    master_seed = _index("master_seed", master_seed, 0, 1 << 64)
+    run_index = _index("run index", run_index, 0, 1 << 64)
     return (master_seed << 64) | run_index
 
 
@@ -146,9 +128,8 @@ def _prepare(degree_count: int, times, measure: SpectralMeasure,
     pi*sqrt(2) * J_{l+1/2}(mu)/sqrt(mu) * sigma * transfer(mu, t), indexed
     (time, degree l < degree_count, atom) of the measure atomised with
     n_quad nodes per segment."""
+    degree_count = _index("degree_count", degree_count, 1)
     atomic = atomize(measure, n_quad)
-    if degree_count < 1:
-        raise ValueError(f"degree count must be >= 1, got {degree_count}")
     if not atomic.atoms:
         raise ValueError("cannot simulate from the zero measure")
     times = tuple(float(t) for t in times)
@@ -168,7 +149,7 @@ def _moments(table: np.ndarray):
     return table.mean(axis=0), table.std(axis=0, ddof=1) / math.sqrt(len(table))
 
 
-def _fill(normals: np.ndarray, seeds, degrees: range):
+def _fill(normals: np.ndarray, seeds, degrees: range, gen: Generator):
     """Draw the Philox stream of each (seed, l), seeds outer and degrees
     inner, into consecutive rows of normals, (rows, atoms, 2); yield the
     number of rows filled whenever normals is full and once at the end.
@@ -178,14 +159,13 @@ def _fill(normals: np.ndarray, seeds, degrees: range):
     bottom, so streams never collide. It gives l + 1 rows, as one
     standard_normal((l + 1, atoms, 2)) would: in one call when they fit
     before normals is full, else in pieces, a stream cut by a full buffer
-    continuing where it stopped once the caller resumes. One bit generator
-    is reset to each stream rather than built anew, by setting its state to
-    a dict of plain lists with an empty buffer (buffer_pos 4), which the
-    setter reads item by item faster than numpy arrays. The dict and the
-    generator belong to the call and are never shared.
+    continuing where it stopped once the caller resumes. The Philox bit
+    generator behind gen is reset to each stream rather than built anew, by
+    setting its state to a dict of plain lists with an empty buffer
+    (buffer_pos 4), which the setter reads item by item faster than numpy
+    arrays. The dict belongs to the call and is never shared.
     """
-    bitgen = Philox(key=0)
-    gen = Generator(bitgen)
+    bitgen = gen.bit_generator
     key, counter = [0, 0], [0, 0, 0, 0]
     state = {"bit_generator": "Philox",
              "state": {"counter": counter, "key": key},
@@ -261,11 +241,13 @@ def _draw(weights: np.ndarray, seeds, degrees: range):
     out = np.zeros((per_chunk, n_t, len(degrees), width), dtype=complex)
     flat = out.reshape(per_chunk, n_t, -1)
     signs = (-1.0) ** np.arange(half, 0, -1)  # (-1)^m, m = -half .. -1
+    # One generator for every chunk; _fill resets it to each stream.
+    gen = Generator(Philox(key=0))
     span = None
     for first in range(0, len(seeds), per_chunk):
         chunk = seeds[first:first + per_chunk]
         start = 0
-        for filled in _fill(normals, chunk, degrees):
+        for filled in _fill(normals, chunk, degrees, gen):
             k = max(1, filled // n_rows)
             n = filled // k
             rows = slice(start, start + n)
@@ -293,7 +275,7 @@ def simulate_coefficients(degree_count: int, times, measure: SpectralMeasure,
                           params: DiffusionParams, seed: int,
                           n_quad: int = 64) -> CoefficientSet:
     """Draw one realisation of the coefficients a_lm(t) for l < degree_count."""
-    seed = _check_int("seed", seed, 128)
+    seed = _index("seed", seed, 0, 1 << 128)
     times, weights = _prepare(degree_count, times, measure, params, n_quad)
     coeffs = next(_draw(weights, (seed,), range(degree_count)))[0]
     return CoefficientSet(degree_count=degree_count, times=times,
@@ -330,9 +312,9 @@ def synthesize(cs: CoefficientSet, time_index: int, n_theta: int,
     norm_plm_blocks, and the orders by serial_matmul, so the field's bits do
     not depend on the BLAS thread count.
     """
-    if n_theta < 2 or n_phi < 4:
-        raise ValueError(f"grid must be at least 2x4, got {n_theta}x{n_phi}")
-    time_index = _check_index("time index", time_index, len(cs.times))
+    n_theta = _index("n_theta", n_theta, 2)
+    n_phi = _index("n_phi", n_phi, 4)
+    time_index = _index("time index", time_index, 0, len(cs.times))
     L = cs.degree_count
     a = cs.coeffs[time_index]
     half = L - 1
@@ -364,9 +346,7 @@ def ensemble_spectrum(degree_count: int, times, measure: SpectralMeasure,
     over runs with its standard error. theory, the squared draw weights
     summed over atoms, is C_l(t, t) of the atomised measure the draws use.
     """
-    n_runs = _index("n_runs", n_runs)
-    if n_runs < 2:
-        raise ValueError(f"need an ensemble of at least 2 runs, got {n_runs}")
+    n_runs = _index("n_runs", n_runs, 2)
     seeds = _run_seeds(master_seed, n_runs)
     times, weights = _prepare(degree_count, times, measure, params, n_quad)
     power = np.empty((n_runs, len(times), degree_count))
@@ -402,13 +382,9 @@ def truncation_error_mc(l_inner: int, l_outer: int, measure: SpectralMeasure,
     quantity inside the square root). Needs n_runs >= 2, a finite time >= 0
     and a master seed in [0, 2**64).
     """
-    if not 0 <= l_inner <= l_outer:
-        raise ValueError(f"need 0 <= l_inner <= l_outer, got {l_inner}, {l_outer}")
-    n_runs = _index("n_runs", n_runs)
-    if n_runs < 2:
-        raise ValueError(f"need at least 2 runs, got {n_runs}")
-    if not 0.0 <= time < math.inf:
-        raise ValueError(f"time must be finite and >= 0, got {time}")
+    l_inner = _index("l_inner", l_inner, 0)
+    l_outer = _index("l_outer", l_outer, l_inner)
+    n_runs = _index("n_runs", n_runs, 2)
     seeds = _run_seeds(master_seed, n_runs)
     if l_inner == l_outer:
         # The empty band takes the measure and n_quad that any band takes;

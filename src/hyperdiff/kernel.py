@@ -47,20 +47,12 @@ import math
 
 import numpy as np
 
-from .measure import DiffusionParams
+from .measure import DiffusionParams, _nonnegative
 
 _SERIES_U = 0.25
 _K_TERMS = 13
 _INV_EVEN = np.array([1.0 / math.factorial(2 * k) for k in range(_K_TERMS)])
 _INV_ODD = np.array([1.0 / math.factorial(2 * k + 1) for k in range(_K_TERMS)])
-
-
-def _finite_nonnegative(x, name: str) -> np.ndarray:
-    # The test is written so that NaN fails it.
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0) & (arr < np.inf)):
-        raise ValueError(f"{name} must be finite and >= 0")
-    return arr
 
 
 # At huge t, u overflows (inf * 0 at the cut-off).
@@ -70,8 +62,8 @@ def _evaluate(mu, t, params: DiffusionParams) -> tuple[np.ndarray, np.ndarray]:
 
     transfer and transfer_pair both call this rather than each other, so a
     traced run attributes each public function's own work to it."""
-    mu_arr = _finite_nonnegative(mu, "wave number")
-    t_arr = _finite_nonnegative(t, "time")
+    mu_arr = _nonnegative("wave number", mu)
+    t_arr = _nonnegative("time", t)
     c, cutoff = params.c, params.cutoff
     # What depends on t alone or on mu alone is computed before broadcasting.
     a_t = c * cutoff * t_arr
@@ -158,6 +150,6 @@ def wave_bound(t, params: DiffusionParams):
     """Envelope exp(-c^2 t/(2D)) (1 + c^2 t/(2D)) bounding the wave branch;
     t is checked as in transfer. It is 0 where exp(-c^2 t/(2D)) underflows,
     as the wave branch is, including where c^2 t/(2D) itself overflows."""
-    a = params.c * params.cutoff * _finite_nonnegative(t, "time")
+    a = params.c * params.cutoff * _nonnegative("time", t)
     damp = np.exp(-a)
     return damp * (1.0 + np.where(damp > 0.0, a, 0.0))

@@ -16,6 +16,10 @@ Configs are JSON documents of the form
                                "amplitude": 1.0, "exponent": 0.5}]}}
 
 Instances are immutable after construction and safe to share across threads.
+
+The module also owns the package's two argument rules: every integer count,
+degree, seed and index goes through _index with its range, and every time,
+lag and wave number through _nonnegative (finite and >= 0).
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .exceptions import ConfigError
 
@@ -183,12 +189,27 @@ def _log_power_moment(measure: SpectralMeasure, power: float, lo: float = 0.0,
     return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
-def _index(name: str, value) -> int:
-    """value as a Python int; ValueError unless it is an integer."""
+def _index(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as a Python int in [lo, hi), or >= lo when hi is None;
+    ValueError naming the parameter otherwise."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if hi is None:
+        if value < lo:
+            raise ValueError(f"{name} must be >= {lo}, got {value}")
+    elif not lo <= value < hi:
+        raise ValueError(f"{name} must lie in [{lo}, {hi}), got {value}")
+    return value
+
+
+def _nonnegative(name: str, values) -> np.ndarray:
+    """values as a float array; ValueError unless every one is finite and >= 0."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all((arr >= 0) & (arr < np.inf)):  # written so that NaN fails it
+        raise ValueError(f"{name} must be finite and >= 0")
+    return arr
 
 
 def _require_number(obj: dict, key: str, where: str) -> float:

@@ -23,6 +23,8 @@ import math
 
 import numpy as np
 
+from .measure import _index
+
 _MAX_ORDER = 10_000
 _MAX_ARG = 1.0e5
 _SERIES_X = 1.0e-3
@@ -30,15 +32,6 @@ _RESCALE_LIMIT = 1.0e250
 # 2^-830, about 1.4e-250: multiplying by a power of two is exact.
 _RESCALE_FACTOR = math.ldexp(1.0, -830)
 _RESCALE_ROOM = math.log(np.finfo(float).max / _RESCALE_LIMIT)
-
-
-def _check_order_arg(l_max: int, x_max: float) -> None:
-    if l_max < 0:
-        raise ValueError(f"order must be >= 0, got {l_max}")
-    if l_max > _MAX_ORDER:
-        raise ValueError(f"order {l_max} exceeds supported range ({_MAX_ORDER})")
-    if x_max > _MAX_ARG:
-        raise ValueError(f"argument {x_max} exceeds supported range ({_MAX_ARG})")
 
 
 def _sph_jn_series(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -142,7 +135,9 @@ def spherical_jn_all(n_max: int, x) -> np.ndarray:
     xs = np.atleast_1d(x_arr)
     if not np.all(xs >= 0):  # written so that NaN fails it
         raise ValueError(f"argument x must be >= 0, got {xs[~(xs >= 0)][0]}")
-    _check_order_arg(n_max, float(np.max(xs)) if xs.size else 0.0)
+    n_max = _index("order", n_max, 0, _MAX_ORDER + 1)
+    if xs.size and np.max(xs) > _MAX_ARG:
+        raise ValueError(f"argument {np.max(xs)} exceeds supported range ({_MAX_ARG})")
 
     out = np.zeros((n_max + 1, xs.size))
     small = xs <= _SERIES_X
@@ -177,8 +172,7 @@ def legendre_all(l_max: int, x) -> np.ndarray:
     x_arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(x_arr) <= 1.0):  # written so that NaN fails it
         raise ValueError(f"Legendre argument x must lie in [-1, 1], got {x}")
-    if l_max < 0:
-        raise ValueError(f"degree must be >= 0, got {l_max}")
+    l_max = _index("l_max", l_max, 0)
     out = np.empty((l_max + 1,) + x_arr.shape)
     out[0] = 1.0
     if l_max >= 1:
@@ -226,8 +220,7 @@ def sph_harm_all(l_count: int, theta: float, phi: float) -> np.ndarray:
     l_count - 1 + m, zero where |m| > l, so a truncated series at the point is
     sum(coeffs * Y). Orders m < 0 follow from Y_{l,-m} = (-1)^m conj(Y_lm).
     """
-    if l_count < 1:
-        raise ValueError(f"degree count must be >= 1, got {l_count}")
+    l_count = _index("l_count", l_count, 1)
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     if not math.isfinite(phi):

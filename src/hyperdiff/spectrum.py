@@ -36,7 +36,8 @@ import numpy as np
 
 from ._quad import integrate_measure
 from .kernel import transfer
-from .measure import DiffusionParams, SpectralMeasure, _index, _log_power_moment
+from .measure import (DiffusionParams, SpectralMeasure, _index, _log_power_moment,
+                      _nonnegative)
 from .special import _bessel_half_neg, bessel_half_all
 
 _TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -82,8 +83,7 @@ def angular_spectrum(l_count: int, t, t_prime, measure: SpectralMeasure,
     """Spectrum C_l(t, t') for l = 0..l_count-1: (l,) for scalar times, or
     (pairs, l) for equal-length arrays, row i at (t[i], t_prime[i]), all from
     one quadrature with rtol relative to the largest value over all rows."""
-    if l_count < 1:
-        raise ValueError(f"need at least one degree, got {l_count}")
+    l_count = _index("l_count", l_count, 1)
     return _cl_block(0, l_count, t, t_prime, measure, params, rtol)
 
 
@@ -124,8 +124,9 @@ def tail_sum_direct(l_start: int, measure: SpectralMeasure,
     Issues a warning and returns converged=False when the degree cap,
     DEFAULT_DEGREE_CAP, is reached first.
     """
-    if l_start < 0:
-        raise ValueError(f"degree must be >= 0, got {l_start}")
+    l_start = _index("l_start", l_start, 0)
+    block = _index("block", block, 1)
+    _nonnegative("time", t)  # the zero measure returns before transfer checks it
     tail = _weighted_tail(l_start, measure, params, t, 1, block)
     if not tail.converged:
         warnings.warn(
@@ -156,9 +157,7 @@ def tail_sum_lommel(l_start: int, measure: SpectralMeasure,
     over G(d mu). A scalar t gives a float; an array gives one tail per time,
     all from one quadrature, with the tolerance relative to the largest tail.
     """
-    if l_start < 1:
-        raise ValueError("closed-form tail needs degree >= 1; "
-                         "use tail_sum_direct for L = 0")
+    l_start = _index("l_start", l_start, 1)
     times = np.asarray(t, dtype=float)[..., None]
 
     def f(mu):
@@ -177,9 +176,7 @@ def tail_bound_gamma(l_start: int, measure: SpectralMeasure,
     prefactor 2 pi^2; with it the expression dominates the Poisson-integral
     product bounds term by term, hence dominates tail_sum_direct(L, ..., t=0).
     """
-    l_start = _index("degree", l_start)
-    if l_start < 2:
-        raise ValueError(f"the Gamma-function bound needs degree >= 2, got {l_start}")
+    l_start = _index("l_start", l_start, 2)
     log_pref = (
         math.log(_TWO_PI_SQ)
         - (2 * l_start - 3) * math.log(2.0)

@@ -195,9 +195,9 @@ class TestBlockedDraw:
         chunks = []
         fill = field_sim._fill
 
-        def counted(normals, seeds, degrees):
+        def counted(normals, seeds, *args):
             chunks.append([len(seeds)])
-            for filled in fill(normals, seeds, degrees):
+            for filled in fill(normals, seeds, *args):
                 chunks[-1].append(filled)
                 yield filled
 
@@ -214,6 +214,20 @@ class TestBlockedDraw:
         for single, member, rows in zip(singles, full, band, strict=True):
             assert np.array_equal(member, single)
             assert np.array_equal(rows, single[:, 3:])
+
+    def test_one_bit_generator_per_draw(self, monkeypatch):
+        # 10 rows a block cut each of the 12 seeds into its own chunk
+        _, weights = _prepare(8, (0.0, 0.3), ATOMS3, P11, n_quad=64)
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return Philox(*args, **kwargs)
+
+        monkeypatch.setattr(field_sim, "_VALUES_PER_BLOCK", 24 * 10)
+        monkeypatch.setattr(field_sim, "Philox", counted)
+        blocks = sum(1 for _ in _draw(weights, self.SEEDS, range(8)))
+        assert blocks == len(self.SEEDS) and len(built) == 1
 
     def test_memory_stays_within_blocks(self):
         # One seed below L = 96 with 20 atoms: 4656 rows, 1.5 MB of normals.
@@ -530,7 +544,7 @@ class TestEnsembleSpectrum:
 
     @pytest.mark.parametrize("n_runs", [0, 1])
     def test_needs_two_runs(self, n_runs):
-        with pytest.raises(ValueError, match="at least 2 runs"):
+        with pytest.raises(ValueError, match="n_runs"):
             ensemble_spectrum(3, (0.0,), ATOM1, P11, master_seed=0,
                               n_runs=n_runs)
 

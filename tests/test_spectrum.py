@@ -129,6 +129,10 @@ class TestTailSums:
     def test_zero_measure(self):
         assert tail_sum_direct(3, EMPTY, P11, 0.0).value == 0.0
         assert tail_sum_lommel(3, EMPTY, P11) == 0.0
+        # a bad time gave 0.0 here, since no degree is evaluated
+        for t in (math.nan, -1.0, math.inf):
+            with pytest.raises(ValueError, match="time"):
+                tail_sum_direct(3, EMPTY, P11, t)
 
     def test_direct_against_brute_force(self):
         result = tail_sum_direct(1, ATOM1, P11, 0.0)
@@ -182,6 +186,16 @@ class TestTailSums:
     def test_lommel_requires_positive_degree(self):
         with pytest.raises(ValueError):
             tail_sum_lommel(0, ATOM1, P11)
+
+    @pytest.mark.parametrize("block", [0, -1, 2.5])
+    def test_bad_block_rejected_before_any_degree(self, block, monkeypatch):
+        # 0 never advanced past the first degree, -1 raised a Bessel order error
+        def no_block(*args, **kwargs):
+            raise AssertionError("evaluated a block of degrees")
+
+        monkeypatch.setattr(spectrum, "_cl_block", no_block)
+        with pytest.raises(ValueError, match="^block must"):
+            tail_sum_direct(4, ATOM1, P11, 0.0, block=block)
 
     def test_cap_warning(self, monkeypatch):
         monkeypatch.setattr(spectrum, "DEFAULT_DEGREE_CAP", 3)
@@ -267,7 +281,7 @@ class TestGammaBound:
             tail_bound_gamma(1, ATOM1, P11)
         # a non-integer degree used to give a number (4.93 at 2.5)
         for l_start in (2.5, np.float64(3.0)):
-            with pytest.raises(ValueError, match="degree"):
+            with pytest.raises(ValueError, match="l_start"):
                 tail_bound_gamma(l_start, ATOM1, P11)
 
 
