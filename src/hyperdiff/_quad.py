@@ -1,19 +1,21 @@
 """Integration against the spectral measure, with certified error reporting.
 
 integrate_measure is the one place where a kernel is integrated against
-G(d mu): atoms are summed exactly and each power-law segment goes to
+G(d mu): all power-law segments go, as one panel set, to one run of
 integrate_vector, an adaptive Gauss-Kronrod (G10, K21) integrator for
-vector-valued integrands. Its rule and error estimate are QUADPACK's
-(Piessens et al. 1983); its subdivision is global: each round bisects the
-panels with the largest error estimates together, error control on the
-dominant component (max norm). As in QUADPACK's QAG, the convergence test
-covers the first round too, so an integrand the initial panels resolve is
-evaluated once. The nodes of a round go to the integrand in calls of whole
-panels, so the kernels only ever see arrays, and each call is reduced
-before the next. A probe call with zero nodes tells the rule and the
-output shape, so no kernel value is computed twice. Failure to reach the
-tolerance, or a non-finite result, raises AccuracyError carrying the
-achieved estimate instead of silently returning it.
+vector-valued integrands, and the atoms, summed exactly, ride in its first
+call with nodes. Its rule and error estimate are QUADPACK's (Piessens et
+al. 1983); its subdivision is global: each round bisects the panels with
+the largest error estimates together, in whichever segment, error control
+on the dominant component (max norm) of the whole integral. As in
+QUADPACK's QAG, the convergence test covers the first round too, so an
+integrand the initial panels resolve is evaluated once. The nodes of a
+round go to the integrand in calls of whole panels, so the kernels only
+ever see arrays, and each call is reduced before the next. One probe call
+with zero nodes per integral tells the rule and the output shape, so no
+kernel value is computed twice. Failure to reach the tolerance, or a
+non-finite result, raises AccuracyError carrying the achieved estimate
+instead of silently returning it.
 
 A segment A mu^a on [0, hi] with a non-integer exponent is singular at 0,
 where bisection alone arrives one panel per round (80 rounds at a = -0.6),
@@ -23,8 +25,8 @@ hi 2^-k for k = 1..K, K sized by the rule's own error estimate (_halvings),
 and integrates the panel at 0 in a variable where the density is constant.
 Spectra and covariances then take one round in the common case, a few at
 most at any exponent, the same adaptive error control certifies them, and
-no node is ever subnormal,
-even for exponents near -1 whose mass lies mostly below 1e-300.
+no node is ever subnormal, even for exponents near -1 whose mass lies
+mostly below 1e-300.
 
 An integrand returns either an array with the node axis last, reduced by
 _dense_sums, or a pair of factors, rows (nodes, J, K) and cols
@@ -76,7 +78,7 @@ _VALUES_PER_CALL = 2 ** 20
 # |v| @ w at 1k-100k rows, and integrate_measure's f(mus) @ masses.
 _SERIAL_GEMM = 2 ** 18
 _MAX_BISECT = 128
-# Panels after which integrate_vector stops bisecting and raises AccuracyError.
+# Panels per integral after which integrate_vector stops bisecting, raising AccuracyError.
 _MAX_PANELS = 2000
 _ATOL = 1e-15
 _TINY = np.finfo(float).tiny
@@ -158,20 +160,18 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray, reduce, width: int):
     return half[:, None] * ints, err, float(rounding.sum())
 
 
-def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
-                     breakpoints=()):
-    """Integrate a vector-valued integrand over [lo, hi].
+def integrate_vector(f, lo, hi, *, rtol: float = 1e-9):
+    """Integrate a vector-valued integrand over the panels [lo[i], hi[i]].
 
     f takes a 1D array of nodes and either puts the node axis last, or
     returns the pair (rows (nodes, J, K), cols (nodes, K, B)) whose value at
     a node is rows @ cols; the result has the shape of one node's values.
     f must accept an empty array of nodes: its values then have a node axis
     of length 0, or its factors 0 rows, which picks the rule and the shape.
-    breakpoints inside the interval (e.g. where a derivative jumps) seed the
-    initial panel subdivision.
+    The panels are disjoint, with breakpoints (e.g. where a derivative
+    jumps) among their ends; one error control covers the sum over them.
     """
-    inner = sorted({p for p in breakpoints if lo < p < hi})
-    a, b = np.array([lo, *inner], dtype=float), np.array([*inner, hi], dtype=float)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     probe = f(np.empty(0))  # zero nodes give the rule and the shape
     if isinstance(probe, tuple):
         reduce, shape = _factored_sums, (probe[0].shape[1], probe[1].shape[2])
@@ -205,7 +205,7 @@ def integrate_vector(f, lo: float, hi: float, *, rtol: float = 1e-9,
     # Each test is written so that NaN fails it.
     if not (converged and err <= 10.0 * tolerance() and np.all(np.abs(total) < np.inf)):
         raise AccuracyError(
-            f"quadrature over [{lo}, {hi}] did not reach its tolerance "
+            f"quadrature over [{a.min()}, {b.max()}] did not reach its tolerance "
             f"(error estimate {err:.3e})",
             estimate=total.reshape(shape), error=err,
         )
@@ -272,6 +272,16 @@ def _halvings(exponent: float, rtol: float) -> int:
     return math.ceil(min(math.log2(ratio) / (exponent + 1.0), math.log2(8.0 / rtol)))
 
 
+def _split(values, masses: np.ndarray):
+    """f's values at the atoms leading its nodes, summed exactly (values @ masses,
+    or for factors the sum of mass * rows @ cols), and at the nodes after them."""
+    n = masses.size
+    if isinstance(values, tuple):
+        rows, cols = values
+        return np.einsum("ajk,a,akb->jb", rows[:n], masses, cols[:n]), (rows[n:], cols[n:])
+    return values[..., :n] @ masses, values[..., n:]
+
+
 def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
                       breakpoints=()):
     """Integral of f(mu) over G(d mu).
@@ -279,11 +289,14 @@ def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
     f takes a 1D array of wave numbers and puts that axis last, or returns
     factors as integrate_vector takes them; as there, it must accept an
     empty array, returning a node axis of length 0 or factors with 0 rows.
-    The atoms go in as one array, so f(mus) @ masses sums them exactly (for
-    factors, the sum over atoms of mass * rows @ cols); each segment's
-    f(mu) * A mu^a goes to integrate_vector, one call per segment, its
-    panels split at the breakpoints. The empty measure gives zeros of f's
-    shape.
+    All segments go to one integrate_vector run on their panels, split at
+    the breakpoints, with one error control: rtol times the largest
+    component of the sum over segments. Each node's f(mu) is weighted by
+    its segment's density A mu^a. The atoms' wave numbers lead the nodes of
+    the first call with nodes, and _split sums their values exactly, so f
+    sees one probe and, where the first round converges, one call with
+    nodes. Without segments f is called once, at the atoms; the empty
+    measure gives zeros of f's shape.
 
     A segment on [0, hi] with non-integer a gets the breakpoints hi 2^-k,
     k = 1..K, with K from _halvings. On the panel at 0, [0, h] with
@@ -294,33 +307,44 @@ def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
     """
     mus = np.array([mu for mu, _ in measure.atoms])
     masses = np.array([mass for _, mass in measure.atoms])
-    total = 0.0
-    if measure.atoms or not measure.segments:
-        values = f(mus)
-        if isinstance(values, tuple):
-            total = np.einsum("ajk,a,akb->jb", values[0], masses, values[1])
-        else:
-            total = values @ masses
-    for seg in measure.segments:
-        a = seg.exponent
-        k = _halvings(a, rtol) if _origin_singular(seg) else 0
-        h = math.ldexp(seg.hi, -k) if k else 0.0  # the panel [0, h] at the origin
+    if not measure.segments:
+        return _split(f(mus), masses)[0]
+    segs = sorted(measure.segments, key=lambda seg: seg.lo)
+    starts, amplitudes, exponents = np.array([
+        (seg.lo, seg.amplitude, seg.exponent) for seg in segs]).T
+    # Only the first segment can start at 0; the panel [0, h] is at the origin.
+    a = segs[0].exponent
+    k = _halvings(a, rtol) if _origin_singular(segs[0]) else 0
+    h = math.ldexp(segs[0].hi, -k) if k else 0.0
+    points = [math.ldexp(segs[0].hi, -j) for j in range(1, k + 1)]
+    points += [h * (p / h) ** (a + 1.0) if 0.0 < p < h else p for p in breakpoints]
+    ends = [(seg.lo, *sorted({p for p in points if seg.lo < p < seg.hi}), seg.hi)
+            for seg in segs]
+    lo = [e for seg_ends in ends for e in seg_ends[:-1]]
+    hi = [e for seg_ends in ends for e in seg_ends[1:]]
+    atoms = []  # their sum, from the first call with nodes
 
-        def integrand(x, seg=seg, a=a, h=h):
-            # mu = x above h; below it x = h (mu/h)^(a+1), where the
-            # density A mu^a dmu is the constant A h^a / (a+1) dx.
-            mu, density = x, seg.amplitude * np.maximum(x, h) ** a
-            if h:
-                inner = x < h
-                mu = np.where(inner, np.maximum(
-                    h * np.minimum(x / h, 1.0) ** (1.0 / (a + 1.0)), _TINY), x)
-                density[inner] /= a + 1.0
-            values = f(mu)
-            if isinstance(values, tuple):
-                return values[0] * density[:, None, None], values[1]
-            return values * density
-        points = [math.ldexp(seg.hi, -j) for j in range(1, k + 1)]
-        points += [h * (p / h) ** (a + 1.0) if 0.0 < p < h else p for p in breakpoints]
-        total = total + integrate_vector(integrand, seg.lo, seg.hi, rtol=rtol,
-                                         breakpoints=points)
-    return total
+    def integrand(x):
+        # Nodes lie inside panels, so the last start at or below x is their
+        # segment's. mu = x above h; below it x = h (mu/h)^(a+1), where the
+        # density A mu^a dmu is the constant A h^a / (a+1) dx.
+        which = np.searchsorted(starts, x, side="right") - 1
+        mu, density = x, amplitudes[which] * np.maximum(x, h) ** exponents[which]
+        if h:
+            inner = x < h
+            mu = np.where(inner, np.maximum(
+                h * np.minimum(x / h, 1.0) ** (1.0 / (a + 1.0)), _TINY), x)
+            density[inner] /= a + 1.0
+        n = mus.size if x.size and not atoms else 0
+        exact, values = _split(f(np.concatenate([mus, mu]) if n else mu), masses[:n])
+        if n:
+            atoms.append(exact)
+        if isinstance(values, tuple):
+            return values[0] * density[:, None, None], values[1]
+        return values * density
+    try:
+        total = integrate_vector(integrand, lo, hi, rtol=rtol)
+    except AccuracyError as err:
+        err.estimate = sum(atoms, err.estimate)
+        raise
+    return sum(atoms, 0.0) + total

@@ -86,7 +86,11 @@ def _grid(value) -> list[int]:
     value = value.lower().split("x") if isinstance(value, str) else value
     if not isinstance(value, list) or len(value) != 2:
         raise argparse.ArgumentTypeError("expected NTHETAxNPHI, e.g. 32x64")
-    return [_count(v) for v in value]
+    n_theta, n_phi = (_count(v) for v in value)
+    if n_theta < 2 or n_phi < 4:
+        raise argparse.ArgumentTypeError(
+            f"NTHETAxNPHI needs NTHETA >= 2 and NPHI >= 4, got {n_theta}x{n_phi}")
+    return [n_theta, n_phi]
 
 
 def _config(value) -> dict:

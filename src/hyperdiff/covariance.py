@@ -56,6 +56,9 @@ def _validate_query(gamma, t: float, t_prime: float) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
     if not np.all((g >= 0.0) & (g <= math.pi)):  # written so that NaN fails it
         raise ValueError("angular distance must lie in [0, pi]")
+    for name, time in (("t", t), ("t_prime", t_prime)):
+        if np.ndim(time):
+            raise ValueError(f"time {name} must be a scalar, got shape {np.shape(time)}")
     _nonnegative("times", (t, t_prime))
     return g
 

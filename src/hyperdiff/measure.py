@@ -138,17 +138,6 @@ class SpectralMeasure:
         except OverflowError:
             return math.inf
 
-    def support_lower_bound(self) -> float:
-        """Largest delta such that the measure has no mass in [0, delta).
-
-        Equals the smallest atom location / segment start; 0 when a segment
-        starts at the origin.
-        """
-        if self.is_empty:
-            raise ValueError("support_lower_bound is undefined for the zero measure")
-        candidates = [mu for mu, _ in self.atoms] + [s.lo for s in self.segments]
-        return min(candidates)
-
     def support_upper_bound(self) -> float:
         """Smallest M such that the measure has no mass above M."""
         if self.is_empty:

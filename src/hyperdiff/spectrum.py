@@ -211,7 +211,7 @@ def finite_variance_check(measure: SpectralMeasure, params: DiffusionParams,
     with np.errstate(over="ignore"):
         exp_moment = float(np.exp(np.logaddexp.reduce(logs, initial=-np.inf)))
     tail = _weighted_tail(0, measure, params, 0.0, 1.0 + 2.0 * alpha, 64)
-    return FiniteVarianceReport(alpha=alpha, weighted_sum=tail.value,
+    return FiniteVarianceReport(alpha=alpha, weighted_sum=float(tail.value),
                                 stopped_at=tail.stopped_at, converged=tail.converged,
                                 exp_moment=exp_moment,
                                 exp_moment_finite=math.isfinite(exp_moment))

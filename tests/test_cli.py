@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperdiff import _quad, cli, entropy1d, field_sim
+from hyperdiff import _quad, cli, covariance, entropy1d, field_sim, spectrum
 from hyperdiff.cli import main
 from hyperdiff.covariance import (MAX_LAGS, covariance_legendre, covariance_spectral,
                                   integrated_abs_covariance)
@@ -173,9 +173,9 @@ class TestSpectrumCommand:
         calls = []
         real = _quad.integrate_vector
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:3])
-            return real(*args, **kwargs)
+        def counting(f, lo, hi, **kwargs):
+            calls.append((min(lo), max(hi)))
+            return real(f, lo, hi, **kwargs)
         monkeypatch.setattr(_quad, "integrate_vector", counting)
         out = str(tmp_path / "run")
         assert main(["spectrum", "--config", origin_segment_config, "--lmax", "4",
@@ -187,20 +187,37 @@ class TestSpectrumCommand:
     def test_one_integrand_call_with_nodes(self, origin_segment_config, tmp_path,
                                            monkeypatch):
         # The first Gauss-Kronrod round meets the tolerance, and the probe
-        # that picks the rule carries no nodes.
+        # that picks the rule carries no nodes: the kernels see one probe and
+        # one call with nodes per integral, whatever the segments, with the
+        # atoms' wave numbers in that call.
         sizes = []
-        real = _quad.integrate_vector
+        real = _quad.integrate_measure
 
         def counting(f, *args, **kwargs):
-            def counted(x):
-                sizes.append(x.size)
-                return f(x)
+            def counted(mu):
+                sizes.append(mu.size)
+                return f(mu)
             return real(counted, *args, **kwargs)
-        monkeypatch.setattr(_quad, "integrate_vector", counting)
-        assert main(["spectrum", "--config", origin_segment_config, "--lmax", "4",
-                     "--times", "0,0.5,2", "--out", str(tmp_path / "run")]) == 0
-        assert sizes[0] == 0
-        assert len([n for n in sizes if n]) == 1
+        for module in (spectrum, covariance):
+            monkeypatch.setattr(module, "integrate_measure", counting)
+        two_segments = tmp_path / "two.json"
+        two_segments.write_text(json.dumps({
+            "params": {"c": 1.0, "D": 1.0},
+            "measure": {"atoms": [{"mu": 1.5, "mass": 0.4}, {"mu": 4.0, "mass": 0.2}],
+                        "segments": [{"lo": 2.0, "hi": 3.0, "amplitude": 0.7,
+                                      "exponent": 1.2},
+                                     {"lo": 0.0, "hi": 1.0, "amplitude": 1.0,
+                                      "exponent": 0.5}]}}))
+        queries = (["spectrum", "--lmax", "4", "--times", "0,0.5,2"],
+                   ["covariance", "--gammas", "0,0.5,3", "--t", "0.2",
+                    "--t-prime", "0.7"])
+        for atoms, config in ((0, origin_segment_config), (2, str(two_segments))):
+            for query in queries:
+                sizes.clear()
+                out = str(tmp_path / f"{query[0]}{atoms}")
+                assert main([*query, "--config", config, "--out", out]) == 0
+                assert len(sizes) == 2 and sizes[0] == 0
+                assert sizes[1] % 21 == atoms
 
 
 class TestCovarianceCommand:
@@ -511,8 +528,8 @@ class TestSimulateCommand:
         assert rc == 2
 
     def test_failed_run_leaves_nothing(self, atom_config, tmp_path, monkeypatch):
-        # a 1x1 grid fails in synthesis, before anything is written, so not
-        # even a work directory is made
+        # a 1x1 grid fails as --grid is converted, before anything is
+        # written, so not even a work directory is made
         made = []
         monkeypatch.setattr(tempfile, "mkdtemp", lambda **kwargs: made.append(kwargs))
         out = tmp_path / "o"
@@ -545,6 +562,28 @@ class TestSimulateCommand:
         assert err.startswith("error:") and name in err
         assert not out.exists()
         assert os.listdir(tmp_path) == ["atom.json"]
+
+    @pytest.mark.parametrize("grid", ["1x8", "8x2"])
+    def test_small_grid_rejected_before_drawing(self, grid, atom_config, tmp_path,
+                                                capsys, monkeypatch):
+        # synthesis needs NTHETA >= 2 and NPHI >= 4; --grid checks them as it
+        # converts the value, on the command line and in a manifest
+        def no_draw(*args):
+            raise AssertionError("drew coefficients")
+
+        monkeypatch.setattr(field_sim, "_draw", no_draw)
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", atom_config, "--lmax", "3",
+                   "--grid", grid, "--times", "0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--grid" in err and grid in err
+        settings = {**RECORDED["simulate"][1], "grid": [int(n) for n in grid.split("x")]}
+        path = write_manifest(tmp_path / "m.json", "simulate", settings)
+        assert main(["rerun", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'grid'" in err and grid in err
+        assert sorted(os.listdir(tmp_path)) == ["atom.json", "m.json"]
 
     @pytest.mark.parametrize("lmax, n_runs, drawn", [
         ("64", "100000", False), ("1", "10000000", True), ("1", "10000001", False),

@@ -94,6 +94,16 @@ class TestSpectralRoute:
             with pytest.raises(ValueError):
                 covariance_legendre(bad, 0.0, 0.0, ATOM1, P11, 8)
 
+    @pytest.mark.parametrize("name, times", [("t", ([0.1, 0.2], 0.1)),
+                                             ("t_prime", (0.1, np.array([0.1, 0.2]))),
+                                             ("t", ([0.1, 0.2], [0.1, 0.2]))])
+    def test_times_must_be_scalars(self, name, times):
+        # an array of times used to fail inside the quadrature, in numpy's matmul
+        with pytest.raises(ValueError, match=f"time {name} must be a scalar"):
+            covariance_spectral(0.3, *times, ATOM1, P11)
+        with pytest.raises(ValueError, match=f"time {name} must be a scalar"):
+            covariance_legendre(0.3, *times, ATOM1, P11, 8)
+
 
 class TestLegendreRoute:
     def test_matches_spectral_at_zero(self):

@@ -68,6 +68,21 @@ class TestSimulateCoefficients:
         ratios = cs.coeffs[1][nz] / cs.coeffs[0][nz]
         assert np.allclose(ratios, factor, rtol=1e-12)
 
+    def test_cross_time_moments_match_spectrum(self):
+        # E a_lm(t) conj(a_lm(t')) = C_l(t, t') on three atoms, whose draws
+        # do not factor in time as a single atom's do
+        n_runs, l_count, times = 1500, 5, (0.0, 0.4, 1.3)
+        pairs = ((0, 1), (0, 2), (1, 2))
+        draws = [simulate_coefficients(l_count, times, ATOMS3, P11, seed=s).coeffs
+                 for s in range(n_runs)]
+        cross = np.array([[np.sum(c[i] * np.conj(c[j]), axis=-1).real for i, j in pairs]
+                          for c in draws]) / (2 * np.arange(l_count) + 1)
+        estimate = cross.mean(axis=0)
+        std_error = cross.std(axis=0, ddof=1) / math.sqrt(n_runs)
+        for k, (i, j) in enumerate(pairs):
+            spec = angular_spectrum(l_count, times[i], times[j], ATOMS3, P11)
+            assert np.all(np.abs(estimate[k] - spec) <= 5 * std_error[k])
+
     def test_second_moment_matches_spectrum(self):
         estimate, std_error, _ = ensemble_spectrum(4, (0.0,), ATOMS3, P11,
                                                    master_seed=123, n_runs=1500)

@@ -131,28 +131,14 @@ class TestPowerLawIntegral:
 
 
 class TestSupportBounds:
-    def test_single_atom(self):
-        assert SpectralMeasure(atoms=((3.0, 1.0),)).support_lower_bound() == 3.0
-
     def test_atom_and_segment(self):
         m = SpectralMeasure(atoms=((3.0, 1.0),),
                             segments=(PowerLawSegment(0.5, 1.0, 1.0, 0.0),))
-        assert m.support_lower_bound() == 0.5
         assert m.support_upper_bound() == 3.0
-
-    def test_segment_at_origin(self):
-        m = SpectralMeasure(segments=(PowerLawSegment(0.0, 1.0, 1.0, 0.5),))
-        assert m.support_lower_bound() == 0.0
 
     def test_empty_measure_errors(self):
         with pytest.raises(ValueError):
-            SpectralMeasure().support_lower_bound()
-
-    def test_positive_iff_gap_at_origin(self):
-        gap = SpectralMeasure(atoms=((0.2, 1.0),))
-        touching = SpectralMeasure(segments=(PowerLawSegment(0.0, 0.1, 1.0, 0.0),))
-        assert gap.support_lower_bound() > 0.0
-        assert touching.support_lower_bound() == 0.0
+            SpectralMeasure().support_upper_bound()
 
 
 class TestRoundTrip:

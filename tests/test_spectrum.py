@@ -347,6 +347,7 @@ class TestFiniteVariance:
     def test_alpha_zero_reduces_to_variance_sum(self):
         m = SpectralMeasure(atoms=((0.5, 0.3), (2.0, 0.7)))
         report = finite_variance_check(m, P11, 0.0)
+        assert type(report.weighted_sum) is float
         assert report.weighted_sum == pytest.approx(4 * math.pi * m.total_mass(),
                                                     rel=1e-10)
 
@@ -394,7 +395,7 @@ class TestQuadWrapper:
         monkeypatch.setattr(_quad, "_MAX_PANELS", 2)
         with pytest.raises(AccuracyError) as err:
             integrate_vector(lambda x: np.cos(1e4 * x)[None, :],
-                             0.0, 1.0, rtol=1e-13)
+                             [0.0], [1.0], rtol=1e-13)
         assert err.value.estimate is not None
 
     @staticmethod
@@ -424,14 +425,14 @@ class TestQuadWrapper:
         # cos converges on the first round, so its first call gets the NaN
         f, calls = self.nan_in_call(np.cos, 1)
         with pytest.raises(AccuracyError) as err:
-            integrate_vector(f, 0.0, 1.0)
+            integrate_vector(f, [0.0], [1.0])
         assert calls[0] == 21
         assert not math.isfinite(err.value.error)
 
     def test_nan_in_factors_raises(self):
         f, calls = self.nan_in_call(self.cos_factors(1.0), 1)
         with pytest.raises(AccuracyError) as err:
-            integrate_vector(f, 0.0, 1.0)
+            integrate_vector(f, [0.0], [1.0])
         assert calls[0] == 21
         assert not math.isfinite(err.value.error)
 
@@ -443,34 +444,34 @@ class TestQuadWrapper:
         values = self.cos_factors(40.0) if factored else (lambda x: np.cos(40.0 * x))
         f, calls = self.nan_in_call(values, 3)
         with pytest.raises(AccuracyError) as err:
-            integrate_vector(f, 0.0, 1.0)
+            integrate_vector(f, [0.0], [1.0])
         assert len(calls) == 3
         assert not math.isfinite(err.value.error)
 
     def test_one_rule_call_when_the_first_round_converges(self, monkeypatch):
         counts = TestOriginSegments.count_rule_calls(monkeypatch)
-        got = integrate_vector(lambda x: x[None, :] ** 3, 0.0, 1.0, breakpoints=(0.5,))
+        got = integrate_vector(lambda x: x[None, :] ** 3, [0.0, 0.5], [0.5, 1.0])
         assert counts == {"calls": 1, "panels": 2}
         assert got[0] == pytest.approx(0.25, rel=1e-15)
 
     def test_initial_panels_at_the_limit_still_converge(self, monkeypatch):
-        # Two breakpoint panels reach the limit of 2 before any bisection.
+        # Two initial panels reach the limit of 2 before any bisection.
         monkeypatch.setattr(_quad, "_MAX_PANELS", 2)
-        got = integrate_vector(lambda x: x[None, :] ** 3, 0.0, 1.0,
-                               breakpoints=(0.5,))
+        got = integrate_vector(lambda x: x[None, :] ** 3, [0.0, 0.5], [0.5, 1.0])
         assert got[0] == pytest.approx(0.25, rel=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), split=st.booleans())
     def test_factored_rule_matches_dense_rule(self, seed, split):
-        # the kink sits on a breakpoint inside the segment, or outside it
+        # the kink sits on a panel end inside the interval, or outside it
         rng = np.random.default_rng(seed)
         lo = float(rng.uniform(0.0, 2.0))
         hi = lo + float(rng.uniform(0.5, 5.0))
         kink = float(rng.uniform(lo, hi)) if split else lo - 1.0
         factors, dense = rank2_integrand(rng, kink)
-        got = integrate_vector(factors, lo, hi, breakpoints=(kink,))
-        expected = integrate_vector(dense, lo, hi, breakpoints=(kink,))
+        panels = ([lo, kink], [kink, hi]) if split else ([lo], [hi])
+        got = integrate_vector(factors, *panels)
+        expected = integrate_vector(dense, *panels)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
 
@@ -479,7 +480,7 @@ class TestQuadWrapper:
 
         def f(x):
             return np.abs(x - 0.3) ** 0.5 * x ** powers + np.sin(7.0 * x)
-        got = integrate_vector(f, 0.0, 2.0, breakpoints=(0.3,), rtol=1e-12)
+        got = integrate_vector(f, [0.0, 0.3], [0.3, 2.0], rtol=1e-12)
         oracle, _ = quad_vec(lambda x: f(np.array([x]))[:, 0], 0.0, 2.0,
                              epsrel=1e-12, norm="max", points=[0.3])
         assert got.shape == (6,)
@@ -490,7 +491,7 @@ class TestQuadWrapper:
 
         def f(x):
             return np.cos(lags * x) * np.exp(-x) * x ** 0.4
-        got = integrate_vector(f, 0.0, 3.0, breakpoints=(1.1,))
+        got = integrate_vector(f, [0.0, 1.1], [1.1, 3.0])
         oracle, _ = quad_vec(lambda x: f(np.array([x]))[:, 0], 0.0, 3.0,
                              epsrel=1e-9, epsabs=1e-15, norm="max", points=[1.1])
         np.testing.assert_allclose(got, oracle, rtol=1e-10)
@@ -506,7 +507,7 @@ class TestQuadWrapper:
             def f(x):
                 sizes.append(x.size)
                 return np.exp(-rows * x) * np.sqrt(x)
-            integrate_vector(f, 0.0, 2.0, breakpoints=(0.5,))
+            integrate_vector(f, [0.0, 0.5], [0.5, 2.0])
             assert sizes[0] == 0  # the probe carries no nodes
             calls = sizes[1:]
             assert calls and all(n % 21 == 0 for n in calls)
@@ -568,6 +569,22 @@ class TestIntegrateMeasure:
         got = integrate_measure(self.f, EMPTY)
         assert got.shape == (3,)
         assert np.all(got == 0.0)
+
+    def test_nonconvergence_carries_the_whole_estimate(self, monkeypatch):
+        # One integral over both segments: its estimate holds the atoms and
+        # every segment, within the error it reports.
+        def f(mu):
+            return np.stack([np.cos(30.0 * mu), np.exp(-mu)])
+        expected = integrate_measure(f, self.MIXED, rtol=1e-10)
+        monkeypatch.setattr(_quad, "_MAX_PANELS", 2)
+        with pytest.raises(AccuracyError) as err:
+            integrate_measure(f, self.MIXED, rtol=1e-13)
+        assert np.all(np.abs(err.value.estimate - expected) <= err.value.error)
+        with pytest.raises(AccuracyError) as segments:
+            integrate_measure(f, SpectralMeasure(segments=self.MIXED.segments), rtol=1e-13)
+        atoms = f(np.array([1.8, 2.2])) @ np.array([0.7, 0.4])
+        np.testing.assert_allclose(err.value.estimate, segments.value.estimate + atoms,
+                                   rtol=1e-14)
 
     def test_atom_only_measure_skips_quadrature(self, monkeypatch):
         def forbidden(*args, **kwargs):
