@@ -4,18 +4,19 @@ integrate_measure is the one place where a kernel is integrated against
 G(d mu): all power-law segments go, as one panel set, to one run of
 integrate_vector, an adaptive Gauss-Kronrod (G10, K21) integrator for
 vector-valued integrands, and the atoms, summed exactly, ride in its first
-call with nodes. Its rule and error estimate are QUADPACK's (Piessens et
+integrand call. Its rule and error estimate are QUADPACK's (Piessens et
 al. 1983); its subdivision is global: each round bisects the panels with
 the largest error estimates together, in whichever segment, error control
 on the dominant component (max norm) of the whole integral. As in
 QUADPACK's QAG, the convergence test covers the first round too, so an
 integrand the initial panels resolve is evaluated once. The nodes of a
 round go to the integrand in calls of whole panels, so the kernels only
-ever see arrays, and each call is reduced before the next. One probe call
-with zero nodes per integral tells the rule and the output shape, so no
-kernel value is computed twice. Failure to reach the tolerance, or a
-non-finite result, raises AccuracyError carrying the achieved estimate
-instead of silently returning it.
+ever see arrays, and each call is reduced before the next. The caller
+declares the output shape, and each call's values pick their reduction,
+so the integrand is never called without nodes and no kernel value is
+computed twice. Failure to reach the tolerance, or a non-finite result,
+raises AccuracyError carrying the achieved estimate instead of silently
+returning it.
 
 A segment A mu^a on [0, hi] with a non-integer exponent is singular at 0,
 where bisection alone arrives one panel per round (80 rounds at a = -0.6),
@@ -136,20 +137,32 @@ def _factored_sums(factors, ints: np.ndarray, stats: np.ndarray) -> None:
     stats[1] = np.max(serial_matmul(np.abs(rows), np.abs(kronrod)), (1, 2), initial=0.0)
 
 
-def _gk21(f, lo: np.ndarray, hi: np.ndarray, reduce, width: int):
+def _check_shape(got: tuple, shape: tuple) -> None:
+    if got != shape:
+        raise ValueError(f"integrand values have shape {got}, not the declared {shape}")
+
+
+def _gk21(f, lo: np.ndarray, hi: np.ndarray, shape: tuple):
     """Integral and error estimate of each panel [lo, hi], and the summed
     rounding error of all of them. f gets whole panels, about
-    _VALUES_PER_CALL / width nodes and at least one panel per call, and
-    reduce sums each call's values before the next call. |K - G| is
-    rescaled by the spread where that is nonzero, and is at least the
-    rounding bound."""
+    _VALUES_PER_CALL / width nodes and at least one panel per call, and each
+    call's values, checked against shape, are summed before the next call:
+    by _factored_sums for factors, else by _dense_sums. |K - G| is rescaled
+    by the spread where that is nonzero, and is at least the rounding bound."""
     half = 0.5 * (hi - lo)
+    width = math.prod(shape)
     ints, stats = np.empty((lo.size, width)), np.zeros((3, lo.size))
     step = max(1, _VALUES_PER_CALL // (21 * max(width, 1)))
     for p in range(0, lo.size, step):
         chunk = slice(p, p + step)
         x = (0.5 * (lo + hi)[chunk, None] + half[chunk, None] * _NODES).ravel()
-        reduce(f(x), ints[chunk], stats[:, chunk])
+        values = f(x)
+        if isinstance(values, tuple):
+            _check_shape((values[0].shape[1], values[1].shape[2]), shape)
+            _factored_sums(values, ints[chunk], stats[:, chunk])
+        else:
+            _check_shape(np.shape(values), (*shape, x.size))
+            _dense_sums(values, ints[chunk], stats[:, chunk])
     err, s_abs, spread = stats
     err, spread = half * err, half * spread
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -160,25 +173,20 @@ def _gk21(f, lo: np.ndarray, hi: np.ndarray, reduce, width: int):
     return half[:, None] * ints, err, float(rounding.sum())
 
 
-def integrate_vector(f, lo, hi, *, rtol: float = 1e-9):
+def integrate_vector(f, lo, hi, shape, *, rtol: float = 1e-9):
     """Integrate a vector-valued integrand over the panels [lo[i], hi[i]].
 
     f takes a 1D array of nodes and either puts the node axis last, or
     returns the pair (rows (nodes, J, K), cols (nodes, K, B)) whose value at
-    a node is rows @ cols; the result has the shape of one node's values.
-    f must accept an empty array of nodes: its values then have a node axis
-    of length 0, or its factors 0 rows, which picks the rule and the shape.
+    a node is rows @ cols; one node's values have the declared shape, which
+    is the result's, (J, B) for factors, and ValueError is raised otherwise.
+    f is only ever called with nodes.
     The panels are disjoint, with breakpoints (e.g. where a derivative
     jumps) among their ends; one error control covers the sum over them.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    probe = f(np.empty(0))  # zero nodes give the rule and the shape
-    if isinstance(probe, tuple):
-        reduce, shape = _factored_sums, (probe[0].shape[1], probe[1].shape[2])
-    else:
-        reduce, shape = _dense_sums, np.shape(probe)[:-1]
-    width = math.prod(shape)
-    ints, errs, rounding = _gk21(f, a, b, reduce, width)
+    shape = tuple(shape)
+    ints, errs, rounding = _gk21(f, a, b, shape)
 
     def tolerance():
         return max(_ATOL, rtol * float(np.max(np.abs(ints.sum(axis=0)), initial=0.0)))
@@ -192,7 +200,7 @@ def integrate_vector(f, lo, hi, *, rtol: float = 1e-9):
         split, keep = np.split(order, [min(_MAX_BISECT, 1 + np.count_nonzero(covered))])
         mid = 0.5 * (a[split] + b[split])
         lo_c, hi_c = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
-        ints_c, errs_c, rounding_c = _gk21(f, lo_c, hi_c, reduce, width)
+        ints_c, errs_c, rounding_c = _gk21(f, lo_c, hi_c, shape)
         a, b = np.concatenate([a[keep], lo_c]), np.concatenate([b[keep], hi_c])
         ints = np.concatenate([ints[keep], ints_c])
         errs = np.concatenate([errs[keep], errs_c])
@@ -263,10 +271,16 @@ def _halvings(exponent: float, rtol: float) -> int:
     integral. K is at most log2(8/rtol): the panel at 0 is then at most
     rtol/8 of the segment long, and integrate_measure integrates it where
     the density is constant, so only f's change across it is left.
+
+    i1 and e1 are _gk21's on [0, 1], without its factors 1/2, which cancel.
     """
-    ints, errs, _ = _gk21(lambda x: x ** exponent, np.zeros(1), np.ones(1),
-                          _dense_sums, 1)
-    ratio = errs[0] / (rtol / 8.0 * ints[0, 0])
+    v = (0.5 + 0.5 * _NODES) ** exponent
+    kronrod, gauss = v @ _WEIGHTS.T
+    spread = np.abs(v - 0.5 * kronrod) @ _WEIGHTS[0]
+    err = abs(kronrod - gauss)
+    if err and spread:
+        err = spread * min(1.0, (200.0 * err / spread) ** 1.5)
+    ratio = max(err, 50.0 * np.finfo(float).eps * kronrod) / (rtol / 8.0 * kronrod)
     if not ratio > 1.0:  # also NaN, where mu^a underflows at every node
         return 0
     return math.ceil(min(math.log2(ratio) / (exponent + 1.0), math.log2(8.0 / rtol)))
@@ -282,21 +296,20 @@ def _split(values, masses: np.ndarray):
     return values[..., :n] @ masses, values[..., n:]
 
 
-def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
+def integrate_measure(f, measure: SpectralMeasure, shape, *, rtol: float = 1e-9,
                       breakpoints=()):
-    """Integral of f(mu) over G(d mu).
+    """Integral of f(mu) over G(d mu), an array of the declared shape.
 
     f takes a 1D array of wave numbers and puts that axis last, or returns
-    factors as integrate_vector takes them; as there, it must accept an
-    empty array, returning a node axis of length 0 or factors with 0 rows.
+    factors as integrate_vector takes them; as there, one wave number's
+    values have the declared shape, and f is only ever called with nodes.
     All segments go to one integrate_vector run on their panels, split at
     the breakpoints, with one error control: rtol times the largest
     component of the sum over segments. Each node's f(mu) is weighted by
     its segment's density A mu^a. The atoms' wave numbers lead the nodes of
-    the first call with nodes, and _split sums their values exactly, so f
-    sees one probe and, where the first round converges, one call with
-    nodes. Without segments f is called once, at the atoms; the empty
-    measure gives zeros of f's shape.
+    the first call, and _split sums their values exactly, so where the
+    first round converges f is called once. Without segments f is called
+    once, at the atoms; the empty measure gives zeros without calling f.
 
     A segment on [0, hi] with non-integer a gets the breakpoints hi 2^-k,
     k = 1..K, with K from _halvings. On the panel at 0, [0, h] with
@@ -305,10 +318,15 @@ def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
     nodes mu never go below the smallest normal double, where f takes its
     value at 0 to rounding. Breakpoints below h move with the map.
     """
+    shape = tuple(shape)
+    if measure.is_empty:
+        return np.zeros(shape)
     mus = np.array([mu for mu, _ in measure.atoms])
     masses = np.array([mass for _, mass in measure.atoms])
     if not measure.segments:
-        return _split(f(mus), masses)[0]
+        total = _split(f(mus), masses)[0]
+        _check_shape(np.shape(total), shape)
+        return total
     segs = sorted(measure.segments, key=lambda seg: seg.lo)
     starts, amplitudes, exponents = np.array([
         (seg.lo, seg.amplitude, seg.exponent) for seg in segs]).T
@@ -322,7 +340,7 @@ def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
             for seg in segs]
     lo = [e for seg_ends in ends for e in seg_ends[:-1]]
     hi = [e for seg_ends in ends for e in seg_ends[1:]]
-    atoms = []  # their sum, from the first call with nodes
+    atoms = []  # their sum, from the first call
 
     def integrand(x):
         # Nodes lie inside panels, so the last start at or below x is their
@@ -335,7 +353,7 @@ def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
             mu = np.where(inner, np.maximum(
                 h * np.minimum(x / h, 1.0) ** (1.0 / (a + 1.0)), _TINY), x)
             density[inner] /= a + 1.0
-        n = mus.size if x.size and not atoms else 0
+        n = 0 if atoms else mus.size
         exact, values = _split(f(np.concatenate([mus, mu]) if n else mu), masses[:n])
         if n:
             atoms.append(exact)
@@ -343,7 +361,7 @@ def integrate_measure(f, measure: SpectralMeasure, *, rtol: float = 1e-9,
             return values[0] * density[:, None, None], values[1]
         return values * density
     try:
-        total = integrate_vector(integrand, lo, hi, rtol=rtol)
+        total = integrate_vector(integrand, lo, hi, shape=shape, rtol=rtol)
     except AccuracyError as err:
         err.estimate = sum(atoms, err.estimate)
         raise

@@ -8,9 +8,10 @@ as an argument whose dest is its settings key and whose converter and choices
 the command line and `rerun` both apply; the parser is built once per
 process. A run computes all its outputs first, without touching the disk;
 then one writer puts them and the manifest into a temporary directory
-(inside --out if it exists, else in its nearest existing ancestor), and the
-files move into --out only once everything was written, so a failed run
-leaves nothing behind.
+(inside --out if it exists, else in its nearest existing ancestor), which
+is renamed into place when --out is new, or whose files move into an
+existing --out, only once everything was written, so a failed run leaves
+nothing behind.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical accuracy error
 or an inf or nan result, 4 I/O error, 5 any other error (e.g. out of memory).
@@ -331,8 +332,11 @@ def _execute(subcommand: str, settings: dict, out: str) -> int:
             raise AccuracyError(f"{name} would hold inf or nan; nothing was written")
     # The work directory sits in --out if it exists, else in its nearest
     # existing ancestor: the final renames stay on one file system, need no
-    # write access above --out, and a failure creates nothing.
-    base = os.path.abspath(out)
+    # write access above --out, and a failure creates nothing. A new --out
+    # is the work directory itself, renamed into place with the mode
+    # os.makedirs would give it; an existing one gets the files one by one.
+    target = os.path.abspath(out)
+    base = target
     while not os.path.isdir(base):
         base = os.path.dirname(base)
     work = tempfile.mkdtemp(prefix=".hyperdiff-", dir=base)
@@ -341,11 +345,20 @@ def _execute(subcommand: str, settings: dict, out: str) -> int:
             _write_file(os.path.join(work, name), content)
         names = list(outputs)
         _write_manifest(work, subcommand, settings, names, started, result)
-        os.makedirs(out, exist_ok=True)
-        for name in names + ["manifest.json"]:
-            os.replace(os.path.join(work, name), os.path.join(out, name))
-    finally:
+        if base == target:
+            for name in names + ["manifest.json"]:
+                os.replace(os.path.join(work, name), os.path.join(out, name))
+            os.rmdir(work)
+        else:
+            umask = os.umask(0o777)  # read by setting; restored at once
+            os.umask(umask)
+            os.chmod(work, 0o777 & ~umask)
+            if os.path.dirname(target) != base:  # --out's parent is new too
+                os.makedirs(os.path.dirname(target), exist_ok=True)
+            os.rename(work, target)
+    except BaseException:
         shutil.rmtree(work, ignore_errors=True)
+        raise
     if subcommand == "memory":  # printed only once the outputs are in place
         print(f"classification: {result['classification']}")
     return 0

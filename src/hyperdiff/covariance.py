@@ -75,7 +75,7 @@ def covariance_spectral(gamma, t: float, t_prime: float,
     def f(mu):
         h = transfer(mu, [[t], [t_prime]], params)
         return _sinc(np.multiply.outer(half_chord, mu)) * (h[0] * h[1])
-    total = integrate_measure(f, measure, breakpoints=(params.cutoff,))
+    total = integrate_measure(f, measure, half_chord.shape, breakpoints=(params.cutoff,))
     return float(total[0]) if np.ndim(g) == 0 else total
 
 
@@ -200,7 +200,7 @@ def covariance_time_lags(gamma: float, t: float, lags: np.ndarray,
                          cmu_g[:, 1:coarse + 1] * -weight], axis=2)
         cols = np.stack([h[:, coarse + 1:], cmu_g[:, coarse + 1:]], axis=1)
         return rows, cols
-    total = integrate_measure(f, measure, breakpoints=(params.cutoff,))
+    total = integrate_measure(f, measure, (coarse, block), breakpoints=(params.cutoff,))
     return total.ravel()[:n].reshape(lags_arr.shape)
 
 

@@ -56,7 +56,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from ._quad import _segment_atoms, serial_matmul
 from .kernel import transfer
@@ -149,7 +148,7 @@ def _moments(table: np.ndarray):
     return table.mean(axis=0), table.std(axis=0, ddof=1) / math.sqrt(len(table))
 
 
-def _fill(normals: np.ndarray, seeds, degrees: range, gen: Generator):
+def _fill(normals: np.ndarray, seeds, degrees: range, gen: np.random.Generator):
     """Draw the Philox stream of each (seed, l), seeds outer and degrees
     inner, into consecutive rows of normals, (rows, atoms, 2); yield the
     number of rows filled whenever normals is full and once at the end.
@@ -241,7 +240,9 @@ def _draw(weights: np.ndarray, seeds, degrees: range):
     out = np.zeros((per_chunk, n_t, len(degrees), width), dtype=complex)
     flat = out.reshape(per_chunk, n_t, -1)
     signs = (-1.0) ** np.arange(half, 0, -1)  # (-1)^m, m = -half .. -1
-    # One generator for every chunk; _fill resets it to each stream.
+    # One generator for every chunk; _fill resets it to each stream. numpy.random
+    # is imported here, so runs that draw nothing never load it.
+    from numpy.random import Generator, Philox
     gen = Generator(Philox(key=0))
     span = None
     for first in range(0, len(seeds), per_chunk):

@@ -92,6 +92,9 @@ def _sph_jn_downward(n_max: int, x: np.ndarray) -> np.ndarray:
     out = np.empty((n_max + 1, x.size))
     v_up = np.zeros(x.size)
     v = np.full(x.size, 1.0e-30)
+    # (2n+1)/x for every step, and three buffers that the carrier rotates through.
+    ratios = (2.0 * np.arange(m_start + 1) + 1.0)[:, None] / x
+    spare = np.empty(x.size)
     # One step multiplies max(|v|, |v_up|) by at most 1 + (2 m_start + 1) / x,
     # so from at most _RESCALE_LIMIT it stays finite for `stride` steps.
     growth = 1.0 + (2 * m_start + 1) / float(np.min(x))
@@ -99,7 +102,9 @@ def _sph_jn_downward(n_max: int, x: np.ndarray) -> np.ndarray:
     for n in range(m_start, -1, -1):
         if n <= n_max:
             out[n] = v
-        v_up, v = v, (2 * n + 1) / x * v - v_up
+        np.multiply(ratios[n], v, out=spare)
+        np.subtract(spare, v_up, out=spare)
+        v_up, v, spare = v, spare, v_up
         if n % stride:
             continue
         big = np.maximum(np.abs(v), np.abs(v_up)) > _RESCALE_LIMIT

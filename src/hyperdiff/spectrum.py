@@ -70,12 +70,14 @@ class FiniteVarianceReport:
 def _cl_block(l_lo: int, l_hi: int, t, t_prime, measure: SpectralMeasure,
               params: DiffusionParams, rtol: float = 1e-9) -> np.ndarray:
     """C_l for l in [l_lo, l_hi), in angular_spectrum's shape and to its
-    tolerance; transfer checks the times."""
+    tolerance."""
+    times = _nonnegative("time", (t, t_prime))[..., None]
+
     def f(mu):
-        h = transfer(mu, np.array([t, t_prime])[..., None], params)
+        h = transfer(mu, times, params)
         return bessel_half_all(l_hi - 1, mu)[l_lo:] ** 2 * (h[0] * h[1] / mu)[..., None, :]
-    return _TWO_PI_SQ * integrate_measure(f, measure, rtol=rtol,
-                                          breakpoints=(params.cutoff,))
+    return _TWO_PI_SQ * integrate_measure(f, measure, times.shape[1:-1] + (l_hi - l_lo,),
+                                          rtol=rtol, breakpoints=(params.cutoff,))
 
 
 def angular_spectrum(l_count: int, t, t_prime, measure: SpectralMeasure,
@@ -158,11 +160,12 @@ def tail_sum_lommel(l_start: int, measure: SpectralMeasure,
     all from one quadrature, with the tolerance relative to the largest tail.
     """
     l_start = _index("l_start", l_start, 1)
-    times = np.asarray(t, dtype=float)[..., None]
+    times = _nonnegative("time", t)[..., None]
 
     def f(mu):
         return mu * _lommel_weight(l_start, mu) * transfer(mu, times, params) ** 2
-    total = _TWO_PI_SQ * integrate_measure(f, measure, breakpoints=(params.cutoff,))
+    total = _TWO_PI_SQ * integrate_measure(f, measure, times.shape[:-1],
+                                           breakpoints=(params.cutoff,))
     return float(total) if np.ndim(t) == 0 else total
 
 
@@ -206,7 +209,7 @@ def finite_variance_check(measure: SpectralMeasure, params: DiffusionParams,
     for seg in measure.segments:
         top = seg.hi * seg.hi / 4.0
         unit = SpectralMeasure(segments=(replace(seg, amplitude=1.0),))
-        scaled = integrate_measure(lambda mu: np.exp(mu * mu / 4.0 - top), unit)
+        scaled = integrate_measure(lambda mu: np.exp(mu * mu / 4.0 - top), unit, ())
         logs.append(math.log(seg.amplitude) + math.log(scaled) + top)
     with np.errstate(over="ignore"):
         exp_moment = float(np.exp(np.logaddexp.reduce(logs, initial=-np.inf)))

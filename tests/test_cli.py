@@ -6,6 +6,7 @@ import os
 import re
 import shlex
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -133,6 +134,38 @@ class TestKernelCommand:
         assert dirs == [str(tmp_path), str(out)]
         assert sorted(os.listdir(out)) == ["kernel.csv", "manifest.json", "new"]
 
+    def test_new_out_gets_the_mode_of_makedirs(self, tmp_path):
+        # the work directory is renamed into place, not left at mkdtemp's 0o700
+        umask = os.umask(0o027)
+        try:
+            assert main(["kernel", "--c", "1", "--D", "1", "--mu", "1", "--t", "1",
+                         "--out", str(tmp_path / "run")]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(os.stat(tmp_path / "run").st_mode) == 0o750
+        assert sorted(os.listdir(tmp_path / "run")) == ["kernel.csv", "manifest.json"]
+
+    def test_out_naming_a_file_exits_4(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        rc = main(["kernel", "--c", "1", "--D", "1", "--mu", "1", "--t", "1",
+                   "--out", str(blocker)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["file"] and blocker.read_text() == "x"
+
+    def test_existing_out_keeps_its_other_files(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        (out / "kernel.csv").write_text("replaced")
+        assert main(["kernel", "--c", "1", "--D", "1", "--mu", "1", "--t", "1",
+                     "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["kernel.csv", "manifest.json", "notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept"
+        assert (out / "kernel.csv").read_text().startswith("mu,t,h1,h2,h")
+
     def test_io_error_exits_4(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -186,10 +219,9 @@ class TestSpectrumCommand:
 
     def test_one_integrand_call_with_nodes(self, origin_segment_config, tmp_path,
                                            monkeypatch):
-        # The first Gauss-Kronrod round meets the tolerance, and the probe
-        # that picks the rule carries no nodes: the kernels see one probe and
-        # one call with nodes per integral, whatever the segments, with the
-        # atoms' wave numbers in that call.
+        # The first Gauss-Kronrod round meets the tolerance: the kernels see
+        # one call per integral, whatever the segments, and it carries the
+        # nodes, with the atoms' wave numbers leading them.
         sizes = []
         real = _quad.integrate_measure
 
@@ -216,8 +248,8 @@ class TestSpectrumCommand:
                 sizes.clear()
                 out = str(tmp_path / f"{query[0]}{atoms}")
                 assert main([*query, "--config", config, "--out", out]) == 0
-                assert len(sizes) == 2 and sizes[0] == 0
-                assert sizes[1] % 21 == atoms
+                assert len(sizes) == 1 and sizes[0] > atoms
+                assert sizes[0] % 21 == atoms
 
 
 class TestCovarianceCommand:
@@ -496,15 +528,31 @@ def test_origin_exponent_near_minus_one(argv, tmp_path, capsys):
     assert np.all(np.isfinite(values)) and np.all(values[:, -1] > 0.0)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    src = str(Path(__file__).parent.parent / "src")
-    code = "import sys, hyperdiff.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+def fresh_python(code: str) -> str:
+    """What code prints in a new interpreter that imports this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, hyperdiff.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    assert fresh_python(code) == "[]"
+
+
+def test_runs_without_draws_leave_numpy_random_unloaded(tmp_path):
+    # field_sim imports numpy.random where it draws, so other runs never load it
+    runs = [["kernel", "--c", "1", "--D", "1", "--mu", "0,1", "--t", "0,1"],
+            ["spectrum", "--config", str(ROOT / "configs" / "two_band.json"),
+             "--lmax", "4", "--times", "0,0.5"],
+            ["entropy1d", "--experiment", "point_source", "--n-intervals", "40"]]
+    runs = [run + ["--out", str(tmp_path / run[0])] for run in runs]
+    code = ("import sys; from hyperdiff.cli import main; "
+            f"print([main(run) for run in {runs!r}], 'numpy.random' in sys.modules)")
+    assert fresh_python(code) == "[0, 0, 0] False"
 
 
 def test_every_export_is_defined():

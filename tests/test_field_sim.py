@@ -240,7 +240,7 @@ class TestBlockedDraw:
             return Philox(*args, **kwargs)
 
         monkeypatch.setattr(field_sim, "_VALUES_PER_BLOCK", 24 * 10)
-        monkeypatch.setattr(field_sim, "Philox", counted)
+        monkeypatch.setattr(np.random, "Philox", counted)
         blocks = sum(1 for _ in _draw(weights, self.SEEDS, range(8)))
         assert blocks == len(self.SEEDS) and len(built) == 1
 

@@ -374,7 +374,8 @@ class TestFiniteVariance:
 
 def rank2_integrand(rng, kink):
     """A random (J, B) integrand of rank 2 with a kink at `kink`, as the
-    factor pair (rows, cols) and as one dense array with nodes last."""
+    factor pair (rows, cols) and as one dense array with nodes last, and
+    its shape (J, B)."""
     n_rows, n_cols = (int(n) for n in rng.integers(1, 7, size=2))
     left, right = rng.normal(size=(n_rows, 2)), rng.normal(size=(2, n_cols))
     freq, rate = rng.uniform(0.5, 6.0, size=2), rng.uniform(0.0, 2.0, size=2)
@@ -387,7 +388,7 @@ def rank2_integrand(rng, kink):
     def dense(x):
         rows, cols = factors(x)
         return np.moveaxis(rows @ cols, 0, -1)
-    return factors, dense
+    return factors, dense, (n_rows, n_cols)
 
 
 class TestQuadWrapper:
@@ -395,22 +396,20 @@ class TestQuadWrapper:
         monkeypatch.setattr(_quad, "_MAX_PANELS", 2)
         with pytest.raises(AccuracyError) as err:
             integrate_vector(lambda x: np.cos(1e4 * x)[None, :],
-                             [0.0], [1.0], rtol=1e-13)
+                             [0.0], [1.0], (1,), rtol=1e-13)
         assert err.value.estimate is not None
 
     @staticmethod
     def nan_in_call(values, nan_call: int):
-        """An integrand whose node-carrying call number nan_call (from 1) gets
-        a NaN at its first node; the probe, with zero nodes, is not counted.
-        Returns it and the list of node counts of those calls."""
+        """An integrand whose call number nan_call (from 1) gets a NaN at its
+        first node. Returns it and the list of node counts of its calls."""
         calls = []
 
         def f(x):
             result = values(x)
-            if x.size:
-                calls.append(x.size)
-                if len(calls) == nan_call:
-                    (result[0] if isinstance(result, tuple) else result)[0] = np.nan
+            calls.append(x.size)
+            if len(calls) == nan_call:
+                (result[0] if isinstance(result, tuple) else result)[0] = np.nan
             return result
         return f, calls
 
@@ -425,14 +424,14 @@ class TestQuadWrapper:
         # cos converges on the first round, so its first call gets the NaN
         f, calls = self.nan_in_call(np.cos, 1)
         with pytest.raises(AccuracyError) as err:
-            integrate_vector(f, [0.0], [1.0])
+            integrate_vector(f, [0.0], [1.0], ())
         assert calls[0] == 21
         assert not math.isfinite(err.value.error)
 
     def test_nan_in_factors_raises(self):
         f, calls = self.nan_in_call(self.cos_factors(1.0), 1)
         with pytest.raises(AccuracyError) as err:
-            integrate_vector(f, [0.0], [1.0])
+            integrate_vector(f, [0.0], [1.0], (1, 3))
         assert calls[0] == 21
         assert not math.isfinite(err.value.error)
 
@@ -444,20 +443,20 @@ class TestQuadWrapper:
         values = self.cos_factors(40.0) if factored else (lambda x: np.cos(40.0 * x))
         f, calls = self.nan_in_call(values, 3)
         with pytest.raises(AccuracyError) as err:
-            integrate_vector(f, [0.0], [1.0])
+            integrate_vector(f, [0.0], [1.0], (1, 3) if factored else ())
         assert len(calls) == 3
         assert not math.isfinite(err.value.error)
 
     def test_one_rule_call_when_the_first_round_converges(self, monkeypatch):
         counts = TestOriginSegments.count_rule_calls(monkeypatch)
-        got = integrate_vector(lambda x: x[None, :] ** 3, [0.0, 0.5], [0.5, 1.0])
+        got = integrate_vector(lambda x: x[None, :] ** 3, [0.0, 0.5], [0.5, 1.0], (1,))
         assert counts == {"calls": 1, "panels": 2}
         assert got[0] == pytest.approx(0.25, rel=1e-15)
 
     def test_initial_panels_at_the_limit_still_converge(self, monkeypatch):
         # Two initial panels reach the limit of 2 before any bisection.
         monkeypatch.setattr(_quad, "_MAX_PANELS", 2)
-        got = integrate_vector(lambda x: x[None, :] ** 3, [0.0, 0.5], [0.5, 1.0])
+        got = integrate_vector(lambda x: x[None, :] ** 3, [0.0, 0.5], [0.5, 1.0], (1,))
         assert got[0] == pytest.approx(0.25, rel=1e-15)
 
     @settings(max_examples=40, deadline=None)
@@ -468,10 +467,10 @@ class TestQuadWrapper:
         lo = float(rng.uniform(0.0, 2.0))
         hi = lo + float(rng.uniform(0.5, 5.0))
         kink = float(rng.uniform(lo, hi)) if split else lo - 1.0
-        factors, dense = rank2_integrand(rng, kink)
+        factors, dense, shape = rank2_integrand(rng, kink)
         panels = ([lo, kink], [kink, hi]) if split else ([lo], [hi])
-        got = integrate_vector(factors, *panels)
-        expected = integrate_vector(dense, *panels)
+        got = integrate_vector(factors, *panels, shape)
+        expected = integrate_vector(dense, *panels, shape)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
 
@@ -480,7 +479,7 @@ class TestQuadWrapper:
 
         def f(x):
             return np.abs(x - 0.3) ** 0.5 * x ** powers + np.sin(7.0 * x)
-        got = integrate_vector(f, [0.0, 0.3], [0.3, 2.0], rtol=1e-12)
+        got = integrate_vector(f, [0.0, 0.3], [0.3, 2.0], (6,), rtol=1e-12)
         oracle, _ = quad_vec(lambda x: f(np.array([x]))[:, 0], 0.0, 2.0,
                              epsrel=1e-12, norm="max", points=[0.3])
         assert got.shape == (6,)
@@ -491,7 +490,7 @@ class TestQuadWrapper:
 
         def f(x):
             return np.cos(lags * x) * np.exp(-x) * x ** 0.4
-        got = integrate_vector(f, [0.0, 1.1], [1.1, 3.0])
+        got = integrate_vector(f, [0.0, 1.1], [1.1, 3.0], (lags.size,))
         oracle, _ = quad_vec(lambda x: f(np.array([x]))[:, 0], 0.0, 3.0,
                              epsrel=1e-9, epsabs=1e-15, norm="max", points=[1.1])
         np.testing.assert_allclose(got, oracle, rtol=1e-10)
@@ -507,13 +506,19 @@ class TestQuadWrapper:
             def f(x):
                 sizes.append(x.size)
                 return np.exp(-rows * x) * np.sqrt(x)
-            integrate_vector(f, [0.0, 0.5], [0.5, 2.0])
-            assert sizes[0] == 0  # the probe carries no nodes
-            calls = sizes[1:]
-            assert calls and all(n % 21 == 0 for n in calls)
-            assert max(calls) * width <= max(21 * width, budget)
+            integrate_vector(f, [0.0, 0.5], [0.5, 2.0], (width,))
+            assert sizes and all(n % 21 == 0 for n in sizes)
+            assert max(sizes) * width <= max(21 * width, budget)
             if 21 * width > budget:
-                assert set(calls) == {21}
+                assert set(sizes) == {21}
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_values_of_another_shape_raise(self, factored):
+        # one node's values have shape (1,) dense, or (1, 3) as factors
+        f = self.cos_factors(1.0) if factored else (lambda x: np.cos(x)[None, :])
+        for shape in ((), (3,), (3, 1)):
+            with pytest.raises(ValueError, match="declared"):
+                integrate_vector(f, [0.0], [1.0], shape)
 
 
 class TestSerialMatmul:
@@ -542,7 +547,7 @@ class TestIntegrateMeasure:
 
     def test_mixed_measure_against_oracle(self):
         m = self.MIXED
-        got = integrate_measure(self.f, m, rtol=1e-12, breakpoints=(self.CUTOFF,))
+        got = integrate_measure(self.f, m, (3,), rtol=1e-12, breakpoints=(self.CUTOFF,))
         assert got.shape == (3,)
         for k in range(3):
             oracle = sum(mass * float(self.f(np.array([mu]))[k, 0])
@@ -557,16 +562,16 @@ class TestIntegrateMeasure:
 
     def test_factored_integrand_matches_dense(self):
         # atoms summed exactly from the factors, segments by the factored rule
-        factors, dense = rank2_integrand(np.random.default_rng(7), self.CUTOFF)
-        got = integrate_measure(factors, self.MIXED, breakpoints=(self.CUTOFF,))
-        expected = integrate_measure(dense, self.MIXED, breakpoints=(self.CUTOFF,))
+        factors, dense, shape = rank2_integrand(np.random.default_rng(7), self.CUTOFF)
+        got = integrate_measure(factors, self.MIXED, shape, breakpoints=(self.CUTOFF,))
+        expected = integrate_measure(dense, self.MIXED, shape, breakpoints=(self.CUTOFF,))
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-9 * np.max(np.abs(expected))
-        empty = integrate_measure(factors, EMPTY)
+        empty = integrate_measure(factors, EMPTY, shape)
         assert empty.shape == expected.shape and np.all(empty == 0.0)
 
     def test_empty_measure_gives_zeros_of_integrand_shape(self):
-        got = integrate_measure(self.f, EMPTY)
+        got = integrate_measure(self.f, EMPTY, (3,))
         assert got.shape == (3,)
         assert np.all(got == 0.0)
 
@@ -575,23 +580,36 @@ class TestIntegrateMeasure:
         # every segment, within the error it reports.
         def f(mu):
             return np.stack([np.cos(30.0 * mu), np.exp(-mu)])
-        expected = integrate_measure(f, self.MIXED, rtol=1e-10)
+        expected = integrate_measure(f, self.MIXED, (2,), rtol=1e-10)
         monkeypatch.setattr(_quad, "_MAX_PANELS", 2)
         with pytest.raises(AccuracyError) as err:
-            integrate_measure(f, self.MIXED, rtol=1e-13)
+            integrate_measure(f, self.MIXED, (2,), rtol=1e-13)
         assert np.all(np.abs(err.value.estimate - expected) <= err.value.error)
         with pytest.raises(AccuracyError) as segments:
-            integrate_measure(f, SpectralMeasure(segments=self.MIXED.segments), rtol=1e-13)
+            integrate_measure(f, SpectralMeasure(segments=self.MIXED.segments), (2,),
+                              rtol=1e-13)
         atoms = f(np.array([1.8, 2.2])) @ np.array([0.7, 0.4])
         np.testing.assert_allclose(err.value.estimate, segments.value.estimate + atoms,
                                    rtol=1e-14)
+
+    def test_empty_measure_never_calls_the_integrand(self):
+        def forbidden(mu):
+            raise AssertionError("integrand called for the empty measure")
+        for shape in ((), (3,), (2, 4)):
+            got = integrate_measure(forbidden, EMPTY, shape)
+            assert got.shape == shape and np.all(got == 0.0)
+
+    @pytest.mark.parametrize("measure", [MIXED, SpectralMeasure(atoms=MIXED.atoms)])
+    def test_values_of_another_shape_raise(self, measure):
+        with pytest.raises(ValueError, match="declared"):
+            integrate_measure(self.f, measure, (2,), breakpoints=(self.CUTOFF,))
 
     def test_atom_only_measure_skips_quadrature(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("integrate_vector called for an atom-only measure")
         monkeypatch.setattr(_quad, "integrate_vector", forbidden)
         m = SpectralMeasure(atoms=((0.5, 2.0), (1.5, 0.25)))
-        got = integrate_measure(self.f, m, breakpoints=(self.CUTOFF,))
+        got = integrate_measure(self.f, m, (3,), breakpoints=(self.CUTOFF,))
         expected = self.f(np.array([0.5, 1.5])) @ np.array([2.0, 0.25])
         np.testing.assert_allclose(got, expected, rtol=1e-15)
 
@@ -670,6 +688,16 @@ class TestOriginSegments:
             return real(f, lo, hi, *args)
         monkeypatch.setattr(_quad, "_gk21", counting)
         return counts
+
+    @pytest.mark.parametrize("rtol", [1e-9, 1e-12])
+    def test_halvings_match_the_rule_run(self, rtol):
+        # _halvings evaluates the rule on mu^a itself; _gk21 on [0, 1] is the oracle
+        for a in np.linspace(-0.99, 4.0, 300)[1:]:
+            ints, errs, _ = _quad._gk21(lambda x: x ** a, np.zeros(1), np.ones(1), ())
+            ratio = errs[0] / (rtol / 8.0 * ints[0, 0])
+            expected = 0 if not ratio > 1.0 else math.ceil(
+                min(math.log2(ratio) / (a + 1.0), math.log2(8.0 / rtol)))
+            assert _quad._halvings(a, rtol) == expected
 
     def test_a_few_rounds_at_negative_exponent(self, monkeypatch):
         # Bisection alone reaches mu = 0 one panel per round: 79 rule calls
